@@ -49,6 +49,15 @@ fn bench_model_vs_sim(c: &mut Criterion) {
         let mut batch = BatchPredictor::new(&prepared, &config);
         b.iter(|| batch.predict_summary(&machine).cpi())
     });
+    // Per-flight cost: a fresh predictor (borrowing the profile's arena,
+    // empty memos) and one point — what a served predict pays.
+    group.bench_function(BenchmarkId::new("interval-model-flight-of-one", n), |b| {
+        b.iter(|| {
+            BatchPredictor::new(&prepared, &config)
+                .predict_summary(&machine)
+                .cpi()
+        })
+    });
     group.bench_function(BenchmarkId::new("cycle-level-sim", n), |b| {
         b.iter(|| {
             OooSimulator::new(SimConfig::new(machine.clone()))

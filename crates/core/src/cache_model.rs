@@ -6,12 +6,14 @@
 //! reads the reuse histogram); evaluating it for a concrete hierarchy is
 //! machine-*dependent* but cheap (a handful of binary searches). The two
 //! steps are split so [`crate::PreparedProfile`] can fit once and every
-//! design point pays only for [`CacheModel::from_fitted`].
+//! design point pays only for the searches. [`CacheModel::from_fitted`]
+//! is the reference form of those searches; predictions answer them from
+//! the prepared profile's curve arena (`kernels::arena`), a
+//! bit-identical transcription of it.
 
 use pmt_statstack::{ReuseHistogram, StackDistanceModel};
 use pmt_uarch::CacheHierarchy;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Per-level miss ratios for one access type.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -37,16 +39,16 @@ impl MissRatios {
     }
 }
 
-/// The fitted per-level cache model for one access type.
-#[derive(Clone, Debug)]
+/// A fitted StatStack model's answers for one cache hierarchy, for one
+/// access type.
+#[derive(Clone, Copy, Debug)]
 pub struct CacheModel {
-    model: Arc<StackDistanceModel>,
     /// Critical reuse distances per data level.
     pub critical_rd: [u64; 3],
     /// Miss ratios per level.
     pub ratios: MissRatios,
-    /// Cold-access fraction, cached off the model.
-    cold_fraction: f64,
+    /// Cold-access fraction of the fitted histogram.
+    pub(crate) cold_fraction: f64,
 }
 
 impl CacheModel {
@@ -64,7 +66,7 @@ impl CacheModel {
     /// Fit StatStack to a reuse histogram and evaluate it for a hierarchy.
     pub fn fit(hist: &ReuseHistogram, caches: &CacheHierarchy) -> CacheModel {
         Self::from_fitted(
-            &Arc::new(StackDistanceModel::from_reuse(hist)),
+            &StackDistanceModel::from_reuse(hist),
             Self::data_lines(caches),
         )
     }
@@ -72,16 +74,16 @@ impl CacheModel {
     /// Fit for the instruction path (L1-I geometry, then shared L2/L3).
     pub fn fit_inst(hist: &ReuseHistogram, caches: &CacheHierarchy) -> CacheModel {
         Self::from_fitted(
-            &Arc::new(StackDistanceModel::from_reuse(hist)),
+            &StackDistanceModel::from_reuse(hist),
             Self::inst_lines(caches),
         )
     }
 
     /// Evaluate an already-fitted StatStack model for a hierarchy given as
     /// per-level line counts. This is the machine-dependent step only —
-    /// six binary searches, no allocation beyond a refcount bump — and is
-    /// what the prepared-profile fast path calls per design point.
-    pub fn from_fitted(model: &Arc<StackDistanceModel>, lines: [u64; 3]) -> CacheModel {
+    /// six binary searches, no allocation — and the specification the
+    /// arena's queries are differential-tested against.
+    pub fn from_fitted(model: &StackDistanceModel, lines: [u64; 3]) -> CacheModel {
         let critical_rd = [
             model.critical_reuse_distance(lines[0]),
             model.critical_reuse_distance(lines[1]),
@@ -96,33 +98,7 @@ impl CacheModel {
             critical_rd,
             ratios,
             cold_fraction: model.cold_fraction(),
-            model: Arc::clone(model),
         }
-    }
-
-    /// Assemble a model from precomputed query results. The batched
-    /// kernels answer the six searches of
-    /// [`from_fitted`](Self::from_fitted) against their flat SoA curve
-    /// storage (with memoization across design points) and hand the
-    /// results back through here; the values must be exactly what
-    /// `from_fitted` would have produced for the same `model`/lines.
-    pub(crate) fn from_parts(
-        model: &Arc<StackDistanceModel>,
-        critical_rd: [u64; 3],
-        ratios: MissRatios,
-        cold_fraction: f64,
-    ) -> CacheModel {
-        CacheModel {
-            critical_rd,
-            ratios,
-            cold_fraction,
-            model: Arc::clone(model),
-        }
-    }
-
-    /// The underlying StatStack model.
-    pub fn stack_model(&self) -> &StackDistanceModel {
-        &self.model
     }
 
     /// Cold-access fraction of the fitted histogram.
@@ -197,14 +173,13 @@ mod tests {
         // The split fit — shared model, per-machine evaluation — must be
         // indistinguishable from refitting at every machine.
         let hist = hist_of_cycle(3_000, 150_000);
-        let shared = Arc::new(StackDistanceModel::from_reuse(&hist));
+        let shared = StackDistanceModel::from_reuse(&hist);
         let caches = CacheHierarchy::nehalem();
         for lines in [
             CacheModel::data_lines(&caches),
             CacheModel::inst_lines(&caches),
         ] {
-            let refit =
-                CacheModel::from_fitted(&Arc::new(StackDistanceModel::from_reuse(&hist)), lines);
+            let refit = CacheModel::from_fitted(&StackDistanceModel::from_reuse(&hist), lines);
             let fast = CacheModel::from_fitted(&shared, lines);
             assert_eq!(refit.ratios, fast.ratios);
             assert_eq!(refit.critical_rd, fast.critical_rd);

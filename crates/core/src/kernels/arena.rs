@@ -1,184 +1,147 @@
-//! Flat structure-of-arrays storage for a [`PreparedProfile`]'s fitted
-//! StatStack curves.
+//! The fitted StatStack curves of a [`PreparedProfile`], in query
+//! order.
 //!
-//! A prepared profile owns one fitted curve per query site — the
-//! instruction path, the global load/store models, and a loads/stores
-//! pair per micro-trace window — each behind its own `Arc`. The scalar
-//! path chases those `Arc`s per design point. [`CurveArena`] instead
-//! copies every curve's `(floors, survival, stack)` knots once into
-//! three shared flat arrays, indexed by [`CurveId::arena_index`]
-//! evaluation order, so a whole batch of design points answers its
-//! miss-ratio / critical-reuse-distance queries from contiguous sorted
-//! storage with the branchless [`search_f64`]/[`search_u64`].
+//! A profile has one reuse histogram per query site — the instruction
+//! path, the global load/store histograms, and a loads/stores pair per
+//! micro-trace window. [`CurveArena`] fits each one once and keeps the
+//! fits indexed by [`CurveId::arena_index`] evaluation order, so every
+//! design point answers its miss-ratio / critical-reuse-distance queries
+//! from each curve's contiguous sorted `(floors, survival, stack)` knots
+//! with the branchless [`search_f64`]/[`search_u64`]. The prepared
+//! profile builds its arena once, on its first prediction, and every
+//! prediction after that — single-point, sweep chunk or served flight —
+//! borrows it; the fits are the only copy of the curves.
+//!
+//! Each curve keeps its own allocation rather than one flat block for
+//! all curves: a query only ever reads one curve, and a flat block is
+//! large enough (about 3.7 MB for astar at 1M instructions) that the
+//! allocator returns it to the OS when a one-off prediction's profile is
+//! dropped, so the next one refaults every page — about 1,080 page
+//! faults, about 3 ms on a 2-core Xeon VM. Per-curve blocks are small and
+//! stay on the heap.
 //!
 //! The query routines are line-for-line transcriptions of
 //! `StackDistanceModel::critical_reuse_distance` / `miss_ratio`
 //! (including the `Err(0)`/saturated edge cases and the
 //! interpolate-within-segment step), with one deliberate saving: a
-//! [`CachePoint`] computes each level's critical distance once and feeds
+//! query computes each level's critical distance once and feeds
 //! it straight into the miss-ratio lookup, where the scalar
 //! `CacheModel::from_fitted` recomputes it inside `miss_ratio`. Same
 //! deterministic function of the same inputs, half the searches —
 //! bit-identical results, pinned by the differential tests below and the
 //! conformance suite.
 //!
+//! [`PreparedProfile`]: crate::PreparedProfile
 //! [`CurveId::arena_index`]: crate::model::CurveId::arena_index
 
-use crate::cache_model::MissRatios;
+use crate::cache_model::{CacheModel, MissRatios};
 use crate::kernels::search::{search_f64, search_u64};
-use crate::prepared::PreparedProfile;
+use pmt_profiler::ApplicationProfile;
 use pmt_statstack::StackDistanceModel;
 
-/// One curve's slice of the arena plus its query-relevant scalars.
-struct CurveSpan {
-    start: usize,
-    len: usize,
-    cold_fraction: f64,
-    total: u64,
-}
-
-/// All fitted curves of one prepared profile, laid out as parallel flat
-/// arrays in [`CurveId`](crate::model::CurveId) evaluation order.
+/// All fitted curves of one profile, in
+/// [`CurveId`](crate::model::CurveId) evaluation order.
 pub(crate) struct CurveArena {
-    spans: Vec<CurveSpan>,
-    floors: Vec<u64>,
-    survival: Vec<f64>,
-    stack: Vec<f64>,
-}
-
-/// The machine-dependent answers for one curve at one line-count triple —
-/// exactly the fields `CacheModel::from_fitted` derives.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CachePoint {
-    /// Critical reuse distance per level.
-    pub(crate) critical_rd: [u64; 3],
-    /// Miss ratio per level.
-    pub(crate) ratios: MissRatios,
-    /// Cold-access fraction of the curve.
-    pub(crate) cold_fraction: f64,
+    curves: Vec<StackDistanceModel>,
 }
 
 impl CurveArena {
-    /// Lay out every fitted curve of `prepared` in evaluation order:
+    /// Fit every StatStack curve of `profile` in evaluation order:
     /// instruction, global loads, global stores, then each window's
     /// loads/stores pair.
-    pub(crate) fn new(prepared: &PreparedProfile<'_>) -> CurveArena {
-        let mut arena = CurveArena {
-            spans: Vec::new(),
-            floors: Vec::new(),
-            survival: Vec::new(),
-            stack: Vec::new(),
-        };
-        arena.push(prepared.inst_model());
-        let (global_loads, global_stores) = prepared.global_models();
-        arena.push(global_loads);
-        arena.push(global_stores);
-        for pw in prepared.windows() {
-            arena.push(&pw.loads);
-            arena.push(&pw.stores);
-        }
-        arena
-    }
-
-    fn push(&mut self, model: &StackDistanceModel) {
-        let (floors, survival, stack) = model.curve();
-        self.spans.push(CurveSpan {
-            start: self.floors.len(),
-            len: floors.len(),
-            cold_fraction: model.cold_fraction(),
-            total: model.total_accesses(),
-        });
-        self.floors.extend_from_slice(floors);
-        self.survival.extend_from_slice(survival);
-        self.stack.extend_from_slice(stack);
+    pub(crate) fn new(profile: &ApplicationProfile) -> CurveArena {
+        let memory = &profile.memory;
+        let curves = [&memory.inst, &memory.loads, &memory.stores]
+            .into_iter()
+            .chain(
+                profile
+                    .micro_traces
+                    .iter()
+                    .flat_map(|t| [&t.loads, &t.stores]),
+            )
+            .map(StackDistanceModel::from_reuse)
+            .collect();
+        CurveArena { curves }
     }
 
     /// Answer every query `CacheModel::from_fitted` would make for curve
     /// `curve` at per-level line counts `lines`, bit-identically.
-    pub(crate) fn evaluate(&self, curve: u32, lines: [u64; 3]) -> CachePoint {
-        let span = &self.spans[curve as usize];
+    pub(crate) fn evaluate(&self, curve: u32, lines: [u64; 3]) -> CacheModel {
+        let model = &self.curves[curve as usize];
         let critical_rd = [
-            self.critical_rd(span, lines[0]),
-            self.critical_rd(span, lines[1]),
-            self.critical_rd(span, lines[2]),
+            critical_rd(model, lines[0]),
+            critical_rd(model, lines[1]),
+            critical_rd(model, lines[2]),
         ];
         let ratios = MissRatios {
-            l1: self.miss_ratio(span, lines[0], critical_rd[0]),
-            l2: self.miss_ratio(span, lines[1], critical_rd[1]),
-            l3: self.miss_ratio(span, lines[2], critical_rd[2]),
+            l1: miss_ratio(model, lines[0], critical_rd[0]),
+            l2: miss_ratio(model, lines[1], critical_rd[1]),
+            l3: miss_ratio(model, lines[2], critical_rd[2]),
         };
-        CachePoint {
+        CacheModel {
             critical_rd,
             ratios,
-            cold_fraction: span.cold_fraction,
+            cold_fraction: model.cold_fraction(),
         }
     }
+}
 
-    /// `StackDistanceModel::critical_reuse_distance`, transcribed onto
-    /// the flat storage.
-    fn critical_rd(&self, span: &CurveSpan, cache_lines: u64) -> u64 {
-        if span.total == 0 {
-            return u64::MAX;
-        }
-        let stack = &self.stack[span.start..span.start + span.len];
-        let target = cache_lines as f64;
-        match search_f64(stack, target) {
-            Ok(i) => self.floors[span.start + i],
-            Err(0) => cache_lines,
-            Err(i) if i == stack.len() => u64::MAX,
-            Err(i) => {
-                let base_sd = stack[i - 1];
-                let slope = self.survival[span.start + i - 1];
-                if slope <= f64::EPSILON {
-                    self.floors[span.start + i]
-                } else {
-                    self.floors[span.start + i - 1] + ((target - base_sd) / slope).ceil() as u64
-                }
+/// `StackDistanceModel::critical_reuse_distance`, transcribed onto the
+/// kernel search.
+fn critical_rd(model: &StackDistanceModel, cache_lines: u64) -> u64 {
+    if model.total_accesses() == 0 {
+        return u64::MAX;
+    }
+    let (floors, survival, stack) = model.curve();
+    let target = cache_lines as f64;
+    match search_f64(stack, target) {
+        Ok(i) => floors[i],
+        Err(0) => cache_lines,
+        Err(i) if i == stack.len() => u64::MAX,
+        Err(i) => {
+            let base_sd = stack[i - 1];
+            let slope = survival[i - 1];
+            if slope <= f64::EPSILON {
+                floors[i]
+            } else {
+                floors[i - 1] + ((target - base_sd) / slope).ceil() as u64
             }
         }
     }
+}
 
-    /// `StackDistanceModel::miss_ratio`, transcribed onto the flat
-    /// storage — except `crit` arrives precomputed (see the module docs)
-    /// instead of being re-derived from `cache_lines`.
-    fn miss_ratio(&self, span: &CurveSpan, cache_lines: u64, crit: u64) -> f64 {
-        if span.total == 0 {
-            return 0.0;
-        }
-        if cache_lines == 0 {
-            return 1.0;
-        }
-        if crit == u64::MAX {
-            return span.cold_fraction;
-        }
-        let floors = &self.floors[span.start..span.start + span.len];
-        match search_u64(floors, crit) {
-            Ok(i) => self.survival[span.start + i],
-            Err(0) => 1.0,
-            Err(i) => self.survival[span.start + i - 1],
-        }
-        .max(span.cold_fraction)
+/// `StackDistanceModel::miss_ratio`, transcribed onto the kernel
+/// search — except `crit` arrives precomputed (see the module docs)
+/// instead of being re-derived from `cache_lines`.
+fn miss_ratio(model: &StackDistanceModel, cache_lines: u64, crit: u64) -> f64 {
+    if model.total_accesses() == 0 {
+        return 0.0;
     }
+    if cache_lines == 0 {
+        return 1.0;
+    }
+    let cold_fraction = model.cold_fraction();
+    if crit == u64::MAX {
+        return cold_fraction;
+    }
+    let (floors, survival, _) = model.curve();
+    match search_u64(floors, crit) {
+        Ok(i) => survival[i],
+        Err(0) => 1.0,
+        Err(i) => survival[i - 1],
+    }
+    .max(cold_fraction)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache_model::CacheModel;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn arena_of(models: &[&StackDistanceModel]) -> CurveArena {
-        let mut arena = CurveArena {
-            spans: Vec::new(),
-            floors: Vec::new(),
-            survival: Vec::new(),
-            stack: Vec::new(),
-        };
-        for m in models {
-            arena.push(m);
+        CurveArena {
+            curves: models.iter().map(|&m| m.clone()).collect(),
         }
-        arena
     }
 
     /// Deserialize an adversarial hand-crafted curve (the fields are
@@ -217,7 +180,7 @@ mod tests {
     fn assert_agrees(model: &StackDistanceModel, lines: [u64; 3]) {
         let arena = arena_of(&[model]);
         let fast = arena.evaluate(0, lines);
-        let reference = CacheModel::from_fitted(&Arc::new(model.clone()), lines);
+        let reference = CacheModel::from_fitted(model, lines);
         assert_eq!(fast.critical_rd, reference.critical_rd, "crit at {lines:?}");
         for (a, b) in [
             (fast.ratios.l1, reference.ratios.l1),
@@ -313,8 +276,8 @@ mod tests {
         let lines = [2, 4, 8];
         let fast_a = arena.evaluate(0, lines);
         let fast_b = arena.evaluate(1, lines);
-        let ref_a = CacheModel::from_fitted(&Arc::new(a), lines);
-        let ref_b = CacheModel::from_fitted(&Arc::new(b), lines);
+        let ref_a = CacheModel::from_fitted(&a, lines);
+        let ref_b = CacheModel::from_fitted(&b, lines);
         assert_eq!(fast_a.critical_rd, ref_a.critical_rd);
         assert_eq!(fast_b.critical_rd, ref_b.critical_rd);
         assert_eq!(fast_a.ratios.l3.to_bits(), ref_a.ratios.l3.to_bits());

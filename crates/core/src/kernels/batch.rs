@@ -1,21 +1,24 @@
 //! The batched prediction path: one [`BatchPredictor`] per
 //! (prepared profile, model config) evaluates a whole chunk of design
-//! points, answering curve queries from the flat `CurveArena` and
-//! memoizing the expensive machine-dependent computations across
-//! points.
+//! points, answering curve queries from the prepared profile's shared
+//! `CurveArena` and memoizing the expensive machine-dependent
+//! computations across points.
 //!
-//! # Why the results are bit-identical to the scalar path
+//! The arena belongs to the [`PreparedProfile`]; a predictor only
+//! borrows it, so constructing one costs a config clone and four small
+//! empty tables — every sweep chunk, DVFS sweep and served flight over
+//! one profile shares one layout.
 //!
-//! The predictor runs the *same* `Evaluator` arithmetic as
-//! `IntervalModel::predict_summary` — only the `EvalHooks` differ, and
-//! both hook implementations are deterministic functions of the same
-//! inputs:
+//! # Why the results are bit-identical to the single-point path
+//!
+//! There is one evaluator: `IntervalModel::predict_summary` runs it
+//! without a `Memo`, the predictor runs it with one. A memo lookup
+//! either computes through the very same function the memo-less run
+//! calls, or replays what that function returned earlier for the same
+//! complete input set:
 //!
 //! * **Cache queries** are keyed by `(curve, per-level line counts)` —
-//!   the complete input set of `CacheModel::from_fitted` — and answered
-//!   by the arena's transcription of the scalar searches. A memo hit
-//!   replays bytes the transcription produced earlier for identical
-//!   inputs.
+//!   the complete input set of `CurveArena::evaluate`.
 //! * **Stride walks** are keyed by every machine-dependent value
 //!   `StrideMlpModel::evaluate_stream` reads for a fixed window: the
 //!   window identity (fixing skeleton, static loads, stream length and
@@ -25,9 +28,7 @@
 //!   case that reads them — the prefetch-table size, DRAM page size,
 //!   DRAM latency and the effective dispatch rate. `llc_store_misses`
 //!   is a pure pass-through in the walk, so it stays out of the key and
-//!   is overwritten with the current point's value after a hit. A miss
-//!   computes through the very same `stride_stream_behavior` the scalar
-//!   hooks call.
+//!   is overwritten with the current point's value after a hit.
 //! * **Critical paths and branch penalties** are keyed by their complete
 //!   input sets — `(window, rob)` for CP(ROB), and the window plus every
 //!   scalar the leaky-bucket walk (Alg 3.2) reads for the branch
@@ -42,24 +43,17 @@
 //! earlier points' curve queries, stride walks and branch penalties
 //! outright.
 
-use crate::branch_penalty::{branch_penalty, BranchPenalty};
+use crate::branch_penalty::BranchPenalty;
 use crate::cache_model::CacheModel;
 use crate::config::ModelConfig;
-use crate::kernels::arena::{CachePoint, CurveArena};
+use crate::kernels::arena::CurveArena;
 use crate::mlp::MemoryBehavior;
-use crate::model::{
-    stride_stream_behavior, CurveId, EvalHooks, Evaluator, PredictionSummary, WindowInputs,
-};
+use crate::model::{Evaluator, PredictionSummary, WindowInputs};
 use crate::prepared::PreparedProfile;
-use pmt_statstack::StackDistanceModel;
 use pmt_uarch::MachineConfig;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Complete input set of a cache query: which curve, at which per-level
-/// line counts.
-type CacheKey = (u32, [u64; 3]);
+use std::hash::Hash;
 
 /// Complete machine-dependent input set of one window's stride walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -140,22 +134,133 @@ impl MemoStats {
     }
 }
 
-/// Running hit/miss tallies, bumped inside the hooks.
-#[derive(Debug, Default)]
-struct MemoCounters {
-    cache_hits: u64,
-    cache_misses: u64,
-    stride_hits: u64,
-    stride_misses: u64,
-    cp_hits: u64,
-    cp_misses: u64,
-    branch_hits: u64,
-    branch_misses: u64,
+/// One memo table with its hit/miss tallies.
+struct Table<K, V> {
+    map: HashMap<K, V>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<K: Hash + Eq, V: Copy> Table<K, V> {
+    fn with_capacity(capacity: usize) -> Self {
+        Table {
+            map: HashMap::with_capacity(capacity),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The value memoized under `key`, or `compute()`'s, inserted.
+    fn get_or(&mut self, key: K, compute: impl FnOnce() -> V) -> V {
+        match self.map.entry(key) {
+            Entry::Occupied(hit) => {
+                self.hits += 1;
+                *hit.get()
+            }
+            Entry::Vacant(slot) => {
+                self.misses += 1;
+                *slot.insert(compute())
+            }
+        }
+    }
+}
+
+/// The cross-point memo tables the evaluator consults when it is given
+/// one. Each lookup is keyed by the complete input set of the
+/// computation it stands in for (see the module docs), and computes
+/// through the caller's closure — the memo-less computation — on a miss.
+pub(crate) struct Memo {
+    cache: Table<(u32, [u64; 3]), CacheModel>,
+    stride: Table<StrideKey, MemoryBehavior>,
+    cp: Table<(u32, u32), f64>,
+    branch: Table<BranchKey, BranchPenalty>,
+}
+
+impl Memo {
+    /// Empty tables sized for one design point over `windows` windows
+    /// (one curve query per window's loads and stores, plus the
+    /// instruction path), so a flight of one never rehashes.
+    fn for_windows(windows: usize) -> Memo {
+        Memo {
+            cache: Table::with_capacity(2 * windows + 1),
+            stride: Table::with_capacity(windows),
+            cp: Table::with_capacity(windows),
+            branch: Table::with_capacity(windows),
+        }
+    }
+
+    /// Curve `curve`'s queries at per-level line counts `lines`.
+    pub(crate) fn cache_model(
+        &mut self,
+        curve: u32,
+        lines: [u64; 3],
+        compute: impl FnOnce() -> CacheModel,
+    ) -> CacheModel {
+        self.cache.get_or((curve, lines), compute)
+    }
+
+    /// One window's stride walk on `machine` at dispatch rate `deff`.
+    pub(crate) fn stride(
+        &mut self,
+        machine: &MachineConfig,
+        deff: f64,
+        inp: &WindowInputs<'_>,
+        store_llc_misses: f64,
+        compute: impl FnOnce() -> MemoryBehavior,
+    ) -> MemoryBehavior {
+        let key = StrideKey {
+            window: inp.window,
+            crit_l3: inp.loads_model.critical_rd[2],
+            rob: machine.core.rob_size,
+            mshr: machine.mem.mshr_entries,
+            prefetch: machine.prefetcher.enabled.then(|| PrefetchKey {
+                table_entries: machine.prefetcher.table_entries,
+                dram_page_bytes: machine.mem.dram_page_bytes,
+                dram_latency: machine.mem.dram_latency,
+                deff_bits: deff.to_bits(),
+            }),
+        };
+        let mut behavior = self.stride.get_or(key, compute);
+        // Pass-through field, not part of the walk: always the current
+        // point's value.
+        behavior.llc_store_misses = store_llc_misses;
+        behavior
+    }
+
+    /// CP(ROB) of window `window`.
+    pub(crate) fn critical_path(
+        &mut self,
+        window: u32,
+        rob: u32,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        self.cp.get_or((window, rob), compute)
+    }
+
+    /// One window's branch penalty on `machine`'s core.
+    pub(crate) fn branch(
+        &mut self,
+        machine: &MachineConfig,
+        window: u32,
+        interval: f64,
+        lat: f64,
+        compute: impl FnOnce() -> BranchPenalty,
+    ) -> BranchPenalty {
+        let key = BranchKey {
+            window,
+            rob: machine.core.rob_size,
+            width: machine.core.dispatch_width,
+            frontend_depth: machine.core.frontend_depth,
+            interval_bits: interval.to_bits(),
+            lat_bits: lat.to_bits(),
+        };
+        self.branch.get_or(key, compute)
+    }
 }
 
 /// Batched predictor for one prepared profile under one model
-/// configuration: build once per chunk of design points, then call
-/// [`predict_summary`](Self::predict_summary) per point (or
+/// configuration: cheap to build (it borrows the profile's arena), then
+/// call [`predict_summary`](Self::predict_summary) per point (or
 /// [`predict_batch_into`](Self::predict_batch_into) for a whole slice).
 /// Later points reuse earlier points' memoized curve queries and stride
 /// walks; results are bit-identical to
@@ -163,49 +268,48 @@ struct MemoCounters {
 pub struct BatchPredictor<'p, 'a> {
     prepared: &'p PreparedProfile<'a>,
     config: ModelConfig,
-    arena: CurveArena,
-    cache_memo: HashMap<CacheKey, CachePoint>,
-    stride_memo: HashMap<StrideKey, MemoryBehavior>,
-    /// CP(ROB) per `(window, rob)`.
-    cp_memo: HashMap<(u32, u32), f64>,
-    /// Branch penalties per complete leaky-bucket input set.
-    branch_memo: HashMap<BranchKey, BranchPenalty>,
-    counters: MemoCounters,
+    /// The prepared profile's own arena, shared with every other
+    /// predictor and single-point prediction over it.
+    pub(crate) arena: &'p CurveArena,
+    memo: Memo,
 }
 
 impl<'p, 'a> BatchPredictor<'p, 'a> {
-    /// Lay the profile's fitted curves out as flat SoA arrays and set up
-    /// empty memo tables. One config clone total — per-point evaluation
+    /// Borrow the profile's curve arena (building it if this is the
+    /// profile's first prediction) and set up empty memo tables sized
+    /// for one point. One config clone total — per-point evaluation
     /// clones nothing.
     pub fn new(prepared: &'p PreparedProfile<'a>, config: &ModelConfig) -> BatchPredictor<'p, 'a> {
         BatchPredictor {
             prepared,
             config: config.clone(),
-            arena: CurveArena::new(prepared),
-            cache_memo: HashMap::new(),
-            stride_memo: HashMap::new(),
-            cp_memo: HashMap::new(),
-            branch_memo: HashMap::new(),
-            counters: MemoCounters::default(),
+            arena: prepared.arena(),
+            memo: Memo::for_windows(prepared.windows().len().max(1)),
         }
     }
 
     /// Snapshot the memo tables: entry counts plus cumulative hit/miss
     /// tallies since construction.
     pub fn memo_stats(&self) -> MemoStats {
+        let Memo {
+            cache,
+            stride,
+            cp,
+            branch,
+        } = &self.memo;
         MemoStats {
-            cache_entries: self.cache_memo.len() as u64,
-            cache_hits: self.counters.cache_hits,
-            cache_misses: self.counters.cache_misses,
-            stride_entries: self.stride_memo.len() as u64,
-            stride_hits: self.counters.stride_hits,
-            stride_misses: self.counters.stride_misses,
-            cp_entries: self.cp_memo.len() as u64,
-            cp_hits: self.counters.cp_hits,
-            cp_misses: self.counters.cp_misses,
-            branch_entries: self.branch_memo.len() as u64,
-            branch_hits: self.counters.branch_hits,
-            branch_misses: self.counters.branch_misses,
+            cache_entries: cache.map.len() as u64,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            stride_entries: stride.map.len() as u64,
+            stride_hits: stride.hits,
+            stride_misses: stride.misses,
+            cp_entries: cp.map.len() as u64,
+            cp_hits: cp.hits,
+            cp_misses: cp.misses,
+            branch_entries: branch.map.len() as u64,
+            branch_hits: branch.hits,
+            branch_misses: branch.misses,
         }
     }
 
@@ -218,19 +322,13 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     /// Bit-identical to `IntervalModel::with_config(machine,
     /// config).predict_summary(prepared)`.
     pub fn predict_summary(&mut self, machine: &MachineConfig) -> PredictionSummary {
-        let mut hooks = BatchHooks {
-            arena: &self.arena,
-            cache_memo: &mut self.cache_memo,
-            stride_memo: &mut self.stride_memo,
-            cp_memo: &mut self.cp_memo,
-            branch_memo: &mut self.branch_memo,
-            counters: &mut self.counters,
-        };
         Evaluator {
             machine,
             config: &self.config,
+            arena: self.arena,
+            memo: Some(&mut self.memo),
         }
-        .run(self.prepared, false, &mut hooks)
+        .run(self.prepared, false)
         .0
     }
 
@@ -264,131 +362,5 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
                 (key, summary)
             })
             .collect()
-    }
-}
-
-/// The batched [`EvalHooks`]: arena-backed cache queries and memoized
-/// stride walks. Borrows the predictor's parts separately so the
-/// `Evaluator` can hold `&mut hooks` while the predictor's profile stays
-/// borrowed.
-struct BatchHooks<'s> {
-    arena: &'s CurveArena,
-    cache_memo: &'s mut HashMap<CacheKey, CachePoint>,
-    stride_memo: &'s mut HashMap<StrideKey, MemoryBehavior>,
-    cp_memo: &'s mut HashMap<(u32, u32), f64>,
-    branch_memo: &'s mut HashMap<BranchKey, BranchPenalty>,
-    counters: &'s mut MemoCounters,
-}
-
-impl EvalHooks for BatchHooks<'_> {
-    fn cache_model(
-        &mut self,
-        id: CurveId,
-        model: &Arc<StackDistanceModel>,
-        lines: [u64; 3],
-    ) -> CacheModel {
-        let curve = id.arena_index();
-        let point = match self.cache_memo.entry((curve, lines)) {
-            Entry::Occupied(hit) => {
-                self.counters.cache_hits += 1;
-                *hit.get()
-            }
-            Entry::Vacant(slot) => {
-                self.counters.cache_misses += 1;
-                *slot.insert(self.arena.evaluate(curve, lines))
-            }
-        };
-        CacheModel::from_parts(model, point.critical_rd, point.ratios, point.cold_fraction)
-    }
-
-    fn stride(
-        &mut self,
-        machine: &MachineConfig,
-        deff: f64,
-        inp: &WindowInputs<'_>,
-        loads: f64,
-        store_llc_misses: f64,
-    ) -> MemoryBehavior {
-        let key = StrideKey {
-            window: inp.window,
-            crit_l3: inp.loads_model.critical_rd[2],
-            rob: machine.core.rob_size,
-            mshr: machine.mem.mshr_entries,
-            prefetch: machine.prefetcher.enabled.then(|| PrefetchKey {
-                table_entries: machine.prefetcher.table_entries,
-                dram_page_bytes: machine.mem.dram_page_bytes,
-                dram_latency: machine.mem.dram_latency,
-                deff_bits: deff.to_bits(),
-            }),
-        };
-        let mut behavior = match self.stride_memo.entry(key) {
-            Entry::Occupied(hit) => {
-                self.counters.stride_hits += 1;
-                *hit.get()
-            }
-            Entry::Vacant(slot) => {
-                self.counters.stride_misses += 1;
-                *slot.insert(stride_stream_behavior(
-                    machine,
-                    deff,
-                    inp,
-                    loads,
-                    store_llc_misses,
-                ))
-            }
-        };
-        // Pass-through field, not part of the walk: always the current
-        // point's value.
-        behavior.llc_store_misses = store_llc_misses;
-        behavior
-    }
-
-    fn critical_path(&mut self, inp: &WindowInputs<'_>, rob: u32) -> f64 {
-        match self.cp_memo.entry((inp.window, rob)) {
-            Entry::Occupied(hit) => {
-                self.counters.cp_hits += 1;
-                *hit.get()
-            }
-            Entry::Vacant(slot) => {
-                self.counters.cp_misses += 1;
-                *slot.insert(inp.deps.cp(rob))
-            }
-        }
-    }
-
-    fn branch(
-        &mut self,
-        inp: &WindowInputs<'_>,
-        rob: u32,
-        width: u32,
-        frontend_depth: u32,
-        interval: f64,
-        lat: f64,
-    ) -> BranchPenalty {
-        let key = BranchKey {
-            window: inp.window,
-            rob,
-            width,
-            frontend_depth,
-            interval_bits: interval.to_bits(),
-            lat_bits: lat.to_bits(),
-        };
-        match self.branch_memo.entry(key) {
-            Entry::Occupied(hit) => {
-                self.counters.branch_hits += 1;
-                *hit.get()
-            }
-            Entry::Vacant(slot) => {
-                self.counters.branch_misses += 1;
-                *slot.insert(branch_penalty(
-                    inp.deps,
-                    rob,
-                    width,
-                    frontend_depth,
-                    interval,
-                    lat,
-                ))
-            }
-        }
     }
 }

@@ -1,14 +1,14 @@
 //! Batched structure-of-arrays prediction kernels.
 //!
-//! The scalar hot path ([`IntervalModel::predict_summary`]) evaluates one
-//! design point at a time: per point it chases one `Arc` per fitted
-//! StatStack curve, runs six binary searches per curve, and re-walks the
-//! stride-MLP virtual stream. This module restructures that work around
-//! *batches* of design points:
+//! Every prediction — single-point or batched — runs one evaluator over
+//! the prepared profile's curve arena. This module holds that arena and
+//! the machinery that makes *batches* of design points cheap:
 //!
 //! * `arena` *(internal)* — every fitted curve of a
-//!   [`PreparedProfile`](crate::PreparedProfile) laid out once as flat
-//!   sorted SoA arrays (`floors`/`survival`/`stack`), queried in place;
+//!   [`PreparedProfile`](crate::PreparedProfile), fitted once and kept
+//!   in query order as sorted SoA arrays (`floors`/`survival`/`stack`),
+//!   queried in place. The prepared profile owns it, built on its first
+//!   prediction;
 //! * [`search`] — the branchless sorted-slice search those queries use,
 //!   probe-for-probe identical to `std`'s binary search;
 //! * [`lanes`] — chunked elementwise f64 arithmetic (`core::arch` SIMD
@@ -16,12 +16,14 @@
 //!   `PMT_FORCE_SCALAR=1` forces the fallback) for the outer
 //!   per-point arrays (CPI, seconds);
 //! * [`BatchPredictor`] — the entry point: one per (prepared profile,
-//!   config), memoizing curve queries and stride walks across the
-//!   points of a batch.
+//!   config), borrowing the profile's arena and memoizing curve queries
+//!   and stride walks across the points of a batch.
 //!
-//! Everything here is bit-identical to the scalar path by construction
-//! (same arithmetic, same probe sequences, per-lane correctly-rounded
-//! SIMD); `crates/core/tests/batch_identity.rs` pins it.
+//! Everything here is bit-identical to the single-point
+//! [`IntervalModel::predict_summary`] by construction (same evaluator,
+//! same probe sequences as the reference searches, per-lane
+//! correctly-rounded SIMD); `crates/core/tests/batch_identity.rs` pins
+//! it.
 //!
 //! [`IntervalModel::predict_summary`]: crate::IntervalModel::predict_summary
 

@@ -4,6 +4,8 @@ use crate::branch_penalty::{branch_penalty, BranchPenalty};
 use crate::cache_model::CacheModel;
 use crate::config::{EvaluationMode, MlpModelKind, ModelConfig};
 use crate::dispatch::{effective_dispatch_rate, DispatchBreakdown};
+use crate::kernels::arena::CurveArena;
+use crate::kernels::batch::Memo;
 use crate::llc_chaining::{chain_penalty_total, ChainInputs};
 use crate::mlp::{cold_miss_mlp, MemoryBehavior, StrideMlpModel, VirtualStream};
 use crate::prepared::{PreparedProfile, PreparedWindow};
@@ -11,11 +13,9 @@ use pmt_profiler::{
     ApplicationProfile, DependenceProfile, LoadDependenceDistribution, MicroTraceProfile,
     StaticLoadProfile,
 };
-use pmt_statstack::StackDistanceModel;
 use pmt_trace::UopClass;
 use pmt_uarch::{ActivityVector, CpiComponent, CpiStack, MachineConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Prediction for one evaluation window (a micro-trace's window, or the
 /// whole application in combined mode).
@@ -187,7 +187,7 @@ pub struct IntervalModel {
 /// Everything one window evaluation needs.
 pub(crate) struct WindowInputs<'a> {
     /// Position of this window in evaluation order (0 in combined mode) —
-    /// the identity batched hooks memoize per-window state under.
+    /// the identity the memo keys per-window state under.
     pub(crate) window: u32,
     index: u64,
     instructions: f64,
@@ -354,14 +354,16 @@ impl IntervalModel {
         Evaluator {
             machine: &self.machine,
             config: &self.config,
+            arena: prepared.arena(),
+            memo: None,
         }
-        .run(prepared, collect_windows, &mut DirectHooks)
+        .run(prepared, collect_windows)
     }
 }
 
 /// Identifies one fitted StatStack curve of a [`PreparedProfile`] across
-/// an evaluation — the key batched hooks use to find the curve's flat SoA
-/// storage and memoize queries against it.
+/// an evaluation — the key the evaluator uses to find the curve in the
+/// arena and the memo keys its queries under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum CurveId {
     /// The instruction-path model.
@@ -391,124 +393,35 @@ impl CurveId {
     }
 }
 
-/// The two machine-dependent computations [`Evaluator`] delegates, so the
-/// batched kernels can answer them from flat SoA curves and per-batch
-/// memoization while the scalar path computes them directly. Both
-/// implementations must return bit-identical values — the conformance
-/// suite (`tests/batch_identity.rs`) pins this on each path.
-pub(crate) trait EvalHooks {
-    /// Resolve one fitted curve's machine-dependent cache queries:
-    /// critical reuse distances and miss ratios at `lines`.
-    fn cache_model(
-        &mut self,
-        id: CurveId,
-        model: &Arc<StackDistanceModel>,
-        lines: [u64; 3],
-    ) -> CacheModel;
-
-    /// Run the stride-MLP virtual-stream walk for one window.
-    fn stride(
-        &mut self,
-        machine: &MachineConfig,
-        deff: f64,
-        inp: &WindowInputs<'_>,
-        loads: f64,
-        store_llc_misses: f64,
-    ) -> MemoryBehavior;
-
-    /// CP(ROB): the window dependency profile's critical-path length.
-    /// A pure function of `(window, rob)` — the batched hooks memoize it.
-    fn critical_path(&mut self, inp: &WindowInputs<'_>, rob: u32) -> f64 {
-        inp.deps.cp(rob)
-    }
-
-    /// The branch-misprediction penalty (leaky-bucket Alg 3.2) for one
-    /// window. A pure function of the window's dependency profile and
-    /// the five scalars — the complete input set of
-    /// [`branch_penalty`], which the batched hooks key a memo by.
-    fn branch(
-        &mut self,
-        inp: &WindowInputs<'_>,
-        rob: u32,
-        width: u32,
-        frontend_depth: u32,
-        interval: f64,
-        lat: f64,
-    ) -> BranchPenalty {
-        branch_penalty(inp.deps, rob, width, frontend_depth, interval, lat)
-    }
-}
-
-/// The scalar path: every query computed directly, exactly as the
-/// one-point model always has.
-pub(crate) struct DirectHooks;
-
-impl EvalHooks for DirectHooks {
-    fn cache_model(
-        &mut self,
-        _id: CurveId,
-        model: &Arc<StackDistanceModel>,
-        lines: [u64; 3],
-    ) -> CacheModel {
-        CacheModel::from_fitted(model, lines)
-    }
-
-    fn stride(
-        &mut self,
-        machine: &MachineConfig,
-        deff: f64,
-        inp: &WindowInputs<'_>,
-        loads: f64,
-        store_llc_misses: f64,
-    ) -> MemoryBehavior {
-        stride_stream_behavior(machine, deff, inp, loads, store_llc_misses)
-    }
-}
-
-/// The stride-MLP walk both hook implementations share: the batched path
-/// calls this on a memo miss, so a memo hit replays bytes produced by
-/// this very computation.
-pub(crate) fn stride_stream_behavior(
-    machine: &MachineConfig,
-    deff: f64,
-    inp: &WindowInputs<'_>,
-    loads: f64,
-    store_llc_misses: f64,
-) -> MemoryBehavior {
-    StrideMlpModel::new(machine, deff).evaluate_stream(
-        inp.stream,
-        inp.static_loads,
-        &inp.loads_model,
-        inp.stream_uops,
-        loads,
-        store_llc_misses,
-        inp.window_cold,
-    )
-}
-
-/// The evaluation core behind [`IntervalModel`], borrowing machine and
-/// config so batched callers can evaluate one design point per call
-/// without cloning a `MachineConfig`/`ModelConfig` pair per point.
+/// The evaluation core behind [`IntervalModel`] and
+/// [`BatchPredictor`](crate::BatchPredictor): the one path every
+/// prediction takes. It borrows machine and config, so batched callers
+/// evaluate one design point per call without cloning a
+/// `MachineConfig`/`ModelConfig` pair per point, and queries the
+/// prepared profile's curve arena. With a [`Memo`], the four
+/// machine-dependent computations (cache queries, stride walks, CP(ROB),
+/// branch penalties) replay earlier points' results for identical
+/// inputs; without one they are computed directly — the same functions
+/// either way, so both runs give the same bits (`tests/batch_identity.rs`
+/// pins it).
 pub(crate) struct Evaluator<'m> {
     pub(crate) machine: &'m MachineConfig,
     pub(crate) config: &'m ModelConfig,
+    pub(crate) arena: &'m CurveArena,
+    pub(crate) memo: Option<&'m mut Memo>,
 }
 
 impl Evaluator<'_> {
     /// Walk the windows once, combining as we go; keep the per-window
     /// predictions only when `collect_windows` asks.
     pub(crate) fn run(
-        &self,
+        &mut self,
         prepared: &PreparedProfile<'_>,
         collect_windows: bool,
-        hooks: &mut impl EvalHooks,
     ) -> (PredictionSummary, Vec<WindowPrediction>) {
         let profile = prepared.profile();
-        let inst_model = hooks.cache_model(
-            CurveId::Inst,
-            prepared.inst_model(),
-            CacheModel::inst_lines(&self.machine.caches),
-        );
+        let inst_model =
+            self.cache_model(CurveId::Inst, CacheModel::inst_lines(&self.machine.caches));
 
         let mut combiner = Combiner::default();
         let mut windows = Vec::new();
@@ -526,27 +439,85 @@ impl Evaluator<'_> {
                     .zip(prepared.windows())
                     .enumerate()
                 {
-                    let inputs = self.trace_inputs(wi as u32, t, pw, hooks);
-                    fold(self.evaluate_window(&inputs, profile, &inst_model, hooks));
+                    let inputs = self.trace_inputs(wi as u32, t, pw);
+                    fold(self.evaluate_window(&inputs, profile, &inst_model));
                 }
             }
             _ => {
-                let inputs = self.combined_inputs(profile, prepared, hooks);
-                fold(self.evaluate_window(&inputs, profile, &inst_model, hooks));
+                let inputs = self.combined_inputs(profile, prepared);
+                fold(self.evaluate_window(&inputs, profile, &inst_model));
             }
         }
         (combiner.finish(profile), windows)
+    }
+
+    /// One fitted curve's machine-dependent cache queries: critical
+    /// reuse distances and miss ratios at `lines`.
+    fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel {
+        let (arena, curve) = (self.arena, id.arena_index());
+        let evaluate = || arena.evaluate(curve, lines);
+        match self.memo.as_deref_mut() {
+            Some(memo) => memo.cache_model(curve, lines, evaluate),
+            None => evaluate(),
+        }
+    }
+
+    /// The stride-MLP virtual-stream walk for one window. A memo miss
+    /// computes through this very walk, so a hit replays its bytes.
+    fn stride(
+        &mut self,
+        deff: f64,
+        inp: &WindowInputs<'_>,
+        loads: f64,
+        store_llc_misses: f64,
+    ) -> MemoryBehavior {
+        let machine = self.machine;
+        let walk = || {
+            StrideMlpModel::new(machine, deff).evaluate_stream(
+                inp.stream,
+                inp.static_loads,
+                &inp.loads_model,
+                inp.stream_uops,
+                loads,
+                store_llc_misses,
+                inp.window_cold,
+            )
+        };
+        match self.memo.as_deref_mut() {
+            Some(memo) => memo.stride(machine, deff, inp, store_llc_misses, walk),
+            None => walk(),
+        }
+    }
+
+    /// CP(ROB): the window dependency profile's critical-path length.
+    fn critical_path(&mut self, inp: &WindowInputs<'_>, rob: u32) -> f64 {
+        let cp = || inp.deps.cp(rob);
+        match self.memo.as_deref_mut() {
+            Some(memo) => memo.critical_path(inp.window, rob, cp),
+            None => cp(),
+        }
+    }
+
+    /// The branch-misprediction penalty (leaky-bucket Alg 3.2) for one
+    /// window.
+    fn branch(&mut self, inp: &WindowInputs<'_>, interval: f64, lat: f64) -> BranchPenalty {
+        let core = &self.machine.core;
+        let (rob, width, depth) = (core.rob_size, core.dispatch_width, core.frontend_depth);
+        let penalty = || branch_penalty(inp.deps, rob, width, depth, interval, lat);
+        match self.memo.as_deref_mut() {
+            Some(memo) => memo.branch(self.machine, inp.window, interval, lat, penalty),
+            None => penalty(),
+        }
     }
 
     /// Per-micro-trace inputs: machine-independent parts from the
     /// preparation, machine-dependent cache queries done here. `wi` is
     /// the window's position in evaluation order.
     fn trace_inputs<'a>(
-        &self,
+        &mut self,
         wi: u32,
         t: &'a MicroTraceProfile,
         pw: &'a PreparedWindow,
-        hooks: &mut impl EvalHooks,
     ) -> WindowInputs<'a> {
         let data_lines = CacheModel::data_lines(&self.machine.caches);
         WindowInputs {
@@ -557,8 +528,8 @@ impl Evaluator<'_> {
             deps: &t.deps,
             load_deps: &t.load_deps,
             entropy: pw.entropy,
-            loads_model: hooks.cache_model(CurveId::WindowLoads(wi), &pw.loads, data_lines),
-            stores_model: hooks.cache_model(CurveId::WindowStores(wi), &pw.stores, data_lines),
+            loads_model: self.cache_model(CurveId::WindowLoads(wi), data_lines),
+            stores_model: self.cache_model(CurveId::WindowStores(wi), data_lines),
             static_loads: &t.static_loads,
             stream: &pw.stream,
             stream_uops: t.uops,
@@ -569,10 +540,9 @@ impl Evaluator<'_> {
 
     /// Whole-application inputs (combined mode).
     fn combined_inputs<'a>(
-        &self,
+        &mut self,
         profile: &'a ApplicationProfile,
         prepared: &'a PreparedProfile<'_>,
-        hooks: &mut impl EvalHooks,
     ) -> WindowInputs<'a> {
         // The stride sample (the first micro-trace's static loads), its
         // length and its skeleton come from the preparation as one unit so
@@ -581,7 +551,6 @@ impl Evaluator<'_> {
         // inputs are unused).
         let (static_loads, stream_uops, stream) = prepared.combined_stride_inputs();
         let data_lines = CacheModel::data_lines(&self.machine.caches);
-        let (global_loads, global_stores) = prepared.global_models();
         WindowInputs {
             window: 0,
             index: 0,
@@ -590,8 +559,8 @@ impl Evaluator<'_> {
             deps: &profile.deps,
             load_deps: &profile.load_deps,
             entropy: profile.branch.entropy,
-            loads_model: hooks.cache_model(CurveId::GlobalLoads, global_loads, data_lines),
-            stores_model: hooks.cache_model(CurveId::GlobalStores, global_stores, data_lines),
+            loads_model: self.cache_model(CurveId::GlobalLoads, data_lines),
+            stores_model: self.cache_model(CurveId::GlobalStores, data_lines),
             static_loads,
             stream,
             stream_uops,
@@ -602,11 +571,10 @@ impl Evaluator<'_> {
 
     /// Evaluate Eq 3.1 for one window.
     fn evaluate_window(
-        &self,
+        &mut self,
         inp: &WindowInputs<'_>,
         profile: &ApplicationProfile,
         inst_model: &CacheModel,
-        hooks: &mut impl EvalHooks,
     ) -> WindowPrediction {
         let m = self.machine;
         let n_uops: f64 = inp.class_counts.iter().sum();
@@ -633,7 +601,7 @@ impl Evaluator<'_> {
         }
 
         // --- Base: effective dispatch rate (Eq 3.10) ----------------------
-        let cp = hooks.critical_path(inp, rob);
+        let cp = self.critical_path(inp, rob);
         let dispatch = effective_dispatch_rate(m, &inp.class_counts, cp, lat);
         let base_cycles = n_uops / dispatch.effective;
 
@@ -646,14 +614,7 @@ impl Evaluator<'_> {
         let mispredicts = branches * miss_rate;
         let branch_cycles = if mispredicts > 0.5 {
             let interval = n_uops / mispredicts;
-            let pen = hooks.branch(
-                inp,
-                rob,
-                m.core.dispatch_width,
-                m.core.frontend_depth,
-                interval,
-                lat,
-            );
+            let pen = self.branch(inp, interval, lat);
             mispredicts * pen.total()
         } else {
             0.0
@@ -689,7 +650,6 @@ impl Evaluator<'_> {
             },
             &dispatch,
             profile,
-            hooks,
         );
 
         let density = memory.miss_window_density.clamp(0.0, 1.0);
@@ -775,12 +735,11 @@ impl Evaluator<'_> {
     }
 
     fn memory_behavior(
-        &self,
+        &mut self,
         inp: &WindowInputs<'_>,
         mem: MemoryInputs,
         dispatch: &DispatchBreakdown,
         profile: &ApplicationProfile,
-        hooks: &mut impl EvalHooks,
     ) -> MemoryBehavior {
         let m = self.machine;
         let lr = &inp.loads_model.ratios;
@@ -791,8 +750,7 @@ impl Evaluator<'_> {
         } = mem;
         match self.config.mlp_model {
             MlpModelKind::Stride if !inp.static_loads.is_empty() && inp.stream_uops > 0 => {
-                let mut behavior =
-                    hooks.stride(m, dispatch.effective, inp, loads, store_llc_misses);
+                let mut behavior = self.stride(dispatch.effective, inp, loads, store_llc_misses);
                 if !self.config.mshr_cap {
                     // Undo the cap by re-flooring at the raw value — the
                     // cap is inside evaluate; approximate by scaling up.

@@ -4,18 +4,25 @@
 //! The paper's headline claim is that design-space exploration is fast
 //! *because* profiling is micro-architecture independent: profile once,
 //! predict many. [`PreparedProfile`] makes the "once" part explicit. It
-//! fits every StatStack model the interval model will ever query (the
-//! per-micro-trace load/store histograms, the global load/store
-//! histograms for combined mode, and the instruction path), precomputes
-//! the per-window μop class counts, entropy fallbacks and the stride-MLP
-//! virtual-stream skeletons — all of which depend only on the profile —
-//! and shares the fitted models read-only (`Arc`) so rayon workers
-//! evaluating different design points never refit or copy them.
+//! precomputes the per-window μop class counts, entropy fallbacks and
+//! the stride-MLP virtual-stream skeletons, and owns the profile's curve
+//! arena: every StatStack model the interval model will ever query (the
+//! instruction path, the global load/store histograms for combined mode,
+//! and each micro-trace's load/store pair) fitted once, in query order
+//! (`kernels::arena`) — all of which depend only on the profile. It is
+//! shared read-only, so rayon workers evaluating different design
+//! points never refit or copy any of it.
+//!
+//! The arena is built lazily, on the first prediction, behind a
+//! `OnceLock` — a prepared profile that is never predicted (a registered
+//! upload nobody queries yet) never fits a curve, and every later
+//! prediction, sweep chunk, DVFS sweep and served flight borrows the
+//! same one.
 //!
 //! Per design point, [`IntervalModel::predict_prepared`] then performs
-//! only the machine-*dependent* work: binary-searched miss-ratio /
-//! critical-reuse-distance queries against the prefitted models plus the
-//! Eq 3.1 arithmetic.
+//! only the machine-*dependent* work: branchless miss-ratio /
+//! critical-reuse-distance searches over the arena plus the Eq 3.1
+//! arithmetic.
 //!
 //! ```
 //! use pmt_core::{IntervalModel, PreparedProfile};
@@ -36,11 +43,11 @@
 //!
 //! [`IntervalModel::predict_prepared`]: crate::IntervalModel::predict_prepared
 
+use crate::kernels::arena::CurveArena;
 use crate::mlp::VirtualStream;
 use pmt_profiler::{ApplicationProfile, StaticLoadProfile};
-use pmt_statstack::StackDistanceModel;
 use pmt_trace::UopClass;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Machine-independent precomputation for one micro-trace window.
 pub(crate) struct PreparedWindow {
@@ -48,26 +55,17 @@ pub(crate) struct PreparedWindow {
     pub class_counts: [f64; UopClass::COUNT],
     /// Branch entropy with the too-few-branches fallback applied.
     pub entropy: f64,
-    /// Fitted StatStack model of the window's load accesses.
-    pub loads: Arc<StackDistanceModel>,
-    /// Fitted StatStack model of the window's store accesses.
-    pub stores: Arc<StackDistanceModel>,
     /// Prebuilt virtual-stream skeleton for the stride-MLP model.
     pub stream: VirtualStream,
 }
 
 /// A one-time, machine-independent compilation of an
-/// [`ApplicationProfile`]: every StatStack model prefitted, every
-/// per-window scalar precomputed. Borrow it wherever the profile lives;
-/// it is `Sync`, so one instance serves a whole rayon-parallel sweep.
+/// [`ApplicationProfile`]: every per-window scalar precomputed, and every
+/// StatStack model fitted into the curve arena on first use. Borrow it
+/// wherever the profile lives; it is `Sync`, so one instance serves a
+/// whole rayon-parallel sweep.
 pub struct PreparedProfile<'a> {
     profile: &'a ApplicationProfile,
-    /// Fitted instruction-path model.
-    inst: Arc<StackDistanceModel>,
-    /// Fitted global (combined-mode) load model.
-    global_loads: Arc<StackDistanceModel>,
-    /// Fitted global (combined-mode) store model.
-    global_stores: Arc<StackDistanceModel>,
     /// Per-micro-trace precomputation, parallel to `profile.micro_traces`.
     windows: Vec<PreparedWindow>,
     /// Combined-mode μop class counts.
@@ -80,10 +78,14 @@ pub struct PreparedProfile<'a> {
     /// Combined-mode virtual-stream skeleton (`combined_static` with the
     /// *global* dependence distribution).
     combined_stream: VirtualStream,
+    /// Every fitted StatStack curve, built on the first prediction and
+    /// shared by all later ones.
+    arena: OnceLock<CurveArena>,
 }
 
 impl<'a> PreparedProfile<'a> {
-    /// Fit all machine-independent models of `profile` once.
+    /// Precompute the machine-independent per-window state of `profile`;
+    /// the StatStack fits wait for the first prediction.
     pub fn new(profile: &'a ApplicationProfile) -> PreparedProfile<'a> {
         let windows = profile
             .micro_traces
@@ -109,8 +111,6 @@ impl<'a> PreparedProfile<'a> {
                 PreparedWindow {
                     class_counts,
                     entropy,
-                    loads: Arc::new(StackDistanceModel::from_reuse(&t.loads)),
-                    stores: Arc::new(StackDistanceModel::from_reuse(&t.stores)),
                     stream: VirtualStream::build(&t.static_loads, &t.load_deps, t.uops),
                 }
             })
@@ -129,9 +129,6 @@ impl<'a> PreparedProfile<'a> {
             .map(|t| (t.static_loads.as_slice(), t.uops))
             .unwrap_or((&[], 0));
         PreparedProfile {
-            inst: Arc::new(StackDistanceModel::from_reuse(&profile.memory.inst)),
-            global_loads: Arc::new(StackDistanceModel::from_reuse(&profile.memory.loads)),
-            global_stores: Arc::new(StackDistanceModel::from_reuse(&profile.memory.stores)),
             windows,
             combined_class_counts,
             combined_static,
@@ -141,6 +138,7 @@ impl<'a> PreparedProfile<'a> {
                 &profile.load_deps,
                 combined_uops,
             ),
+            arena: OnceLock::new(),
             profile,
         }
     }
@@ -150,14 +148,9 @@ impl<'a> PreparedProfile<'a> {
         self.profile
     }
 
-    /// Fitted instruction-path StatStack model.
-    pub(crate) fn inst_model(&self) -> &Arc<StackDistanceModel> {
-        &self.inst
-    }
-
-    /// Fitted global load/store models (combined mode).
-    pub(crate) fn global_models(&self) -> (&Arc<StackDistanceModel>, &Arc<StackDistanceModel>) {
-        (&self.global_loads, &self.global_stores)
+    /// The curve arena every prediction queries, built on first use.
+    pub(crate) fn arena(&self) -> &CurveArena {
+        self.arena.get_or_init(|| CurveArena::new(self.profile))
     }
 
     /// Per-micro-trace precomputations, parallel to
@@ -180,5 +173,46 @@ impl<'a> PreparedProfile<'a> {
             self.combined_uops,
             &self.combined_stream,
         )
+    }
+}
+
+// Registries and parallel sweeps share one preparation across threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<PreparedProfile<'static>>();
+};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BatchPredictor, IntervalModel, ModelConfig};
+    use pmt_profiler::{Profiler, ProfilerConfig};
+    use pmt_uarch::MachineConfig;
+    use pmt_workloads::WorkloadSpec;
+
+    #[test]
+    fn predictors_and_single_points_share_one_lazily_built_arena() {
+        let spec = WorkloadSpec::by_name("astar").unwrap();
+        let profile = Profiler::new(ProfilerConfig::fast_test())
+            .profile_named("astar", &mut spec.trace(20_000));
+        let prepared = PreparedProfile::new(&profile);
+        assert!(
+            prepared.arena.get().is_none(),
+            "built before any prediction"
+        );
+
+        let machine = MachineConfig::nehalem();
+        let single = IntervalModel::new(&machine).predict_summary(&prepared);
+        let built = prepared.arena.get().expect("the single point built it");
+
+        let config = ModelConfig::default();
+        let mut first = BatchPredictor::new(&prepared, &config);
+        let second = BatchPredictor::new(&prepared, &config);
+        assert!(std::ptr::eq(first.arena, built));
+        assert!(std::ptr::eq(second.arena, built));
+        assert_eq!(
+            first.predict_summary(&machine).cycles.to_bits(),
+            single.cycles.to_bits()
+        );
     }
 }

@@ -1,7 +1,12 @@
 //! The batched-kernel conformance suite: for every machine, profile,
 //! model configuration and batch size, [`BatchPredictor`] must return
-//! exactly the bytes the scalar `predict_summary` does. Batching moves
-//! work (SoA curve queries, cross-point memoization) — never arithmetic.
+//! exactly the bytes the single-point `predict_summary` does. Both run
+//! the one evaluator over the prepared profile's curve arena; batching
+//! adds cross-point memoization, which moves work — never arithmetic.
+//! (The arena's queries themselves are pinned against the reference
+//! `CacheModel::from_fitted` searches by the arena's unit tests and
+//! `search_differential.rs`, and the bytes by the `prepared_identity`
+//! golden.)
 //!
 //! CI runs this suite twice: once as-is (the host's SIMD level) and once
 //! with `PMT_FORCE_SCALAR=1`, so both runtime-dispatch paths are pinned

@@ -1,11 +1,11 @@
 //! Differential suite for the branchless kernel search: on every sorted
 //! slice — duplicate knots, single-point fits, extreme reuse distances —
 //! `search_f64`/`search_u64` must return the *index-exact* result of the
-//! `std` binary search the scalar query path uses. "Some matching index"
-//! is not enough: `Ok(i)` feeds parallel `floors`/`survival` arrays, so a
-//! different duplicate would change predictions. This suite is the
-//! tripwire that fails loudly if a future `std` release changes its probe
-//! sequence.
+//! `std` binary search the reference `StackDistanceModel` queries use.
+//! "Some matching index" is not enough: `Ok(i)` feeds parallel
+//! `floors`/`survival` arrays, so a different duplicate would change
+//! predictions. This suite is the tripwire that fails loudly if a future
+//! `std` release changes its probe sequence.
 
 use pmt_core::kernels::search::{search_f64, search_u64};
 use proptest::prelude::*;

@@ -5,12 +5,13 @@
 //!
 //! Each registered profile has at most one **open** batch at a time,
 //! keyed by the profile's content hash. The first predict request to
-//! miss the response cache opens the batch and becomes its **leader**;
-//! concurrent requests for the same profile join as **riders** by
-//! handing their `TcpStream` to the batch and returning immediately —
-//! the worker thread that parsed a rider goes straight back to the
-//! accept queue, where it usually parses the *next* rider for the same
-//! still-open batch. Batches therefore grow past the worker count, and
+//! miss the response cache opens the batch and becomes its **leader**
+//! (published with the leader already inside as entry 0, the slot whose
+//! response returns to the leader's worker); concurrent requests for the
+//! same profile join as **riders** by handing their `TcpStream` to the
+//! batch and returning immediately — the worker thread that parsed a
+//! rider goes straight back to the accept queue, where it usually parses
+//! the *next* rider for the same still-open batch. Batches therefore grow past the worker count, and
 //! no thread ever blocks waiting for a flight it isn't computing.
 //!
 //! The leader holds the batch open for a bounded collection window
@@ -94,10 +95,12 @@ struct BatchCell {
 }
 
 impl BatchCell {
-    fn new() -> BatchCell {
+    /// A fresh batch with its leader already admitted: the leader is
+    /// entry 0 by construction, before any rider can see the cell.
+    fn open(leader: BatchEntry) -> BatchCell {
         BatchCell {
             state: Mutex::new(BatchState {
-                entries: Vec::new(),
+                entries: vec![leader],
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -110,10 +113,33 @@ pub(crate) struct BatchQueues {
     open: Mutex<HashMap<u64, Arc<BatchCell>>>,
 }
 
+/// What [`BatchQueues::claim`] found for a request.
+enum Claim {
+    /// No batch was open: a new one holds the request as its leader.
+    Opened(Arc<BatchCell>),
+    /// A batch is open; the request is handed back to ride it.
+    Found(Arc<BatchCell>, Box<BatchEntry>),
+}
+
 impl BatchQueues {
     pub(crate) fn new() -> BatchQueues {
         BatchQueues {
             open: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Open a batch for `content_hash` led by `entry`, or find the open
+    /// one. The new cell is published with its leader inside, so no
+    /// rider can ever take entry 0.
+    fn claim(&self, content_hash: u64, entry: Box<BatchEntry>) -> Claim {
+        let mut open = self.open.lock().expect("batch queues lock");
+        match open.get(&content_hash) {
+            Some(cell) => Claim::Found(Arc::clone(cell), entry),
+            None => {
+                let cell = Arc::new(BatchCell::open(*entry));
+                open.insert(content_hash, Arc::clone(&cell));
+                Claim::Opened(cell)
+            }
         }
     }
 }
@@ -207,26 +233,16 @@ pub(crate) fn submit(
         machine,
         stream: None,
     });
+    let max_points = shared.config.batch_max_points.max(1);
     loop {
-        let (cell, opened) = {
-            let mut open = shared.batches.open.lock().expect("batch queues lock");
-            match open.get(&profile.content_hash) {
-                Some(cell) => (Arc::clone(cell), false),
-                None => {
-                    let cell = Arc::new(BatchCell::new());
-                    open.insert(profile.content_hash, Arc::clone(&cell));
-                    (cell, true)
-                }
-            }
-        };
-        if opened {
-            return Some(lead(shared, profile, &cell, *entry));
-        }
-        match ride(shared, &cell, entry, stream) {
-            Ok(()) => return None,
-            // The batch closed between the map lookup and the join: try
-            // again (a fresh batch, possibly as its leader).
-            Err(bounced) => entry = bounced,
+        match shared.batches.claim(profile.content_hash, entry) {
+            Claim::Opened(cell) => return Some(lead(shared, profile, &cell)),
+            Claim::Found(cell, bounced) => match ride(&cell, bounced, stream, max_points) {
+                Ok(()) => return None,
+                // The batch closed between the map lookup and the join:
+                // try again (a fresh batch, possibly as its leader).
+                Err(bounced) => entry = bounced,
+            },
         }
     }
 }
@@ -235,10 +251,10 @@ pub(crate) fn submit(
 /// this worker can go parse the next request. Returns the entry back if
 /// the batch closed before the join landed.
 fn ride(
-    shared: &Shared,
     cell: &BatchCell,
     mut entry: Box<BatchEntry>,
     stream: &mut Option<TcpStream>,
+    max_points: usize,
 ) -> Result<(), Box<BatchEntry>> {
     let mut state = cell.state.lock().expect("batch state lock");
     if state.closed {
@@ -246,7 +262,7 @@ fn ride(
     }
     entry.stream = stream.take();
     state.entries.push(*entry);
-    if state.entries.len() >= shared.config.batch_max_points.max(1) {
+    if state.entries.len() >= max_points {
         state.closed = true;
     }
     drop(state);
@@ -256,16 +272,12 @@ fn ride(
     Ok(())
 }
 
-/// Lead a fresh batch: collect riders for the window, evaluate every
-/// admitted point in one `BatchPredictor` pass, answer everyone.
-fn lead(
-    shared: &Shared,
-    profile: &RegisteredProfile,
-    cell: &Arc<BatchCell>,
-    entry: BatchEntry,
-) -> Response {
-    // Collection window: admit self, then wait for riders until the
-    // window expires or waiting longer cannot grow the batch.
+/// Lead a fresh batch (the leader's entry already inside): collect
+/// riders for the window, evaluate every admitted point in one
+/// `BatchPredictor` pass, answer everyone.
+fn lead(shared: &Shared, profile: &RegisteredProfile, cell: &Arc<BatchCell>) -> Response {
+    // Collection window: wait for riders until the window expires or
+    // waiting longer cannot grow the batch.
     let deadline = Instant::now() + Duration::from_millis(shared.config.batch_window_ms);
     // Idle (every in-flight predict aboard, accept queue empty) is a
     // racy read: a caller mid-`connect()` sits in the kernel's listen
@@ -282,7 +294,6 @@ fn lead(
         (Duration::from_millis(shared.config.batch_window_ms) / 10).max(Duration::from_micros(500));
     let entries = {
         let mut state = cell.state.lock().expect("batch state lock");
-        state.entries.push(entry);
         let mut idle_streak = 0u32;
         let mut len_at_check = state.entries.len();
         loop {
@@ -323,12 +334,16 @@ fn lead(
 
     // One flight for the whole window, demuxed by admission index. The
     // batch splits into at most `threads` contiguous lanes — one
-    // `BatchPredictor` per lane, so points share memoized work within
-    // their lane while lanes run on the worker cores the flight just
-    // freed (every admitted rider's worker is back on the accept
-    // queue). Lane results are bit-identical to the scalar path in any
-    // split (the PR 8 conformance property), so the lane count can
-    // never change a byte of anyone's response.
+    // `BatchPredictor` per lane, each borrowing the profile's curve
+    // arena, so points share memoized work within their lane while lanes
+    // run on the worker cores the flight just freed (every admitted
+    // rider's worker is back on the accept queue). The first lane runs
+    // right here on the leader's worker and only the others get scoped
+    // threads, so a flight of one spawns nothing; a panic in the inline
+    // lane unwinds through `guard` once the scope has joined the rest,
+    // exactly as a lane thread's does through its join. Lane results are bit-identical to the single-point path
+    // in any split (the batch conformance property), so the lane count
+    // can never change a byte of anyone's response.
     let started = Instant::now();
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
     let lanes = shared
@@ -338,31 +353,28 @@ fn lead(
         .min(width)
         .min(guard.entries.len());
     let chunk = guard.entries.len().div_ceil(lanes);
-    let per_lane: Vec<(Vec<Response>, pmt_core::MemoStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = guard
-            .entries
-            .chunks(chunk)
-            .map(|lane| {
-                scope.spawn(move || {
-                    let mut predictor =
-                        BatchPredictor::new(&profile.prepared, &ModelConfig::default());
-                    let responses = predictor
-                        .predict_tagged(
-                            lane.iter().enumerate().map(|(i, e)| (i, e.machine.clone())),
-                        )
-                        .into_iter()
-                        .map(|(i, summary)| {
-                            predict_json(shared, profile, &lane[i].machine, &summary)
-                        })
-                        .collect();
-                    (responses, predictor.memo_stats())
-                })
-            })
-            .collect();
-        handles
+    let run_lane = |lane: &[BatchEntry]| {
+        let mut predictor = BatchPredictor::new(&profile.prepared, &ModelConfig::default());
+        let responses: Vec<Response> = predictor
+            .predict_tagged(lane.iter().enumerate().map(|(i, e)| (i, e.machine.clone())))
             .into_iter()
-            .map(|h| h.join().expect("flight lane thread"))
-            .collect()
+            .map(|(i, summary)| predict_json(shared, profile, &lane[i].machine, &summary))
+            .collect();
+        (responses, predictor.memo_stats())
+    };
+    let per_lane: Vec<(Vec<Response>, pmt_core::MemoStats)> = std::thread::scope(|scope| {
+        let mut chunks = guard.entries.chunks(chunk);
+        let first = chunks.next().expect("a flight holds its leader");
+        let handles: Vec<_> = chunks
+            .map(|lane| scope.spawn(move || run_lane(lane)))
+            .collect();
+        let mut per_lane = vec![run_lane(first)];
+        per_lane.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("flight lane thread")),
+        );
+        per_lane
     });
     let mut responses = Vec::with_capacity(guard.entries.len());
     for (lane_responses, stats) in per_lane {
@@ -381,4 +393,37 @@ fn lead(
     Metrics::bump(&shared.metrics.flight_leaders);
 
     guard.deliver(responses)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(identity: &str) -> Box<BatchEntry> {
+        Box::new(BatchEntry {
+            key: 0,
+            identity: identity.to_string(),
+            machine: MachineConfig::nehalem(),
+            stream: None,
+        })
+    }
+
+    #[test]
+    fn a_rider_joining_a_just_opened_batch_never_takes_the_leaders_slot() {
+        let queues = BatchQueues::new();
+        let Claim::Opened(cell) = queues.claim(7, entry("leader")) else {
+            panic!("no batch was open");
+        };
+        // A rider arriving before the leader reaches its collection
+        // window: `deliver` returns entry 0's response to the leader's
+        // worker, so the rider must land behind the leader.
+        let Claim::Found(found, rider) = queues.claim(7, entry("rider")) else {
+            panic!("the leader's batch is open");
+        };
+        assert!(Arc::ptr_eq(&cell, &found));
+        assert!(ride(&found, rider, &mut None, 64).is_ok());
+        let state = cell.state.lock().unwrap();
+        let order: Vec<&str> = state.entries.iter().map(|e| e.identity.as_str()).collect();
+        assert_eq!(order, ["leader", "rider"]);
+    }
 }

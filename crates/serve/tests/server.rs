@@ -493,6 +493,35 @@ fn batch_leader_panic_fails_riders_with_structured_500s_and_frees_the_queue() {
     server.stop();
 }
 
+/// A flight of one runs inline on the leader's own worker: its panic
+/// unwinds there, through the batch guard and the worker's catch-all,
+/// and must leave the same trail as a multi-lane flight's.
+#[test]
+fn a_poisoned_flight_of_one_fails_alone_and_frees_the_queue() {
+    let server = serve(ServeConfig {
+        threads: 2,
+        batch_window_ms: 500,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+
+    let reply = post(addr, "/v1/predict", &poison_predict());
+    assert_eq!(reply.status, 500, "{}", reply.body);
+    let err: pmt_api::ErrorBody = serde_json::from_str(&reply.body).unwrap();
+    assert_eq!(err.code, "internal");
+    assert!(err.message.contains("panicked"), "{}", err.message);
+    assert_eq!(metric(addr, "failed_requests"), 1);
+    assert_eq!(metric(addr, "batch_flights"), 0);
+    assert_eq!(partition_terms(addr), 1);
+
+    // The worker survived its own unwind and the key was released.
+    let good = post(addr, "/v1/predict", &dvfs_request(2.66));
+    assert_eq!(good.status, 200, "{}", good.body);
+    assert_eq!(metric(addr, "flight_leaders"), 1);
+    assert_eq!(partition_terms(addr), 2);
+    server.stop();
+}
+
 // --------------------------------------------------- graceful shutdown
 
 #[test]

@@ -93,11 +93,22 @@ impl EntropyMissModel {
     ///
     /// Panics if the predictor family has not been trained.
     pub fn miss_rate(&self, kind: PredictorKind, entropy: f64) -> f64 {
-        let fit = self
+        self.miss_rate_fn(kind)(entropy)
+    }
+
+    /// [`miss_rate`](Self::miss_rate) with the family's line looked up
+    /// once, for callers that evaluate many entropy values on one
+    /// predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the predictor family has not been trained.
+    pub fn miss_rate_fn(&self, kind: PredictorKind) -> impl Fn(f64) -> f64 + Copy {
+        let fit = *self
             .fits
             .get(&kind)
             .unwrap_or_else(|| panic!("no fit trained for {kind}"));
-        fit.predict(entropy).clamp(0.0, 0.5)
+        move |entropy| fit.predict(entropy).clamp(0.0, 0.5)
     }
 
     /// A reasonable default model for use without a training pass: miss

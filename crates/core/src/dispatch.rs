@@ -5,7 +5,7 @@
 //! ```
 
 use pmt_trace::UopClass;
-use pmt_uarch::MachineConfig;
+use pmt_uarch::{ExecConfig, MachineConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which term of Eq 3.10 limits the effective dispatch rate (Fig 3.6).
@@ -57,68 +57,114 @@ pub struct DispatchBreakdown {
 /// * `critical_path` — `CP(ROB)` from the dependence profile,
 /// * `avg_latency` — the average μop latency `lat` (including short L1/L2
 ///   load hits, thesis §3.3).
+///
+/// The port and unit terms read only `class_counts` and `machine.exec`;
+/// a batched sweep keeps them per window and combines them with the
+/// width and dependence terms through the same code, so both give the
+/// same bits.
 pub fn effective_dispatch_rate(
     machine: &MachineConfig,
     class_counts: &[f64; UopClass::COUNT],
     critical_path: f64,
     avg_latency: f64,
 ) -> DispatchBreakdown {
-    let n: f64 = class_counts.iter().sum();
-    let d = machine.core.dispatch_width as f64;
-    let rob = machine.core.rob_size as f64;
+    ExecLimits::new(&machine.exec, class_counts).dispatch_rate(machine, critical_path, avg_latency)
+}
 
-    // Term 2: dependences (Eq 3.7).
-    let dependence_limit = if critical_path > 0.0 && avg_latency > 0.0 {
-        rob / (avg_latency * critical_path)
-    } else {
-        f64::INFINITY
-    };
+/// The terms of Eq 3.10 fixed by a window's class counts and the issue
+/// stage alone: the port term and the functional-unit terms.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ExecLimits {
+    /// `N / max_p activity(p)` — issue-port limit.
+    port_limit: f64,
+    /// `min_i N·U_i/N_i` over pipelined units and
+    /// `min_j N·U_j/(N_j·lat_j)` over non-pipelined units.
+    unit_limit: f64,
+}
 
-    // Term 3: issue ports via the greedy schedule of §3.4.
-    let activity = machine.exec.ports.schedule_activity(class_counts);
-    let max_activity = activity.iter().cloned().fold(0.0f64, f64::max);
-    let port_limit = if max_activity > 0.0 {
-        n / max_activity
-    } else {
-        f64::INFINITY
-    };
+impl ExecLimits {
+    /// The port limit (the greedy schedule of §3.4) and the unit limits
+    /// of a window with per-class μop counts `class_counts` on `exec`.
+    pub(crate) fn new(exec: &ExecConfig, class_counts: &[f64; UopClass::COUNT]) -> ExecLimits {
+        let n: f64 = class_counts.iter().sum();
 
-    // Terms 4+5: functional units.
-    let mut unit_limit = f64::INFINITY;
-    for class in UopClass::ALL {
-        let count = class_counts[class.index()];
-        if count <= 0.0 {
-            continue;
-        }
-        let res = machine.exec.resources(class);
-        let lim = if res.pipelined {
-            n * res.units as f64 / count
+        // Term 3: issue ports via the greedy schedule of §3.4.
+        let activity = exec.ports.schedule_activity(class_counts);
+        let max_activity = activity[..exec.ports.port_count() as usize]
+            .iter()
+            .cloned()
+            .fold(0.0f64, f64::max);
+        let port_limit = if max_activity > 0.0 {
+            n / max_activity
         } else {
-            n * res.units as f64 / (count * res.latency as f64)
+            f64::INFINITY
         };
-        unit_limit = unit_limit.min(lim);
-    }
 
-    let mut effective = d;
-    let mut limiter = DispatchLimiter::Width;
-    for (value, kind) in [
-        (dependence_limit, DispatchLimiter::Dependences),
-        (port_limit, DispatchLimiter::FunctionalPort),
-        (unit_limit, DispatchLimiter::FunctionalUnit),
-    ] {
-        if value < effective {
-            effective = value;
-            limiter = kind;
+        // Terms 4+5: functional units.
+        let mut unit_limit = f64::INFINITY;
+        for class in UopClass::ALL {
+            let count = class_counts[class.index()];
+            if count <= 0.0 {
+                continue;
+            }
+            let res = exec.resources(class);
+            let lim = if res.pipelined {
+                n * res.units as f64 / count
+            } else {
+                n * res.units as f64 / (count * res.latency as f64)
+            };
+            unit_limit = unit_limit.min(lim);
+        }
+
+        ExecLimits {
+            port_limit,
+            unit_limit,
         }
     }
 
-    DispatchBreakdown {
-        width_limit: d,
-        dependence_limit,
-        port_limit,
-        unit_limit,
-        effective: effective.max(1e-6),
-        limiter,
+    /// Eq 3.10 on `machine`'s core: these limits combined with the
+    /// width and the dependence term `ROB/(lat·CP(ROB))`.
+    pub(crate) fn dispatch_rate(
+        self,
+        machine: &MachineConfig,
+        critical_path: f64,
+        avg_latency: f64,
+    ) -> DispatchBreakdown {
+        let ExecLimits {
+            port_limit,
+            unit_limit,
+        } = self;
+        let d = machine.core.dispatch_width as f64;
+        let rob = machine.core.rob_size as f64;
+
+        // Term 2: dependences (Eq 3.7).
+        let dependence_limit = if critical_path > 0.0 && avg_latency > 0.0 {
+            rob / (avg_latency * critical_path)
+        } else {
+            f64::INFINITY
+        };
+
+        let mut effective = d;
+        let mut limiter = DispatchLimiter::Width;
+        for (value, kind) in [
+            (dependence_limit, DispatchLimiter::Dependences),
+            (port_limit, DispatchLimiter::FunctionalPort),
+            (unit_limit, DispatchLimiter::FunctionalUnit),
+        ] {
+            if value < effective {
+                effective = value;
+                limiter = kind;
+            }
+        }
+
+        DispatchBreakdown {
+            width_limit: d,
+            dependence_limit,
+            port_limit,
+            unit_limit,
+            effective: effective.max(1e-6),
+            limiter,
+        }
     }
 }
 

@@ -5,9 +5,10 @@
 //! computations across points.
 //!
 //! The arena belongs to the [`PreparedProfile`]; a predictor only
-//! borrows it, so constructing one costs a config clone and four small
-//! empty tables — every sweep chunk, DVFS sweep and served flight over
-//! one profile shares one layout.
+//! borrows it, so constructing one costs a config clone, four small
+//! empty tables and an empty list of per-window issue-stage limits —
+//! every sweep chunk, DVFS sweep and served flight over one profile
+//! shares one layout.
 //!
 //! # Why the results are bit-identical to the single-point path
 //!
@@ -37,20 +38,35 @@
 //!   most expensive machine-dependent computation in a sweep — and its
 //!   inputs are untouched by frequency, MSHR and last-level-cache axes,
 //!   so most points replay it from the memo.
+//! * **Port and unit limits** (Eq 3.10's terms that read only a
+//!   window's class counts and the issue stage) are kept per window
+//!   for one `ExecConfig` and dropped when a point's `ExecConfig`
+//!   differs from it.
 //!
-//! Memo hits are what make batching ≥3× faster on sweep-shaped spaces:
+//! Each table answers a repeated key from a last-answer slot before it
+//! hashes: one slot per window (per curve for cache queries) holds the
+//! last complete key that window asked for, with its value. A slot
+//! compares the whole key and only ever holds a pair its map holds too,
+//! so a slot hit returns exactly the bytes a map hit would, and counts
+//! as one.
+//!
+//! Memo hits are what make batching fast on sweep-shaped spaces:
 //! neighbouring design points share most axes, so most points reuse
 //! earlier points' curve queries, stride walks and branch penalties
-//! outright.
+//! outright — and since consecutive points differ in one or two axes,
+//! most lookups repeat the window's previous key and never hash. A
+//! repeated point costs a few key comparisons per window plus the
+//! Eq 3.1 arithmetic.
 
 use crate::branch_penalty::BranchPenalty;
 use crate::cache_model::CacheModel;
 use crate::config::ModelConfig;
+use crate::dispatch::ExecLimits;
 use crate::kernels::arena::CurveArena;
 use crate::mlp::MemoryBehavior;
 use crate::model::{Evaluator, PredictionSummary, WindowInputs};
 use crate::prepared::PreparedProfile;
-use pmt_uarch::MachineConfig;
+use pmt_uarch::{ExecConfig, MachineConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -134,34 +150,55 @@ impl MemoStats {
     }
 }
 
-/// One memo table with its hit/miss tallies.
+/// One memo table with its hit/miss tallies, fronted by one
+/// last-answer slot per window (per curve for cache queries).
+///
+/// A slot holds the last complete key its window asked for and the
+/// value the table answered. Neighbouring design points share most
+/// axes, so a window usually asks for the same key again: equal keys
+/// return the slot's value without hashing. Any other key goes to the
+/// map and then refreshes the slot. A slot only ever holds a pair the
+/// map holds too, and it compares the full key, so it answers exactly
+/// what the map would — and counts as the same hit.
 struct Table<K, V> {
     map: HashMap<K, V>,
+    last: Vec<Option<(K, V)>>,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Hash + Eq, V: Copy> Table<K, V> {
-    fn with_capacity(capacity: usize) -> Self {
+impl<K: Hash + Eq + Copy, V: Copy> Table<K, V> {
+    fn new(slots: usize, capacity: usize) -> Self {
         Table {
             map: HashMap::with_capacity(capacity),
+            last: vec![None; slots],
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The value memoized under `key`, or `compute()`'s, inserted.
-    fn get_or(&mut self, key: K, compute: impl FnOnce() -> V) -> V {
-        match self.map.entry(key) {
+    /// The value memoized under `key`, or `compute()`'s, inserted;
+    /// `slot` names the window (or curve) asking.
+    fn get_or(&mut self, slot: u32, key: K, compute: impl FnOnce() -> V) -> V {
+        let last = &mut self.last[slot as usize];
+        if let Some((k, v)) = *last {
+            if k == key {
+                self.hits += 1;
+                return v;
+            }
+        }
+        let value = match self.map.entry(key) {
             Entry::Occupied(hit) => {
                 self.hits += 1;
                 *hit.get()
             }
-            Entry::Vacant(slot) => {
+            Entry::Vacant(entry) => {
                 self.misses += 1;
-                *slot.insert(compute())
+                *entry.insert(compute())
             }
-        }
+        };
+        *last = Some((key, value));
+        value
     }
 }
 
@@ -174,19 +211,46 @@ pub(crate) struct Memo {
     stride: Table<StrideKey, MemoryBehavior>,
     cp: Table<(u32, u32), f64>,
     branch: Table<BranchKey, BranchPenalty>,
+    /// The issue stage `limits` were computed for.
+    exec: Option<ExecConfig>,
+    /// Each window's port and unit limits on `exec`.
+    limits: Vec<Option<ExecLimits>>,
 }
 
 impl Memo {
     /// Empty tables sized for one design point over `windows` windows
     /// (one curve query per window's loads and stores, plus the
-    /// instruction path), so a flight of one never rehashes.
+    /// instruction path), so a flight of one never rehashes. Combined
+    /// mode evaluates one window over the three global curves.
     fn for_windows(windows: usize) -> Memo {
+        let (slots, curves) = (windows.max(1), 3 + 2 * windows);
         Memo {
-            cache: Table::with_capacity(2 * windows + 1),
-            stride: Table::with_capacity(windows),
-            cp: Table::with_capacity(windows),
-            branch: Table::with_capacity(windows),
+            cache: Table::new(curves, 2 * slots + 1),
+            stride: Table::new(slots, slots),
+            cp: Table::new(slots, slots),
+            branch: Table::new(slots, slots),
+            exec: None,
+            limits: vec![None; slots],
         }
+    }
+
+    /// Start a design point on `exec`: keep every window's port and unit
+    /// limits if they were computed for an equal issue stage, drop them
+    /// otherwise.
+    pub(crate) fn bind_exec(&mut self, exec: &ExecConfig) {
+        if self.exec.as_ref() != Some(exec) {
+            self.exec = Some(exec.clone());
+            self.limits.fill(None);
+        }
+    }
+
+    /// Window `window`'s port and unit limits on the bound issue stage.
+    pub(crate) fn exec_limits(
+        &mut self,
+        window: u32,
+        compute: impl FnOnce() -> ExecLimits,
+    ) -> ExecLimits {
+        *self.limits[window as usize].get_or_insert_with(compute)
     }
 
     /// Curve `curve`'s queries at per-level line counts `lines`.
@@ -196,7 +260,7 @@ impl Memo {
         lines: [u64; 3],
         compute: impl FnOnce() -> CacheModel,
     ) -> CacheModel {
-        self.cache.get_or((curve, lines), compute)
+        self.cache.get_or(curve, (curve, lines), compute)
     }
 
     /// One window's stride walk on `machine` at dispatch rate `deff`.
@@ -220,7 +284,7 @@ impl Memo {
                 deff_bits: deff.to_bits(),
             }),
         };
-        let mut behavior = self.stride.get_or(key, compute);
+        let mut behavior = self.stride.get_or(inp.window, key, compute);
         // Pass-through field, not part of the walk: always the current
         // point's value.
         behavior.llc_store_misses = store_llc_misses;
@@ -234,7 +298,7 @@ impl Memo {
         rob: u32,
         compute: impl FnOnce() -> f64,
     ) -> f64 {
-        self.cp.get_or((window, rob), compute)
+        self.cp.get_or(window, (window, rob), compute)
     }
 
     /// One window's branch penalty on `machine`'s core.
@@ -254,7 +318,7 @@ impl Memo {
             interval_bits: interval.to_bits(),
             lat_bits: lat.to_bits(),
         };
-        self.branch.get_or(key, compute)
+        self.branch.get_or(window, key, compute)
     }
 }
 
@@ -284,7 +348,7 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
             prepared,
             config: config.clone(),
             arena: prepared.arena(),
-            memo: Memo::for_windows(prepared.windows().len().max(1)),
+            memo: Memo::for_windows(prepared.windows().len()),
         }
     }
 
@@ -296,6 +360,7 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
             stride,
             cp,
             branch,
+            ..
         } = &self.memo;
         MemoStats {
             cache_entries: cache.map.len() as u64,

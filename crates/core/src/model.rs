@@ -3,7 +3,7 @@
 use crate::branch_penalty::{branch_penalty, BranchPenalty};
 use crate::cache_model::CacheModel;
 use crate::config::{EvaluationMode, MlpModelKind, ModelConfig};
-use crate::dispatch::{effective_dispatch_rate, DispatchBreakdown};
+use crate::dispatch::{DispatchBreakdown, ExecLimits};
 use crate::kernels::arena::CurveArena;
 use crate::kernels::batch::Memo;
 use crate::llc_chaining::{chain_penalty_total, ChainInputs};
@@ -401,9 +401,10 @@ impl CurveId {
 /// prepared profile's curve arena. With a [`Memo`], the four
 /// machine-dependent computations (cache queries, stride walks, CP(ROB),
 /// branch penalties) replay earlier points' results for identical
-/// inputs; without one they are computed directly — the same functions
-/// either way, so both runs give the same bits (`tests/batch_identity.rs`
-/// pins it).
+/// inputs, and each window's port and unit limits are reused while the
+/// issue stage stays the same; without one they are computed directly —
+/// the same functions either way, so both runs give the same bits
+/// (`tests/batch_identity.rs` pins it).
 pub(crate) struct Evaluator<'m> {
     pub(crate) machine: &'m MachineConfig,
     pub(crate) config: &'m ModelConfig,
@@ -420,8 +421,15 @@ impl Evaluator<'_> {
         collect_windows: bool,
     ) -> (PredictionSummary, Vec<WindowPrediction>) {
         let profile = prepared.profile();
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.bind_exec(&self.machine.exec);
+        }
         let inst_model =
             self.cache_model(CurveId::Inst, CacheModel::inst_lines(&self.machine.caches));
+        let miss_rate_of = self
+            .config
+            .entropy_model
+            .miss_rate_fn(self.machine.predictor.kind);
 
         let mut combiner = Combiner::default();
         let mut windows = Vec::new();
@@ -440,12 +448,12 @@ impl Evaluator<'_> {
                     .enumerate()
                 {
                     let inputs = self.trace_inputs(wi as u32, t, pw);
-                    fold(self.evaluate_window(&inputs, profile, &inst_model));
+                    fold(self.evaluate_window(&inputs, profile, &inst_model, miss_rate_of));
                 }
             }
             _ => {
                 let inputs = self.combined_inputs(profile, prepared);
-                fold(self.evaluate_window(&inputs, profile, &inst_model));
+                fold(self.evaluate_window(&inputs, profile, &inst_model, miss_rate_of));
             }
         }
         (combiner.finish(profile), windows)
@@ -459,6 +467,17 @@ impl Evaluator<'_> {
         match self.memo.as_deref_mut() {
             Some(memo) => memo.cache_model(curve, lines, evaluate),
             None => evaluate(),
+        }
+    }
+
+    /// The window's port and unit limits (Eq 3.10's terms that read
+    /// only its class counts and the issue stage).
+    fn exec_limits(&mut self, inp: &WindowInputs<'_>) -> ExecLimits {
+        let exec = &self.machine.exec;
+        let limits = || ExecLimits::new(exec, &inp.class_counts);
+        match self.memo.as_deref_mut() {
+            Some(memo) => memo.exec_limits(inp.window, limits),
+            None => limits(),
         }
     }
 
@@ -575,6 +594,7 @@ impl Evaluator<'_> {
         inp: &WindowInputs<'_>,
         profile: &ApplicationProfile,
         inst_model: &CacheModel,
+        miss_rate_of: impl Fn(f64) -> f64,
     ) -> WindowPrediction {
         let m = self.machine;
         let n_uops: f64 = inp.class_counts.iter().sum();
@@ -602,14 +622,11 @@ impl Evaluator<'_> {
 
         // --- Base: effective dispatch rate (Eq 3.10) ----------------------
         let cp = self.critical_path(inp, rob);
-        let dispatch = effective_dispatch_rate(m, &inp.class_counts, cp, lat);
+        let dispatch = self.exec_limits(inp).dispatch_rate(m, cp, lat);
         let base_cycles = n_uops / dispatch.effective;
 
         // --- Branches (§3.5) -----------------------------------------------
-        let miss_rate = self
-            .config
-            .entropy_model
-            .miss_rate(m.predictor.kind, inp.entropy);
+        let miss_rate = miss_rate_of(inp.entropy);
         let branches = inp.class_counts[UopClass::Branch.index()];
         let mispredicts = branches * miss_rate;
         let branch_cycles = if mispredicts > 0.5 {

@@ -15,7 +15,8 @@
 use pmt_core::kernels::lanes::LANES;
 use pmt_core::{BatchPredictor, IntervalModel, ModelConfig, PreparedProfile};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
-use pmt_uarch::{CacheConfig, DesignSpace, MachineConfig};
+use pmt_trace::UopClass;
+use pmt_uarch::{CacheConfig, DesignSpace, ExecConfig, MachineConfig, PortMap, PortRoute};
 use pmt_workloads::WorkloadSpec;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -299,4 +300,149 @@ fn memo_stats_track_entries_hits_and_misses() {
         third.cache_misses, warm.cache_misses,
         "unchanged hierarchy replays every cache query"
     );
+}
+
+/// Every miss inserts exactly one entry, whichever path the lookups
+/// took.
+fn assert_entries_equal_misses(stats: &pmt_core::MemoStats, ctx: &str) {
+    assert_eq!(stats.cache_entries, stats.cache_misses, "{ctx}: cache");
+    assert_eq!(stats.stride_entries, stats.stride_misses, "{ctx}: stride");
+    assert_eq!(stats.cp_entries, stats.cp_misses, "{ctx}: cp");
+    assert_eq!(stats.branch_entries, stats.branch_misses, "{ctx}: branch");
+}
+
+/// Nehalem's issue stage with two ALU-capable ports instead of three and
+/// fewer ALUs. Latencies are Nehalem's, so a window's average latency —
+/// and every memo key — is the same on both maps: only the port and
+/// unit limits of Eq 3.10 differ.
+fn narrow_exec() -> ExecConfig {
+    use UopClass::*;
+    let nehalem = ExecConfig::nehalem();
+    let ports = PortMap::new(
+        6,
+        UopClass::ALL
+            .iter()
+            .map(|&class| {
+                let route = match class {
+                    IntAlu | Move => PortRoute::one_of(&[0, 1]),
+                    _ => nehalem.ports.route(class).clone(),
+                };
+                (class, route)
+            })
+            .collect(),
+    );
+    ExecConfig::new(
+        UopClass::ALL
+            .iter()
+            .map(|&class| {
+                let mut res = nehalem.resources(class);
+                if matches!(class, IntAlu | Move) {
+                    res.units = 1;
+                }
+                (class, res)
+            })
+            .collect(),
+        ports,
+    )
+}
+
+/// One predictor over points that switch issue stage back and forth:
+/// each window's port and unit limits must follow the point's
+/// `ExecConfig`, never the one a previous point left behind.
+#[test]
+fn issue_stage_switches_recompute_port_and_unit_limits() {
+    let profile = &profiles()[0];
+    let prepared = PreparedProfile::new(profile);
+    let narrow = narrow_exec();
+    for config in [ModelConfig::default(), ModelConfig::ispass_2015()] {
+        let mut batch = BatchPredictor::new(&prepared, &config);
+        let mut bodies = Vec::new();
+        for rob in [128, 64] {
+            for (i, wide) in [true, false, true, false, false, true]
+                .into_iter()
+                .enumerate()
+            {
+                let mut m = MachineConfig::nehalem();
+                m.name = format!("exec-{rob}-{i}");
+                m.core = m.core.with_rob(rob);
+                if !wide {
+                    m.exec = narrow.clone();
+                }
+                let want =
+                    IntervalModel::with_config(&m, config.clone()).predict_summary(&prepared);
+                let got = json(&batch.predict_summary(&m));
+                assert_eq!(json(&want), got, "{}", m.name);
+                bodies.push((wide, got));
+            }
+        }
+        assert!(
+            bodies
+                .iter()
+                .any(|(wide, body)| !wide && *body != bodies[0].1),
+            "the narrow issue stage must change the prediction"
+        );
+        assert_entries_equal_misses(&batch.memo_stats(), "exec switches");
+    }
+}
+
+/// A point order that defeats every last-answer slot: adjacent points
+/// differ in L1 size (cache queries, average latency) and ROB (CP(ROB),
+/// branch penalty, stride walk), and prefetcher-enabled points vary the
+/// stride key's dispatch-rate part. The second pass replays every
+/// lookup from the map through a slot holding another key.
+#[test]
+fn slot_defeating_point_order_matches_scalar() {
+    let profile = &profiles()[0];
+    let prepared = PreparedProfile::new(profile);
+    let base = MachineConfig::nehalem();
+    let steps = [
+        (32, 128, false),
+        (64, 256, true),
+        (16, 64, true),
+        (64, 128, false),
+        (32, 256, true),
+        (16, 64, true),
+    ];
+    let machines: Vec<MachineConfig> = steps
+        .iter()
+        .map(|&(l1_kb, rob, prefetcher)| {
+            let mut m = if prefetcher {
+                MachineConfig::nehalem_with_prefetcher()
+            } else {
+                base.clone()
+            };
+            m.name = format!("slots-l1{l1_kb}-rob{rob}-pf{prefetcher}");
+            m.core = m.core.with_rob(rob);
+            m.caches.l1d = CacheConfig::new(l1_kb, 8, 64, base.caches.l1d.latency);
+            m
+        })
+        .collect();
+    for config in [ModelConfig::default(), ModelConfig::ispass_2015()] {
+        let mut batch = BatchPredictor::new(&prepared, &config);
+        let mut first_pass = None;
+        for pass in 0..2 {
+            for m in &machines {
+                let want = IntervalModel::with_config(m, config.clone()).predict_summary(&prepared);
+                assert_eq!(
+                    json(&want),
+                    json(&batch.predict_summary(m)),
+                    "pass {pass} @ {}",
+                    m.name
+                );
+            }
+            let stats = batch.memo_stats();
+            assert_entries_equal_misses(&stats, &format!("pass {pass}"));
+            match first_pass {
+                None => first_pass = Some(stats),
+                Some(first) => {
+                    assert_eq!(
+                        stats.misses(),
+                        first.misses(),
+                        "the replay computes nothing"
+                    );
+                    assert_eq!(stats.hits(), first.hits() + first.hits() + first.misses());
+                }
+            }
+        }
+    }
 }

@@ -36,6 +36,7 @@
 use pmt_uarch::{
     l3_latency_for_kb, CacheConfig, DesignPoint, DesignSpace, MachineConfig, OperatingPoint,
 };
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// How an [`Axis`] edits the machine description for one swept value.
@@ -374,29 +375,28 @@ impl LazyDesignSpace for ProductSpace {
     }
 
     fn point_at(&self, index: usize) -> DesignPoint {
+        let len = self.len();
         assert!(
-            index < self.len(),
-            "design-point index {index} out of bounds for a {}-point space",
-            self.len()
+            index < len,
+            "design-point index {index} out of bounds for a {len}-point space"
         );
-        // Mixed-radix decode: last axis is the least significant digit.
-        let mut digits = vec![0usize; self.axes.len()];
-        let mut rest = index;
-        for (i, axis) in self.axes.iter().enumerate().rev() {
-            digits[i] = rest % axis.values.len();
-            rest /= axis.values.len();
-        }
         let mut machine = self.base.clone();
         let mut name = self.base.name.clone();
-        for (axis, &d) in self.axes.iter().zip(&digits) {
-            let value = axis.values[d];
+        // Mixed-radix decode: the last axis is the least significant
+        // digit, so each axis' stride is the product of the later axes'
+        // lengths.
+        let mut stride = len;
+        for axis in &self.axes {
+            stride /= axis.values.len();
+            let value = axis.values[index / stride % axis.values.len()];
             (axis.apply)(&mut machine, value);
             // Integer-valued knobs print without a trailing ".0".
             if value.fract() == 0.0 {
-                name.push_str(&format!("-{}{}", axis.name, value as i64));
+                write!(name, "-{}{}", axis.name, value as i64)
             } else {
-                name.push_str(&format!("-{}{}", axis.name, value));
+                write!(name, "-{}{}", axis.name, value)
             }
+            .expect("writing to a String cannot fail");
         }
         machine.name = name;
         let coords = (
@@ -535,6 +535,26 @@ mod tests {
         // Spot-check both ends decode.
         assert_eq!(space.point_at(0).id, 0);
         assert_eq!(space.point_at(space.len() - 1).id, space.len() - 1);
+    }
+
+    /// Point names are part of the served and written explore output:
+    /// pinned byte for byte, integer and fractional axis values both.
+    #[test]
+    fn frontier_demo_point_names_are_pinned() {
+        let space = ProductSpace::frontier_demo();
+        for (index, name) in [
+            (0, "nehalem-ref-w2-rob32-l116-l2128-l31024-mshr4-f1.6"),
+            (
+                12_345,
+                "nehalem-ref-w2-rob256-l132-l2512-l316384-mshr8-f2.66",
+            ),
+            (
+                103_679,
+                "nehalem-ref-w8-rob512-l1128-l21024-l316384-mshr32-f3.6",
+            ),
+        ] {
+            assert_eq!(space.point_at(index).machine.name, name, "point {index}");
+        }
     }
 
     #[test]

@@ -1057,6 +1057,7 @@ pub(crate) fn evaluate_stream_points_batched(
 mod tests {
     use super::*;
     use crate::pareto::ParetoFront;
+    use crate::space::ProductSpace;
     use crate::sweep::{SpaceEvaluation, SweepConfig};
     use pmt_profiler::{Profiler, ProfilerConfig};
     use pmt_uarch::DesignSpace;
@@ -1174,6 +1175,24 @@ mod tests {
             .serial()
             .per_point()
             .run(&space);
+        assert_eq!(
+            serde_json::to_string(&batched).unwrap(),
+            serde_json::to_string(&scalar).unwrap()
+        );
+        // Real chunk order: the 103,680-point demo space in default
+        // 1,024-point chunks, each through one predictor whose memo
+        // slots carry across every axis step, on a toy profile.
+        let spec = WorkloadSpec::by_name("mcf").unwrap();
+        let toy = Profiler::new(ProfilerConfig::fast_test())
+            .profile_named("mcf", &mut spec.trace(10_000));
+        let space = ProductSpace::frontier_demo();
+        let batched = StreamingSweep::new(&toy).top_k(4).serial().run(&space);
+        let scalar = StreamingSweep::new(&toy)
+            .top_k(4)
+            .serial()
+            .per_point()
+            .run(&space);
+        assert_eq!(batched.evaluated, space.len());
         assert_eq!(
             serde_json::to_string(&batched).unwrap(),
             serde_json::to_string(&scalar).unwrap()

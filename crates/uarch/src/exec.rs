@@ -35,7 +35,8 @@ impl OpResources {
 /// counts 20 stores as activity 20 on port 3 *and* port 4).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PortRoute {
-    /// Candidate ports; the scheduler balances over these.
+    /// Candidate ports; the scheduler balances over these (at most
+    /// [`MAX_PORTS`] of them).
     pub any_of: Vec<u8>,
     /// Ports occupied in addition to the chosen one.
     pub also_all_of: Vec<u8>,
@@ -107,11 +108,16 @@ impl PortMap {
 
     /// Greedy issue schedule of thesis §3.4: single-port classes are pinned
     /// first, then multi-port classes are water-filled onto their candidate
-    /// ports in least-loaded order. Returns the per-port activity vector.
+    /// ports in least-loaded order. Returns the per-port activity vector:
+    /// entry `p` is port `p`'s activity, and every entry at or past
+    /// [`port_count`](Self::port_count) is zero.
     ///
     /// `counts` holds per-class μop counts (indexed by `UopClass::index()`).
-    pub fn schedule_activity(&self, counts: &[f64; UopClass::COUNT]) -> Vec<f64> {
-        let mut activity = vec![0.0f64; self.port_count as usize];
+    /// The schedule works in fixed stack buffers and never allocates: port
+    /// numbers are `u8`s, so [`MAX_PORTS`] entries hold every port.
+    pub fn schedule_activity(&self, counts: &[f64; UopClass::COUNT]) -> [f64; MAX_PORTS] {
+        let mut schedule = [0.0f64; MAX_PORTS];
+        let activity = &mut schedule[..self.port_count as usize];
         // Pass 1: classes with a single candidate port.
         for (i, route) in self.routes.iter().enumerate() {
             let n = counts[i];
@@ -132,33 +138,39 @@ impl PortMap {
             for &p in &route.also_all_of {
                 activity[p as usize] += n;
             }
-            distribute_balanced(&mut activity, &route.any_of, n);
+            distribute_balanced(activity, &route.any_of, n);
         }
-        activity
+        schedule
     }
 }
 
-/// Water-fill `amount` across `ports`, minimizing the resulting maximum.
+/// Size of the schedule's buffers: one entry per possible `u8` port.
+pub const MAX_PORTS: usize = 256;
+
+/// Water-fill `amount` across `ports` (at most [`MAX_PORTS`] of them),
+/// minimizing the resulting maximum.
 fn distribute_balanced(activity: &mut [f64], ports: &[u8], amount: f64) {
     // Sort candidate ports by current load.
-    let mut order: Vec<u8> = ports.to_vec();
+    let mut order = [0u8; MAX_PORTS];
+    let order = &mut order[..ports.len()];
+    order.copy_from_slice(ports);
     order.sort_by(|&a, &b| {
         activity[a as usize]
             .partial_cmp(&activity[b as usize])
             .unwrap()
     });
-    let loads: Vec<f64> = order.iter().map(|&p| activity[p as usize]).collect();
+    let load = |k: usize| activity[order[k] as usize];
     // Find the fill level L such that Σ max(0, L - load_i) = amount.
     let mut remaining = amount;
-    let mut level = loads[0];
+    let mut level = load(0);
     let mut k = 1; // ports at or below `level`
-    while k < loads.len() {
-        let gap = (loads[k] - level) * k as f64;
+    while k < order.len() {
+        let gap = (load(k) - level) * k as f64;
         if gap >= remaining {
             break;
         }
         remaining -= gap;
-        level = loads[k];
+        level = load(k);
         k += 1;
     }
     level += remaining / k as f64;

@@ -39,7 +39,7 @@ pub use core_cfg::CoreConfig;
 pub use cpi::{CpiComponent, CpiStack};
 pub use design_space::{l3_latency_for_kb, DesignPoint, DesignSpace, DesignSpaceIter};
 pub use dvfs::{nehalem_dvfs_points, OperatingPoint};
-pub use exec::{ExecConfig, OpResources, PortMap, PortRoute};
+pub use exec::{ExecConfig, OpResources, PortMap, PortRoute, MAX_PORTS};
 pub use machine::MachineConfig;
 pub use mem::MemoryConfig;
 pub use prefetch::PrefetcherConfig;

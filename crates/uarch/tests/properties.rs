@@ -14,7 +14,9 @@ proptest! {
         let exec = ExecConfig::nehalem();
         let mut arr = [0.0; UopClass::COUNT];
         arr.copy_from_slice(&counts);
-        let activity = exec.ports.schedule_activity(&arr);
+        let schedule = exec.ports.schedule_activity(&arr);
+        let (activity, unused) = schedule.split_at(exec.ports.port_count() as usize);
+        prop_assert!(unused.iter().all(|&a| a == 0.0));
         // Every μop lands on at least one port (stores on two).
         let singles: f64 = UopClass::ALL
             .iter()
@@ -39,7 +41,8 @@ proptest! {
         let mut arr = [0.0; UopClass::COUNT];
         arr[UopClass::IntAlu.index()] = alu;
         arr[UopClass::Move.index()] = mov;
-        let activity = exec.ports.schedule_activity(&arr);
+        let schedule = exec.ports.schedule_activity(&arr);
+        let activity = &schedule[..exec.ports.port_count() as usize];
         let max = activity.iter().cloned().fold(0.0f64, f64::max);
         prop_assert!(max <= alu + mov + 1e-9);
         // Perfect balance over three ALU-capable ports is the lower bound.

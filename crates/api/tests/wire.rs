@@ -62,6 +62,17 @@ fn every_request_type_round_trips() {
     round_trips(&RegisterProfileRequest::new(profile));
 }
 
+/// An unknown field holding 100,000 nested arrays is skipped with a
+/// bounded depth: an ordinary parse error, not a stack overflow.
+#[test]
+fn deeply_nested_unknown_fields_are_an_error() {
+    let json =
+        serde_json::to_string(&PredictRequest::new("mcf", MachineSpec::named("nehalem"))).unwrap();
+    let deep = format!("{{\"junk\":{}{}", "[".repeat(100_000), &json[1..]);
+    let err = serde_json::from_str::<PredictRequest>(&deep).unwrap_err();
+    assert!(err.to_string().contains("nested"), "{err}");
+}
+
 #[test]
 fn every_response_type_round_trips() {
     let spec = WorkloadSpec::by_name("astar").unwrap();

@@ -1,6 +1,6 @@
 //! Linear branch entropy (thesis Eqs 3.13–3.15).
 
-use std::collections::HashMap;
+use pmt_trace::FastHashMap;
 
 /// Profiles the linear branch entropy of a branch-outcome stream.
 ///
@@ -14,9 +14,9 @@ pub struct EntropyProfiler {
     history_bits: u32,
     hist_mask: u64,
     /// (branch, history) → (taken, not-taken).
-    counts: HashMap<(u64, u64), (u64, u64)>,
+    counts: FastHashMap<(u64, u64), (u64, u64)>,
     /// branch → current local history.
-    histories: HashMap<u64, u64>,
+    histories: FastHashMap<u64, u64>,
     total_branches: u64,
 }
 
@@ -27,8 +27,8 @@ impl EntropyProfiler {
         EntropyProfiler {
             history_bits,
             hist_mask: (1u64 << history_bits) - 1,
-            counts: HashMap::new(),
-            histories: HashMap::new(),
+            counts: FastHashMap::default(),
+            histories: FastHashMap::default(),
             total_branches: 0,
         }
     }
@@ -62,9 +62,9 @@ impl EntropyProfiler {
         if self.total_branches == 0 {
             return 0.0;
         }
-        // Sum in key order: HashMap iteration order varies per process, and
-        // float addition isn't associative, so an unordered sum drifts by an
-        // ULP between otherwise identical runs.
+        // Sum in key order: float addition isn't associative, so a sum in
+        // the map's iteration order would drift by an ULP whenever that
+        // order changes (hasher, capacity or insertion history).
         let mut entries: Vec<((u64, u64), (u64, u64))> =
             self.counts.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);

@@ -322,6 +322,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn deeply_nested_unknown_fields_are_an_error() {
+        let deep = format!("{{\"junk\":{}", "[".repeat(100_000));
+        let err = serde_json::from_str::<FrontEntry<u32>>(&deep).unwrap_err();
+        assert!(err.to_string().contains("nested"), "{err}");
+    }
+
+    #[test]
     fn simple_front() {
         let pts = vec![(1.0, 10.0), (2.0, 5.0), (3.0, 3.0), (2.5, 11.0), (3.5, 4.0)];
         let f = ParetoFront::of(&pts);

@@ -1069,6 +1069,13 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_unknown_fields_are_an_error() {
+        let deep = format!("{{\"junk\":{}", "[".repeat(100_000));
+        let err = serde_json::from_str::<RankedEntry<u32>>(&deep).unwrap_err();
+        assert!(err.to_string().contains("nested"), "{err}");
+    }
+
+    #[test]
     fn streaming_matches_materialized_sweep_bit_for_bit() {
         let profile = profile();
         let space = DesignSpace::small();

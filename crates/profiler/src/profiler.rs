@@ -7,8 +7,7 @@ use crate::profile::{ApplicationProfile, BranchProfile, MemoryProfile, MicroTrac
 use crate::strides::StaticLoadBuilder;
 use pmt_branch::EntropyProfiler;
 use pmt_statstack::{ReuseHistogram, ReuseRecorder};
-use pmt_trace::{InstructionMix, MicroOp, TraceSource, UopClass};
-use std::collections::HashMap;
+use pmt_trace::{FastHashMap, InstructionMix, MicroOp, TraceSource, UopClass};
 
 /// Recording-segment capture target: the micro-trace buffer plus the
 /// per-load (line, reuse-distance) stream captured alongside it.
@@ -250,7 +249,7 @@ impl Pass {
         let load_deps = LoadDependenceDistribution::profile(&uops, self.load_dep_window as usize);
 
         // Static load analysis.
-        let mut builders: HashMap<u64, StaticLoadBuilder> = HashMap::new();
+        let mut builders: FastHashMap<u64, StaticLoadBuilder> = FastHashMap::default();
         let mut dist_iter = load_dists.iter().peekable();
         let mut loads_hist = ReuseHistogram::new();
         let mut stores_hist = ReuseHistogram::new();

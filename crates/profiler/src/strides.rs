@@ -1,7 +1,7 @@
 //! Per-static-load stride, spacing and reuse profiling (thesis §4.5).
 
+use pmt_trace::FastHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Stride classification of a static load (thesis Fig 4.7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,8 +101,8 @@ pub struct StaticLoadBuilder {
     last_pos: u32,
     gap_sum: u64,
     last_addr: u64,
-    stride_counts: HashMap<i64, u32>,
-    reuse: HashMap<u64, u32>,
+    stride_counts: FastHashMap<i64, u32>,
+    reuse: FastHashMap<u64, u32>,
     cold: u64,
     max_strides: usize,
 }
@@ -117,8 +117,8 @@ impl StaticLoadBuilder {
             last_pos: pos,
             gap_sum: 0,
             last_addr: addr,
-            stride_counts: HashMap::new(),
-            reuse: HashMap::new(),
+            stride_counts: FastHashMap::default(),
+            reuse: FastHashMap::default(),
             cold: 0,
             max_strides,
         }

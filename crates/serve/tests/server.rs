@@ -635,6 +635,26 @@ fn errors_are_structured_and_versioned() {
     server.stop();
 }
 
+/// A body nested 100,000 arrays deep inside an unknown field is a 400,
+/// and the daemon keeps serving: skipping it cannot overflow the stack.
+#[test]
+fn deeply_nested_bodies_are_a_400_and_the_daemon_survives() {
+    let server = serve(ServeConfig::default());
+    let addr = server.addr();
+
+    let req = PredictRequest::new("astar", MachineSpec::named("nehalem"));
+    let json = serde_json::to_string(&req).unwrap();
+    let deep = format!("{{\"junk\":{}{}", "[".repeat(100_000), &json[1..]);
+    let reply = post(addr, "/v1/predict", &deep);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    let err: pmt_api::ErrorBody = serde_json::from_str(&reply.body).unwrap();
+    assert_eq!(err.code, "bad_json");
+    assert!(err.message.contains("nested"), "{}", err.message);
+
+    assert_eq!(get(addr, "/healthz").status, 200);
+    server.stop();
+}
+
 /// Train a tiny corrector covering `profile`, with a deliberate
 /// systematic +10% residual so the correction is visibly nonzero.
 fn corrector_for(profile: &ApplicationProfile) -> pmt_api::ResidualModel {

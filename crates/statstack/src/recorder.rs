@@ -1,7 +1,7 @@
 //! Reuse-distance measurement over an address stream.
 
 use crate::histogram::ReuseHistogram;
-use std::collections::HashMap;
+use pmt_trace::FastHashMap;
 
 /// Measures reuse distances over a stream of cache-line addresses.
 ///
@@ -11,7 +11,7 @@ use std::collections::HashMap;
 /// StatStack consumes.
 #[derive(Clone, Debug, Default)]
 pub struct ReuseRecorder {
-    last_touch: HashMap<u64, u64>,
+    last_touch: FastHashMap<u64, u64>,
     position: u64,
     histogram: ReuseHistogram,
 }
@@ -20,7 +20,7 @@ impl ReuseRecorder {
     /// An empty recorder.
     pub fn new() -> ReuseRecorder {
         ReuseRecorder {
-            last_touch: HashMap::new(),
+            last_touch: FastHashMap::default(),
             position: 0,
             histogram: ReuseHistogram::new(),
         }

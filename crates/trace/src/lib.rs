@@ -15,7 +15,9 @@
 //! * [`sampling`] — the micro-trace/window sampling methodology of thesis
 //!   §5.1 (e.g. 1k-instruction micro-traces every 1M instructions),
 //! * [`mix::InstructionMix`] — μop histograms and the sampling-error metric
-//!   of Eq 5.1.
+//!   of Eq 5.1,
+//! * [`FastHashMap`] — the deterministic hash map the profiler's per-event
+//!   tables use.
 //!
 //! # Example
 //!
@@ -33,11 +35,13 @@
 //! assert_eq!(buf[1].dep1, 1); // depends on the load one μop earlier
 //! ```
 
+mod hash;
 pub mod mix;
 pub mod sampling;
 mod stream;
 mod uop;
 
+pub use hash::{FastHashMap, FastHasher};
 pub use mix::InstructionMix;
 pub use sampling::{sample_micro_traces, MicroTrace, SamplingConfig};
 pub use stream::{collect_trace, count_instructions, TraceSource, VecTrace};

@@ -16,7 +16,8 @@ use pmt_trace::{MicroOp, TraceSource, UopClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Ring buffer of recent μop stream positions.
+/// Ring buffer of recent μop stream positions. The capacity is a power of
+/// two, so indices wrap with a mask instead of a division.
 #[derive(Clone, Debug)]
 struct PosRing {
     buf: Vec<u64>,
@@ -26,6 +27,7 @@ struct PosRing {
 
 impl PosRing {
     fn new(capacity: usize) -> PosRing {
+        assert!(capacity.is_power_of_two(), "ring capacity {capacity}");
         PosRing {
             buf: vec![0; capacity],
             head: 0,
@@ -36,7 +38,7 @@ impl PosRing {
     #[inline]
     fn push(&mut self, pos: u64) {
         self.buf[self.head] = pos;
-        self.head = (self.head + 1) % self.buf.len();
+        self.head = (self.head + 1) & (self.buf.len() - 1);
         if self.len < self.buf.len() {
             self.len += 1;
         }
@@ -48,8 +50,41 @@ impl PosRing {
         if k == 0 || k > self.len {
             return None;
         }
-        let idx = (self.head + self.buf.len() - k) % self.buf.len();
+        let idx = (self.head + self.buf.len() - k) & (self.buf.len() - 1);
         Some(self.buf[idx])
+    }
+}
+
+/// Samples a `1 + Geometric` rank with a fixed mean (≥ 1).
+///
+/// The log of the per-draw continue probability is computed once, by the
+/// same expression a per-draw computation would use, and a mean ≤ 1 still
+/// draws nothing from the RNG: every sample, and the RNG's draw sequence,
+/// is bit-identical to computing the log on each draw.
+#[derive(Clone, Copy, Debug)]
+struct RankSampler {
+    ln_q: Option<f64>,
+}
+
+impl RankSampler {
+    fn new(mean: f64) -> RankSampler {
+        let ln_q = if mean <= 1.0 {
+            None
+        } else {
+            Some((1.0 - 1.0 / mean).ln())
+        };
+        RankSampler { ln_q }
+    }
+
+    #[inline]
+    fn sample(self, rng: &mut StdRng) -> usize {
+        match self.ln_q {
+            None => 1,
+            Some(ln_q) => {
+                let u: f64 = rng.gen::<f64>().max(1e-12);
+                1 + (u.ln() / ln_q) as usize
+            }
+        }
     }
 }
 
@@ -108,6 +143,12 @@ pub struct WorkloadTrace {
     producers: PosRing,
     short_producers: PosRing,
     recent_loads: PosRing,
+    /// Operand ranks (`deps.mean_rank`).
+    rank: RankSampler,
+    /// Compare-μop operand ranks (`deps.branch_mean_rank`).
+    branch_rank: RankSampler,
+    /// Pointer-chasing load ranks (mean 2).
+    load_rank: RankSampler,
 }
 
 /// Bump allocator for non-overlapping data regions.
@@ -183,6 +224,8 @@ impl WorkloadTrace {
         }
 
         let iters0 = phases[0].blocks[0].iterations;
+        let rank = RankSampler::new(spec.deps.mean_rank);
+        let branch_rank = RankSampler::new(spec.deps.branch_mean_rank);
         WorkloadTrace {
             spec,
             rng,
@@ -199,6 +242,9 @@ impl WorkloadTrace {
             producers: PosRing::new(1024),
             short_producers: PosRing::new(256),
             recent_loads: PosRing::new(64),
+            rank,
+            branch_rank,
+            load_rank: RankSampler::new(2.0),
         }
     }
 
@@ -210,17 +256,6 @@ impl WorkloadTrace {
     /// Total instruction budget.
     pub fn limit(&self) -> u64 {
         self.limit
-    }
-
-    /// Sample `1 + Geometric` rank with the given mean (≥ 1).
-    #[inline]
-    fn sample_rank(rng: &mut StdRng, mean: f64) -> usize {
-        if mean <= 1.0 {
-            return 1;
-        }
-        let p = 1.0 / mean;
-        let u: f64 = rng.gen::<f64>().max(1e-12);
-        1 + (u.ln() / (1.0 - p).ln()) as usize
     }
 
     /// Generate one instruction; if `out` is given, μops are appended.
@@ -245,6 +280,7 @@ impl WorkloadTrace {
         let short_producers = &self.short_producers;
         let recent_loads = &self.recent_loads;
         let uop_pos = self.uop_pos;
+        let (rank, branch_rank, load_rank) = (self.rank, self.branch_rank, self.load_rank);
         let producer_dist = |k: usize| -> u32 {
             match producers.kth_most_recent(k) {
                 Some(pos) => (uop_pos - pos).min(u32::MAX as u64) as u32,
@@ -309,16 +345,16 @@ impl WorkloadTrace {
             UopClass::Load => {
                 let d1 = if rng.gen::<f64>() < deps.load_dep_prob {
                     // Pointer chasing: the address comes from a loaded value.
-                    let k = Self::sample_rank(rng, 2.0);
+                    let k = load_rank.sample(rng);
                     let d = load_dist(k);
                     if d != 0 {
                         d
                     } else {
-                        producer_dist(Self::sample_rank(rng, deps.mean_rank))
+                        producer_dist(rank.sample(rng))
                     }
                 } else if rng.gen::<f64>() < deps.addr_dep_prob {
                     // Index arithmetic feeding the address.
-                    let k = Self::sample_rank(rng, deps.mean_rank);
+                    let k = rank.sample(rng);
                     producer_dist(k)
                 } else {
                     // Long-lived base register: address ready at dispatch.
@@ -327,8 +363,8 @@ impl WorkloadTrace {
                 (d1, 0)
             }
             UopClass::Store => {
-                let kd = Self::sample_rank(rng, deps.mean_rank);
-                let ka = Self::sample_rank(rng, deps.mean_rank);
+                let kd = rank.sample(rng);
+                let ka = rank.sample(rng);
                 (producer_dist(kd), producer_dist(ka))
             }
             UopClass::Branch => {
@@ -340,11 +376,11 @@ impl WorkloadTrace {
                 let d1 = if rng.gen::<f64>() < deps.serial_frac {
                     producer_dist(1)
                 } else {
-                    let k = Self::sample_rank(rng, deps.mean_rank);
+                    let k = rank.sample(rng);
                     producer_dist(k)
                 };
                 let d2 = if rng.gen::<f64>() < deps.second_operand_prob {
-                    let k = Self::sample_rank(rng, deps.mean_rank);
+                    let k = rank.sample(rng);
                     producer_dist(k)
                 } else {
                     0
@@ -358,10 +394,10 @@ impl WorkloadTrace {
         // flag computation (rank-sampled operands, never a serial chain),
         // which is what keeps real branch resolution times small.
         if class == UopClass::Branch {
-            let k = Self::sample_rank(rng, deps.branch_mean_rank);
+            let k = branch_rank.sample(rng);
             let cmp_dep = if rng.gen::<f64>() < deps.branch_load_coupling {
                 // Data-dependent control flow: chain into general dataflow.
-                producer_dist(Self::sample_rank(rng, deps.mean_rank))
+                producer_dist(rank.sample(rng))
             } else {
                 let sd = short_dist(k);
                 if sd != 0 {

@@ -93,3 +93,84 @@ fn profile_file_is_stable_across_reloads() {
     assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
     assert_eq!(json1, json2);
 }
+
+fn fast_profile(name: &str, instructions: u64) -> pmt::profiler::ApplicationProfile {
+    let spec = WorkloadSpec::by_name(name).unwrap();
+    Profiler::new(ProfilerConfig::fast_test()).profile_named(name, &mut spec.trace(instructions))
+}
+
+/// FNV-1a digest of every stand-in's profile JSON (20k instructions,
+/// `fast_test` sampling). The generator, the profiler's maps and the
+/// serializer must all keep these bytes: a profile is written once and
+/// predicted from forever after, so any drift silently changes every
+/// prediction made from a re-profiled workload.
+#[test]
+fn every_suite_profile_keeps_its_bytes() {
+    const DIGESTS: [(&str, u64); 29] = [
+        ("astar", 0x11b3_ba2b_87d1_c858),
+        ("bwaves", 0x369b_0059_4cb4_e0a5),
+        ("bzip2", 0x0b15_5fc2_6972_7748),
+        ("cactusADM", 0xacb1_7b9e_89e1_542c),
+        ("calculix", 0x1a31_e514_aaa5_0c27),
+        ("dealII", 0xc89e_ed62_e76d_f736),
+        ("gamess", 0x4904_b2e0_b6a2_af18),
+        ("gcc", 0xc9f4_4f41_f2ab_ad50),
+        ("GemsFDTD", 0x1dec_5cfd_f123_f200),
+        ("gobmk", 0x0db5_24d0_47c4_1272),
+        ("gromacs", 0xb3c8_88c6_b474_cbb8),
+        ("h264ref", 0xb072_eeae_ddd5_7409),
+        ("hmmer", 0x9f19_c206_e899_81c7),
+        ("lbm", 0x5e9f_eda9_e301_225b),
+        ("leslie3d", 0x0751_5443_6d0e_1cef),
+        ("libquantum", 0x7597_c99b_9132_b0c2),
+        ("mcf", 0x84d4_f97a_bb14_e7d0),
+        ("milc", 0xb741_4dde_7b45_cd4a),
+        ("namd", 0xccf4_4407_e2e4_7709),
+        ("omnetpp", 0xe58a_0a64_18c1_aba3),
+        ("perlbench", 0x984e_dc8e_eb25_a579),
+        ("povray", 0x6aad_9782_8413_0a7d),
+        ("sjeng", 0xdd3c_1321_19dd_5aa5),
+        ("soplex", 0xf601_e700_de5d_9e31),
+        ("sphinx3", 0xba14_9df5_457b_231e),
+        ("tonto", 0x6b98_92f9_d9b8_991c),
+        ("wrf", 0xf8a5_3bfd_dd1d_feee),
+        ("xalancbmk", 0x592f_87bc_0dc9_80bf),
+        ("zeusmp", 0xae3f_c73a_5489_6af2),
+    ];
+    let mut drifted = Vec::new();
+    for (&name, &(pinned_name, pinned)) in SUITE.iter().zip(DIGESTS.iter()) {
+        assert_eq!(name, pinned_name, "SUITE order changed");
+        let json = serde_json::to_string(&fast_profile(name, 20_000)).unwrap();
+        let digest = pmt::api::fnv1a(&[&json]);
+        if digest != pinned {
+            drifted.push(format!("(\"{name}\", {digest:#018x})"));
+        }
+    }
+    assert!(drifted.is_empty(), "profile bytes drifted: {drifted:#?}");
+}
+
+/// FNV-1a digest of the CPI bits over the 243-point thesis grid for the
+/// two stand-ins whose branch-penalty leaky bucket runs longest, so the
+/// bucket's early exit is pinned to the bit.
+#[test]
+fn thesis_grid_cpi_keeps_its_bits() {
+    for (name, pinned) in [
+        ("lbm", 0x9c97_fec3_35c2_0b62),
+        ("cactusADM", 0x31eb_82d3_5745_800c),
+    ] {
+        let profile = fast_profile(name, 20_000);
+        let prepared = pmt::model::PreparedProfile::new(&profile);
+        let mut batch =
+            pmt::model::BatchPredictor::new(&prepared, &pmt::model::ModelConfig::default());
+        let bits: String = DesignSpace::thesis_table_6_3()
+            .enumerate()
+            .iter()
+            .map(|p| format!("{:016x}", batch.predict_summary(&p.machine).cpi().to_bits()))
+            .collect();
+        let digest = pmt::api::fnv1a(&[&bits]);
+        assert_eq!(
+            digest, pinned,
+            "{name}: thesis-grid CPI drifted ({digest:#018x})"
+        );
+    }
+}

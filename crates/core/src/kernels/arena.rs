@@ -67,22 +67,38 @@ impl CurveArena {
     /// Answer every query `CacheModel::from_fitted` would make for curve
     /// `curve` at per-level line counts `lines`, bit-identically.
     pub(crate) fn evaluate(&self, curve: u32, lines: [u64; 3]) -> CacheModel {
-        let model = &self.curves[curve as usize];
-        let critical_rd = [
-            critical_rd(model, lines[0]),
-            critical_rd(model, lines[1]),
-            critical_rd(model, lines[2]),
-        ];
-        let ratios = MissRatios {
-            l1: miss_ratio(model, lines[0], critical_rd[0]),
-            l2: miss_ratio(model, lines[1], critical_rd[1]),
-            l3: miss_ratio(model, lines[2], critical_rd[2]),
-        };
+        self.evaluate_by(curve, lines, |_, lines| self.level(curve, lines))
+    }
+
+    /// Assemble curve `curve`'s [`CacheModel`] at `lines` from one
+    /// [`level`](Self::level) answer per cache level, asked of `level`
+    /// as `(level index, that level's line count)` — the seam through
+    /// which a memo answers each level on its own.
+    pub(crate) fn evaluate_by(
+        &self,
+        curve: u32,
+        lines: [u64; 3],
+        mut level: impl FnMut(usize, u64) -> (u64, f64),
+    ) -> CacheModel {
+        let [l1, l2, l3] = [0, 1, 2].map(|i| level(i, lines[i]));
         CacheModel {
-            critical_rd,
-            ratios,
-            cold_fraction: model.cold_fraction(),
+            critical_rd: [l1.0, l2.0, l3.0],
+            ratios: MissRatios {
+                l1: l1.1,
+                l2: l2.1,
+                l3: l3.1,
+            },
+            cold_fraction: self.curves[curve as usize].cold_fraction(),
         }
+    }
+
+    /// One cache level's queries on curve `curve`: the critical reuse
+    /// distance at `lines` and the miss ratio it gives. Reads nothing but
+    /// the curve and the level's own line count.
+    pub(crate) fn level(&self, curve: u32, lines: u64) -> (u64, f64) {
+        let model = &self.curves[curve as usize];
+        let crit = critical_rd(model, lines);
+        (crit, miss_ratio(model, lines, crit))
     }
 }
 

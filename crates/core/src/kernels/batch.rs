@@ -1,13 +1,13 @@
 //! The batched prediction path: one [`BatchPredictor`] per
-//! (prepared profile, model config) evaluates a whole chunk of design
-//! points, answering curve queries from the prepared profile's shared
+//! (prepared profile, model config) evaluates chunks of design points,
+//! answering curve queries from the prepared profile's shared
 //! `CurveArena` and memoizing the expensive machine-dependent
 //! computations across points.
 //!
 //! The arena belongs to the [`PreparedProfile`]; a predictor only
 //! borrows it, so constructing one costs a config clone, four small
 //! empty tables and an empty list of per-window issue-stage limits —
-//! every sweep chunk, DVFS sweep and served flight over one profile
+//! every sweep worker, DVFS sweep and served flight over one profile
 //! shares one layout.
 //!
 //! # Why the results are bit-identical to the single-point path
@@ -16,20 +16,28 @@
 //! without a `Memo`, the predictor runs it with one. A memo lookup
 //! either computes through the very same function the memo-less run
 //! calls, or replays what that function returned earlier for the same
-//! complete input set:
+//! complete input set. Each key names exactly that input set — nothing
+//! the computation does not read — so a point that changes only other
+//! inputs replays it:
 //!
-//! * **Cache queries** are keyed by `(curve, per-level line counts)` —
-//!   the complete input set of `CurveArena::evaluate`.
-//! * **Stride walks** are keyed by every machine-dependent value
-//!   `StrideMlpModel::evaluate_stream` reads for a fixed window: the
-//!   window identity (fixing skeleton, static loads, stream length and
-//!   cold counts), the L3 critical reuse distance of the window's load
-//!   curve (the only field of `loads_model` the walk touches), ROB size,
-//!   MSHR entries, and — only when the prefetcher is enabled, the only
-//!   case that reads them — the prefetch-table size, DRAM page size,
-//!   DRAM latency and the effective dispatch rate. `llc_store_misses`
-//!   is a pure pass-through in the walk, so it stays out of the key and
-//!   is overwritten with the current point's value after a hit.
+//! * **Cache queries** are memoized per level, keyed by `(curve, level,
+//!   that level's line count)`. `CurveArena::evaluate` builds a curve's
+//!   `CacheModel` from one `CurveArena::level` answer per level, and
+//!   `level` reads only the curve and its own line count. The level is
+//!   redundant for the bytes; it keeps each entry, and each counted
+//!   lookup, one level's.
+//! * **Stride walks** are memoized before their MSHR cap
+//!   (`StrideMlpModel::walk_stream`), keyed by every machine-dependent
+//!   value the walk reads for a fixed window: the window identity
+//!   (fixing skeleton, static loads, stream length and cold counts),
+//!   the L3 critical reuse distance of the window's load curve (the
+//!   only field of `loads_model` the walk touches), ROB size, and —
+//!   only when the prefetcher is enabled, the only case that reads them
+//!   — the prefetch-table size, DRAM page size, DRAM latency and the
+//!   effective dispatch rate. The MSHR cap and the pass-through
+//!   `llc_store_misses` (`StrideMlpModel::finish_walk`) run after the
+//!   lookup on both paths, so points that differ only in MSHR entries
+//!   share one walk.
 //! * **Critical paths and branch penalties** are keyed by their complete
 //!   input sets — `(window, rob)` for CP(ROB), and the window plus every
 //!   scalar the leaky-bucket walk (Alg 3.2) reads for the branch
@@ -44,40 +52,50 @@
 //!   differs from it.
 //!
 //! Each table answers a repeated key from a last-answer slot before it
-//! hashes: one slot per window (per curve for cache queries) holds the
-//! last complete key that window asked for, with its value. A slot
-//! compares the whole key and only ever holds a pair its map holds too,
-//! so a slot hit returns exactly the bytes a map hit would, and counts
-//! as one.
+//! hashes: one slot per window (per curve and level for cache queries)
+//! holds the last complete key that slot was asked for, with its value.
+//! A slot compares the whole key and only ever holds a pair its map
+//! holds too, so a slot hit returns exactly the bytes a map hit would,
+//! and counts as one. The maps hash with `pmt_trace::FastHasher`: they
+//! are looked up and `len()`-ed, never iterated, so the hasher decides
+//! no output byte.
+//!
+//! # Lifetime
+//!
+//! A memo value is a pure function of its complete key, so a predictor
+//! can live as long as its profile and config: a sweep worker keeps one
+//! [`bounded`](BatchPredictor::bounded) predictor across all of its
+//! chunks. Its memo never holds more entries than a fresh predictor could
+//! build over one chunk; before a point that could take it past that, it
+//! starts over, which costs recomputation and never changes a byte.
 //!
 //! Memo hits are what make batching fast on sweep-shaped spaces:
 //! neighbouring design points share most axes, so most points reuse
 //! earlier points' curve queries, stride walks and branch penalties
 //! outright — and since consecutive points differ in one or two axes,
-//! most lookups repeat the window's previous key and never hash. A
+//! most lookups repeat the slot's previous key and never hash. A
 //! repeated point costs a few key comparisons per window plus the
 //! Eq 3.1 arithmetic.
 
 use crate::branch_penalty::BranchPenalty;
-use crate::cache_model::CacheModel;
 use crate::config::ModelConfig;
 use crate::dispatch::ExecLimits;
 use crate::kernels::arena::CurveArena;
 use crate::mlp::MemoryBehavior;
 use crate::model::{Evaluator, PredictionSummary, WindowInputs};
 use crate::prepared::PreparedProfile;
+use pmt_trace::FastHashMap;
 use pmt_uarch::{ExecConfig, MachineConfig};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Complete machine-dependent input set of one window's stride walk.
+/// Complete machine-dependent input set of one window's stride walk
+/// (before its MSHR cap, which runs after the lookup).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct StrideKey {
     window: u32,
     crit_l3: u64,
     rob: u32,
-    mshr: u32,
     /// Present iff the prefetcher is enabled — the only case in which
     /// the walk reads any of these fields.
     prefetch: Option<PrefetchKey>,
@@ -106,19 +124,22 @@ struct BranchKey {
 
 /// A snapshot of the predictor's memo tables: how many entries each
 /// holds and how the lookups split into hits and misses. Every miss
-/// inserts exactly one entry, so `*_entries == *_misses` always holds —
-/// the snapshot reports both so the invariant is checkable from the
-/// outside (the serve `/metrics` endpoint and the `speedup` binary both
-/// surface these numbers).
+/// inserts exactly one entry, so `*_entries == *_misses` holds until a
+/// [bounded](BatchPredictor::bounded) predictor starts its memo over
+/// (after that, entries ≤ misses) — the snapshot reports both so the
+/// invariant is checkable from the outside (the serve `/metrics`
+/// endpoint and the `speedup` binary both surface these numbers).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Cache-query memo (curve × per-level line counts) entries.
+    /// Cache-query memo (curve × level × that level's line count)
+    /// entries.
     pub cache_entries: u64,
-    /// Cache-query lookups answered from the memo.
+    /// Cache-query lookups answered from the memo — one per cache level
+    /// of a curve query.
     pub cache_hits: u64,
     /// Cache-query lookups that computed (and inserted).
     pub cache_misses: u64,
-    /// Stride-walk memo entries.
+    /// Stride-walk memo entries (walks before the MSHR cap).
     pub stride_entries: u64,
     /// Stride walks replayed from the memo.
     pub stride_hits: u64,
@@ -151,7 +172,7 @@ impl MemoStats {
 }
 
 /// One memo table with its hit/miss tallies, fronted by one
-/// last-answer slot per window (per curve for cache queries).
+/// last-answer slot per window (per curve and level for cache queries).
 ///
 /// A slot holds the last complete key its window asked for and the
 /// value the table answered. Neighbouring design points share most
@@ -161,7 +182,7 @@ impl MemoStats {
 /// map holds too, and it compares the full key, so it answers exactly
 /// what the map would — and counts as the same hit.
 struct Table<K, V> {
-    map: HashMap<K, V>,
+    map: FastHashMap<K, V>,
     last: Vec<Option<(K, V)>>,
     hits: u64,
     misses: u64,
@@ -170,7 +191,7 @@ struct Table<K, V> {
 impl<K: Hash + Eq + Copy, V: Copy> Table<K, V> {
     fn new(slots: usize, capacity: usize) -> Self {
         Table {
-            map: HashMap::with_capacity(capacity),
+            map: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
             last: vec![None; slots],
             hits: 0,
             misses: 0,
@@ -200,6 +221,12 @@ impl<K: Hash + Eq + Copy, V: Copy> Table<K, V> {
         *last = Some((key, value));
         value
     }
+
+    /// Drop every entry and slot; the tallies keep counting.
+    fn clear(&mut self) {
+        self.map.clear();
+        self.last.fill(None);
+    }
 }
 
 /// The cross-point memo tables the evaluator consults when it is given
@@ -207,7 +234,7 @@ impl<K: Hash + Eq + Copy, V: Copy> Table<K, V> {
 /// computation it stands in for (see the module docs), and computes
 /// through the caller's closure — the memo-less computation — on a miss.
 pub(crate) struct Memo {
-    cache: Table<(u32, [u64; 3]), CacheModel>,
+    cache: Table<(u32, u8, u64), (u64, f64)>,
     stride: Table<StrideKey, MemoryBehavior>,
     cp: Table<(u32, u32), f64>,
     branch: Table<BranchKey, BranchPenalty>,
@@ -219,13 +246,13 @@ pub(crate) struct Memo {
 
 impl Memo {
     /// Empty tables sized for one design point over `windows` windows
-    /// (one curve query per window's loads and stores, plus the
-    /// instruction path), so a flight of one never rehashes. Combined
-    /// mode evaluates one window over the three global curves.
+    /// (three level queries per window's loads and stores curves, plus
+    /// the instruction path's), so a flight of one never rehashes.
+    /// Combined mode evaluates one window over the three global curves.
     fn for_windows(windows: usize) -> Memo {
         let (slots, curves) = (windows.max(1), 3 + 2 * windows);
         Memo {
-            cache: Table::new(curves, 2 * slots + 1),
+            cache: Table::new(3 * curves, 3 * (2 * slots + 1)),
             stride: Table::new(slots, slots),
             cp: Table::new(slots, slots),
             branch: Table::new(slots, slots),
@@ -253,30 +280,55 @@ impl Memo {
         *self.limits[window as usize].get_or_insert_with(compute)
     }
 
-    /// Curve `curve`'s queries at per-level line counts `lines`.
-    pub(crate) fn cache_model(
-        &mut self,
-        curve: u32,
-        lines: [u64; 3],
-        compute: impl FnOnce() -> CacheModel,
-    ) -> CacheModel {
-        self.cache.get_or(curve, (curve, lines), compute)
+    /// Entries across all four tables.
+    fn entries(&self) -> usize {
+        self.cache.map.len() + self.stride.map.len() + self.cp.map.len() + self.branch.map.len()
     }
 
-    /// One window's stride walk on `machine` at dispatch rate `deff`.
+    /// The most entries one design point can add: it asks each slot at
+    /// most once, and only a miss inserts.
+    fn entries_per_point(&self) -> usize {
+        self.cache.last.len() + self.stride.last.len() + self.cp.last.len() + self.branch.last.len()
+    }
+
+    /// Start over: drop every entry (the port and unit limits, which are
+    /// not entries, stay bound to their issue stage).
+    fn clear(&mut self) {
+        self.cache.clear();
+        self.stride.clear();
+        self.cp.clear();
+        self.branch.clear();
+    }
+
+    /// Curve `curve`'s queries at cache level `level` (0 = L1), whose
+    /// line count is `lines`.
+    pub(crate) fn cache_level(
+        &mut self,
+        curve: u32,
+        level: usize,
+        lines: u64,
+        compute: impl FnOnce() -> (u64, f64),
+    ) -> (u64, f64) {
+        self.cache.get_or(
+            3 * curve + level as u32,
+            (curve, level as u8, lines),
+            compute,
+        )
+    }
+
+    /// One window's stride walk (before its MSHR cap) on `machine` at
+    /// dispatch rate `deff`.
     pub(crate) fn stride(
         &mut self,
         machine: &MachineConfig,
         deff: f64,
         inp: &WindowInputs<'_>,
-        store_llc_misses: f64,
         compute: impl FnOnce() -> MemoryBehavior,
     ) -> MemoryBehavior {
         let key = StrideKey {
             window: inp.window,
             crit_l3: inp.loads_model.critical_rd[2],
             rob: machine.core.rob_size,
-            mshr: machine.mem.mshr_entries,
             prefetch: machine.prefetcher.enabled.then(|| PrefetchKey {
                 table_entries: machine.prefetcher.table_entries,
                 dram_page_bytes: machine.mem.dram_page_bytes,
@@ -284,11 +336,7 @@ impl Memo {
                 deff_bits: deff.to_bits(),
             }),
         };
-        let mut behavior = self.stride.get_or(inp.window, key, compute);
-        // Pass-through field, not part of the walk: always the current
-        // point's value.
-        behavior.llc_store_misses = store_llc_misses;
-        behavior
+        self.stride.get_or(inp.window, key, compute)
     }
 
     /// CP(ROB) of window `window`.
@@ -336,6 +384,8 @@ pub struct BatchPredictor<'p, 'a> {
     /// predictor and single-point prediction over it.
     pub(crate) arena: &'p CurveArena,
     memo: Memo,
+    /// Most memo entries a [bounded](Self::bounded) predictor holds.
+    bound: Option<usize>,
 }
 
 impl<'p, 'a> BatchPredictor<'p, 'a> {
@@ -349,7 +399,34 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
             config: config.clone(),
             arena: prepared.arena(),
             memo: Memo::for_windows(prepared.windows().len()),
+            bound: None,
         }
+    }
+
+    /// A predictor meant to outlive many batches of up to `points` design
+    /// points each — one per sweep worker, kept across its chunks. Its
+    /// memo never holds more entries than a fresh predictor could build
+    /// over one such batch (`points` × [`entries_per_point`]): before a
+    /// point that could take it past that, the memo starts over. Memory
+    /// stays O(`points`) however many points pass through, and the bytes
+    /// are those of [`new`](Self::new) — a memo value is a pure function
+    /// of its complete key, so dropping entries only costs recomputation.
+    ///
+    /// [`entries_per_point`]: Self::entries_per_point
+    pub fn bounded(
+        prepared: &'p PreparedProfile<'a>,
+        config: &ModelConfig,
+        points: usize,
+    ) -> BatchPredictor<'p, 'a> {
+        let mut predictor = BatchPredictor::new(prepared, config);
+        predictor.bound = Some(points.saturating_mul(predictor.entries_per_point()));
+        predictor
+    }
+
+    /// The most memo entries one design point can add: one per memo
+    /// slot, since a point asks each slot at most once.
+    pub fn entries_per_point(&self) -> usize {
+        self.memo.entries_per_point()
     }
 
     /// Snapshot the memo tables: entry counts plus cumulative hit/miss
@@ -387,6 +464,11 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     /// Bit-identical to `IntervalModel::with_config(machine,
     /// config).predict_summary(prepared)`.
     pub fn predict_summary(&mut self, machine: &MachineConfig) -> PredictionSummary {
+        if let Some(bound) = self.bound {
+            if self.memo.entries() + self.memo.entries_per_point() > bound {
+                self.memo.clear();
+            }
+        }
         Evaluator {
             machine,
             config: &self.config,

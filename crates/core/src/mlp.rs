@@ -257,6 +257,11 @@ impl<'a> StrideMlpModel<'a> {
     /// the positions/draws/depths are reused and only the machine-dependent
     /// classification (miss vs hit against this machine's critical reuse
     /// distance, prefetch timeliness, ROB-window stepping) is redone.
+    ///
+    /// The walk (`walk_stream`) followed by its last step
+    /// (`finish_walk`): the MSHR cap and the pass-through store misses.
+    /// The batched predictor memoizes the walk alone, so points that
+    /// differ only in MSHR entries share it.
     #[allow(clippy::too_many_arguments)] // mirrors the thesis' Eq 4.x parameter list
     pub fn evaluate_stream(
         &self,
@@ -266,6 +271,33 @@ impl<'a> StrideMlpModel<'a> {
         stream_uops: u64,
         total_window_loads: f64,
         store_llc_misses: f64,
+        window_cold_misses: f64,
+    ) -> MemoryBehavior {
+        let walk = self.walk_stream(
+            skeleton,
+            static_loads,
+            loads_model,
+            stream_uops,
+            total_window_loads,
+            window_cold_misses,
+        );
+        self.finish_walk(walk, store_llc_misses)
+    }
+
+    /// Everything [`evaluate_stream`](Self::evaluate_stream) computes
+    /// except its last step: `mlp` is the raw window average, before the
+    /// MSHR cap, and `llc_store_misses` is zero. The walk reads the
+    /// machine's ROB size, the L3 critical reuse distance of
+    /// `loads_model` and — only with the prefetcher enabled — the
+    /// prefetch table, DRAM page size, DRAM latency and `deff`; never
+    /// the MSHR count.
+    pub(crate) fn walk_stream(
+        &self,
+        skeleton: &VirtualStream,
+        static_loads: &[StaticLoadProfile],
+        loads_model: &CacheModel,
+        stream_uops: u64,
+        total_window_loads: f64,
         window_cold_misses: f64,
     ) -> MemoryBehavior {
         assert_eq!(
@@ -350,7 +382,6 @@ impl<'a> StrideMlpModel<'a> {
         } else {
             window_mlps.iter().sum::<f64>() / window_mlps.len() as f64
         };
-        let mlp = mshr_soft_cap(raw_mlp, self.machine.mem.mshr_entries).max(1.0);
         let total_windows = (stream_uops / rob).max(1) as f64;
         let miss_window_density = (window_mlps.len() as f64 / total_windows).min(1.0);
 
@@ -387,10 +418,10 @@ impl<'a> StrideMlpModel<'a> {
             reuse_stall_frac * total_window_loads + cold_stall_ratio * window_cold_misses;
 
         MemoryBehavior {
-            mlp,
+            mlp: raw_mlp,
             llc_load_misses,
             stalling_load_misses: stalling,
-            llc_store_misses: store_llc_misses,
+            llc_store_misses: 0.0,
             prefetch_coverage: if llc_load_misses > 0.0 {
                 1.0 - stalling / llc_load_misses
             } else {
@@ -398,6 +429,20 @@ impl<'a> StrideMlpModel<'a> {
             },
             miss_window_density,
         }
+    }
+
+    /// The last step of [`evaluate_stream`](Self::evaluate_stream) on a
+    /// [`walk_stream`](Self::walk_stream) result: the MSHR soft cap
+    /// (Eq 4.4) on the raw MLP, and the window's LLC store misses, which
+    /// the walk passes through untouched.
+    pub(crate) fn finish_walk(
+        &self,
+        mut walk: MemoryBehavior,
+        store_llc_misses: f64,
+    ) -> MemoryBehavior {
+        walk.mlp = mshr_soft_cap(walk.mlp, self.machine.mem.mshr_entries).max(1.0);
+        walk.llc_store_misses = store_llc_misses;
+        walk
     }
 
     /// Walk the virtual stream with a finite prefetch table (Fig 4.10) and

@@ -463,10 +463,11 @@ impl Evaluator<'_> {
     /// reuse distances and miss ratios at `lines`.
     fn cache_model(&mut self, id: CurveId, lines: [u64; 3]) -> CacheModel {
         let (arena, curve) = (self.arena, id.arena_index());
-        let evaluate = || arena.evaluate(curve, lines);
         match self.memo.as_deref_mut() {
-            Some(memo) => memo.cache_model(curve, lines, evaluate),
-            None => evaluate(),
+            Some(memo) => arena.evaluate_by(curve, lines, |level, lines| {
+                memo.cache_level(curve, level, lines, || arena.level(curve, lines))
+            }),
+            None => arena.evaluate(curve, lines),
         }
     }
 
@@ -481,8 +482,9 @@ impl Evaluator<'_> {
         }
     }
 
-    /// The stride-MLP virtual-stream walk for one window. A memo miss
-    /// computes through this very walk, so a hit replays its bytes.
+    /// The stride-MLP virtual-stream walk for one window, then its MSHR
+    /// cap. A memo miss computes through this very walk, so a hit
+    /// replays its bytes; the cap runs after the lookup on both paths.
     fn stride(
         &mut self,
         deff: f64,
@@ -490,22 +492,22 @@ impl Evaluator<'_> {
         loads: f64,
         store_llc_misses: f64,
     ) -> MemoryBehavior {
-        let machine = self.machine;
+        let model = StrideMlpModel::new(self.machine, deff);
         let walk = || {
-            StrideMlpModel::new(machine, deff).evaluate_stream(
+            model.walk_stream(
                 inp.stream,
                 inp.static_loads,
                 &inp.loads_model,
                 inp.stream_uops,
                 loads,
-                store_llc_misses,
                 inp.window_cold,
             )
         };
-        match self.memo.as_deref_mut() {
-            Some(memo) => memo.stride(machine, deff, inp, store_llc_misses, walk),
+        let walk = match self.memo.as_deref_mut() {
+            Some(memo) => memo.stride(self.machine, deff, inp, walk),
             None => walk(),
-        }
+        };
+        model.finish_walk(walk, store_llc_misses)
     }
 
     /// CP(ROB): the window dependency profile's critical-path length.

@@ -13,7 +13,7 @@
 //! on every push.
 
 use pmt_core::kernels::lanes::LANES;
-use pmt_core::{BatchPredictor, IntervalModel, ModelConfig, PreparedProfile};
+use pmt_core::{BatchPredictor, IntervalModel, MlpModelKind, ModelConfig, PreparedProfile};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
 use pmt_trace::UopClass;
 use pmt_uarch::{CacheConfig, DesignSpace, ExecConfig, MachineConfig, PortMap, PortRoute};
@@ -443,6 +443,118 @@ fn slot_defeating_point_order_matches_scalar() {
                     assert_eq!(stats.hits(), first.hits() + first.hits() + first.misses());
                 }
             }
+        }
+    }
+}
+
+/// The narrowed memo keys: the stride walk is memoized before its MSHR
+/// cap, so MSHR is in no key, and a cache query is memoized per level
+/// under `(curve, level, that level's line count)`. One predictor walks
+/// a machine one axis at a time — MSHR alone, one cache level at a
+/// time (L1-D and L2 each to a line count the next level already asks
+/// for), then ROB — with the prefetcher off and on, in both evaluation modes.
+/// Every point must match its scalar model byte for byte, and each step
+/// must compute exactly what its axis feeds:
+///
+/// * an MSHR step computes nothing at all — yet changes the answer;
+/// * an L1-D step adds one cache miss per data curve, an L2 or L3 step
+///   one per curve (the instruction path shares L2 and L3) — a line
+///   count already asked at another level still misses at this one;
+/// * with the prefetcher off, L1-D and L2 steps walk no stride stream,
+///   and L3 and ROB steps re-walk it.
+#[test]
+fn narrowed_keys_recompute_only_what_each_axis_feeds() {
+    let profile = &profiles()[0];
+    let prepared = PreparedProfile::new(profile);
+    for config in [ModelConfig::default(), ModelConfig::ispass_2015()] {
+        for prefetcher in [false, true] {
+            let mut m = if prefetcher {
+                MachineConfig::nehalem_with_prefetcher()
+            } else {
+                MachineConfig::nehalem()
+            };
+            let mut batch = BatchPredictor::new(&prepared, &config);
+            let mut predict = |m: &MachineConfig, ctx: &str| {
+                let want = IntervalModel::with_config(m, config.clone()).predict_summary(&prepared);
+                let got = json(&batch.predict_summary(m));
+                assert_eq!(json(&want), got, "{ctx} (prefetcher {prefetcher})");
+                (got, batch.memo_stats())
+            };
+            let (base_body, first) = predict(&m, "base");
+            assert_eq!(first.cache_misses % 3, 0, "three levels per curve");
+            let curves = first.cache_misses / 3;
+            let strided = first.stride_misses > 0;
+            assert_eq!(
+                strided,
+                config.mlp_model == MlpModelKind::Stride,
+                "the stride model walks on this profile"
+            );
+            let mut last = first;
+
+            // MSHR alone: every lookup replays; the cap still applies.
+            let mut changed = false;
+            for mshr in [2, 4, 32, 10] {
+                m.mem.mshr_entries = mshr;
+                let (body, stats) = predict(&m, &format!("mshr {mshr}"));
+                assert_eq!(stats.misses(), last.misses(), "mshr {mshr} computed");
+                assert_eq!(stats.stride_misses, last.stride_misses);
+                changed |= body != base_body;
+                last = stats;
+            }
+            assert!(changed, "some MSHR count must change the prediction");
+
+            // One level at a time; L1-D and L2 each to the line count the
+            // next level already asks for.
+            let steps = [
+                ("l1d 256K", 0, 256, curves - 1),
+                ("l2 8M", 1, 8192, curves),
+                ("l3 16M", 2, 16384, curves),
+            ];
+            for (name, level, size_kb, new_queries) in steps {
+                let cache = match level {
+                    0 => &mut m.caches.l1d,
+                    1 => &mut m.caches.l2,
+                    _ => &mut m.caches.l3,
+                };
+                *cache = CacheConfig::new(size_kb, cache.associativity, 64, cache.latency);
+                let (_, stats) = predict(&m, name);
+                assert_eq!(
+                    stats.cache_misses - last.cache_misses,
+                    new_queries,
+                    "{name}"
+                );
+                if strided && !prefetcher {
+                    let walked = stats.stride_misses - last.stride_misses;
+                    if name.starts_with("l3") {
+                        assert!(walked > 0, "{name}: a new L3 must re-walk");
+                    } else {
+                        assert_eq!(walked, 0, "{name}: no walk reads this level");
+                    }
+                }
+                last = stats;
+                // ... and MSHR alone on the new hierarchy still computes
+                // nothing.
+                m.mem.mshr_entries = 4;
+                let (_, stats) = predict(&m, &format!("{name} mshr 4"));
+                assert_eq!(stats.misses(), last.misses(), "{name} mshr 4 computed");
+                m.mem.mshr_entries = 10;
+                let (_, stats) = predict(&m, &format!("{name} mshr 10"));
+                assert_eq!(stats.misses(), last.misses(), "{name} mshr 10 computed");
+            }
+
+            m.core = m.core.with_rob(192);
+            let (_, stats) = predict(&m, "rob 192");
+            assert_eq!(
+                stats.cache_misses, last.cache_misses,
+                "ROB feeds no cache query"
+            );
+            if strided {
+                assert!(
+                    stats.stride_misses > last.stride_misses,
+                    "a new ROB must re-walk"
+                );
+            }
+            assert_entries_equal_misses(&stats, "narrowed keys");
         }
     }
 }

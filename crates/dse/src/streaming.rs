@@ -24,9 +24,11 @@
 //! a fixed sort order.
 //!
 //! Each chunk's predictions run through the **batched kernels** by
-//! default: one [`BatchPredictor`] per chunk answers every admitted
-//! point's summary (SoA curve queries, cross-point memoization), and the
-//! per-point CPI/seconds arithmetic is evaluated over f64
+//! default: the folding worker's [`BatchPredictor`] — one per worker,
+//! kept across all of its chunks, its memo bounded by one chunk's worth
+//! of entries — answers every admitted point's summary (SoA curve
+//! queries, cross-point memoization), and the per-point CPI/seconds
+//! arithmetic is evaluated over f64
 //! [`lanes`](pmt_core::kernels::lanes). Both are bit-identical to the
 //! one-point-at-a-time path — pinned by `pmt-core`'s conformance suite
 //! and this module's own equivalence test — so
@@ -545,22 +547,9 @@ impl<'a> StreamingSweep<'a> {
         space: &S,
     ) -> StreamingSummary {
         let n = space.len();
-        // `step_by` never overflows: every yielded start is a valid index
-        // below `n`, and the final increment saturates inside the iterator.
-        let starts: Vec<usize> = (0..n).step_by(self.chunk).collect();
-        // Identical chunk tree on both paths: fold chunks (serially or in
-        // parallel), then merge the chunk summaries in chunk order.
-        let folded: Vec<ChunkFold> = if self.serial {
-            starts
-                .iter()
-                .map(|&s| self.fold_chunk(prepared, space, s, n))
-                .collect()
-        } else {
-            starts
-                .par_iter()
-                .map(|&s| self.fold_chunk(prepared, space, s, n))
-                .collect()
-        };
+        let mut serial_predictor = self.serial.then(|| self.worker_predictor(prepared));
+        let chunks = 0..chunk_count(n, self.chunk);
+        let folded = self.fold_chunks(serial_predictor.as_mut(), prepared, space, chunks);
         let mut total = ChunkFold::new(self.top_k);
         for chunk in folded {
             total.merge(chunk);
@@ -578,21 +567,63 @@ impl<'a> StreamingSweep<'a> {
         }
     }
 
-    /// Fold one chunk of `[start, start + chunk) ∩ [0, n)` — the shared
-    /// unit of work of [`run_prepared`](Self::run_prepared) and
-    /// [`run_shard_prepared`](Self::run_shard_prepared), so a sharded run
-    /// computes the exact same per-chunk accumulators a single-process
-    /// run does.
-    fn fold_chunk<S: LazyDesignSpace + ?Sized>(
+    /// The predictor one sweep worker keeps across all of its chunks:
+    /// memo hits carry from chunk to chunk, and its memo never outgrows
+    /// what a fresh predictor could build over one chunk
+    /// ([`BatchPredictor::bounded`]), so memory stays O(chunk).
+    fn worker_predictor<'p, 'b>(
         &self,
+        prepared: &'p PreparedProfile<'b>,
+    ) -> BatchPredictor<'p, 'b> {
+        BatchPredictor::bounded(prepared, &self.model, self.chunk)
+    }
+
+    /// Fold global chunks `chunks`, in chunk order — on `serial`'s one
+    /// predictor, or in parallel with one predictor per rayon worker. The
+    /// identical chunk tree either way: callers merge the returned
+    /// chunk folds in order, so serial and parallel runs are
+    /// bit-identical.
+    fn fold_chunks<S: LazyDesignSpace + ?Sized>(
+        &self,
+        serial: Option<&mut BatchPredictor<'_, '_>>,
         prepared: &PreparedProfile<'_>,
         space: &S,
-        start: usize,
-        n: usize,
+        chunks: std::ops::Range<usize>,
+    ) -> Vec<ChunkFold> {
+        match serial {
+            Some(predictor) => chunks
+                .map(|c| self.fold_chunk(predictor, prepared, space, c))
+                .collect(),
+            None => chunks
+                .into_par_iter()
+                .map_init(
+                    || self.worker_predictor(prepared),
+                    |predictor, c| self.fold_chunk(predictor, prepared, space, c),
+                )
+                .collect(),
+        }
+    }
+
+    /// Fold global chunk `c`, the points `[c·chunk, (c+1)·chunk) ∩
+    /// [0, n)` — the shared unit of work of
+    /// [`run_prepared`](Self::run_prepared) and
+    /// [`run_shard_prepared`](Self::run_shard_prepared), so a sharded run
+    /// computes the exact same per-chunk accumulators a single-process
+    /// run does. `predictor` is the folding worker's own; which chunks it
+    /// saw before never changes the bytes.
+    fn fold_chunk<S: LazyDesignSpace + ?Sized>(
+        &self,
+        predictor: &mut BatchPredictor<'_, '_>,
+        prepared: &PreparedProfile<'_>,
+        space: &S,
+        c: usize,
     ) -> ChunkFold {
-        // Saturate rather than wrap: near usize::MAX the naive
+        // `c < chunk_count(n, chunk)`, so `start < n` cannot overflow;
+        // saturate the end rather than wrap: near usize::MAX the naive
         // `start + chunk` would overflow and fold an empty (or wrong)
         // range in release builds.
+        let n = space.len();
+        let start = c * self.chunk;
         let end = start.saturating_add(self.chunk).min(n);
         let mut acc = ChunkFold::new(self.top_k);
         if self.per_point {
@@ -624,7 +655,7 @@ impl<'a> StreamingSweep<'a> {
             }
             points.push(point);
         }
-        for p in evaluate_stream_points_batched(&points, prepared, &self.model) {
+        for p in evaluate_stream_points_batched(&points, predictor) {
             self.fold_point(&mut acc, p);
         }
         acc
@@ -719,19 +750,11 @@ impl<'a> StreamingSweep<'a> {
         } else {
             checkpoint_every
         };
+        let mut serial_predictor = self.serial.then(|| self.worker_predictor(prepared));
         while acc.chunks_done < hi - lo {
             let next = lo + acc.chunks_done;
             let end = next.saturating_add(batch).min(hi);
-            let folds: Vec<ChunkFold> = if self.serial {
-                (next..end)
-                    .map(|c| self.fold_chunk(prepared, space, c * self.chunk, n))
-                    .collect()
-            } else {
-                (next..end)
-                    .into_par_iter()
-                    .map(|c| self.fold_chunk(prepared, space, c * self.chunk, n))
-                    .collect()
-            };
+            let folds = self.fold_chunks(serial_predictor.as_mut(), prepared, space, next..end);
             for f in folds {
                 // Keep the per-chunk moments instead of a running total:
                 // f64 addition is not associative, so only replaying the
@@ -1011,18 +1034,17 @@ pub(crate) fn evaluate_stream_point(
 
 /// [`evaluate_stream_point`] for a whole slice of points at once, in
 /// order — the batched model half the streaming fold and the
-/// materializing sweeps share. One [`BatchPredictor`] answers every
-/// summary (SoA curve queries, memos shared across the batch); the
-/// CPI/seconds arithmetic runs over f64 [`lanes`]. Every step replicates
-/// the one-point path exactly (same summaries, per-lane
-/// correctly-rounded division and multiplication only), so the returned
-/// points are bit-identical to mapping [`evaluate_stream_point`].
+/// materializing sweeps share. The caller's [`BatchPredictor`] answers
+/// every summary (SoA curve queries, memos shared across the batch and
+/// with whatever the predictor saw before); the CPI/seconds arithmetic
+/// runs over f64 [`lanes`]. Every step replicates the one-point path
+/// exactly (same summaries, per-lane correctly-rounded division and
+/// multiplication only), so the returned points are bit-identical to
+/// mapping [`evaluate_stream_point`].
 pub(crate) fn evaluate_stream_points_batched(
     points: &[DesignPoint],
-    prepared: &PreparedProfile<'_>,
-    model_cfg: &ModelConfig,
+    batch: &mut BatchPredictor<'_, '_>,
 ) -> Vec<StreamPoint> {
-    let mut batch = BatchPredictor::new(prepared, model_cfg);
     let mut summaries = Vec::with_capacity(points.len());
     batch.predict_batch_into(points.iter().map(|p| &p.machine), &mut summaries);
     let k = points.len();
@@ -1187,8 +1209,9 @@ mod tests {
             serde_json::to_string(&scalar).unwrap()
         );
         // Real chunk order: the 103,680-point demo space in default
-        // 1,024-point chunks, each through one predictor whose memo
-        // slots carry across every axis step, on a toy profile.
+        // 1,024-point chunks, all through one kept predictor whose memo
+        // and slots carry across every axis step and chunk, on a toy
+        // profile.
         let spec = WorkloadSpec::by_name("mcf").unwrap();
         let toy = Profiler::new(ProfilerConfig::fast_test())
             .profile_named("mcf", &mut spec.trace(10_000));

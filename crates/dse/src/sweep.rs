@@ -1,6 +1,6 @@
 //! Parallel design-space sweeps (thesis §6.2.4, §7.4).
 
-use pmt_core::{ModelConfig, PreparedProfile};
+use pmt_core::{BatchPredictor, ModelConfig, PreparedProfile};
 use pmt_power::PowerModel;
 use pmt_profiler::ApplicationProfile;
 use pmt_sim::{CacheKey, OooSimulator, SimCache, SimConfig, SimResult};
@@ -214,14 +214,17 @@ impl SpaceEvaluation {
         cfg: &SweepConfig,
         parallel: bool,
     ) -> Vec<crate::streaming::StreamPoint> {
-        let chunks: Vec<&[DesignPoint]> = points.chunks(crate::streaming::DEFAULT_CHUNK).collect();
-        let eval = |c: &&[DesignPoint]| {
-            crate::streaming::evaluate_stream_points_batched(c, prepared, &cfg.model)
+        let chunk = crate::streaming::DEFAULT_CHUNK;
+        let chunks: Vec<&[DesignPoint]> = points.chunks(chunk).collect();
+        let worker = || BatchPredictor::bounded(prepared, &cfg.model, chunk);
+        let eval = |predictor: &mut BatchPredictor<'_, '_>, c: &&[DesignPoint]| {
+            crate::streaming::evaluate_stream_points_batched(c, predictor)
         };
         let per_chunk: Vec<Vec<crate::streaming::StreamPoint>> = if parallel {
-            chunks.par_iter().map(eval).collect()
+            chunks.par_iter().map_init(worker, eval).collect()
         } else {
-            chunks.iter().map(eval).collect()
+            let mut predictor = worker();
+            chunks.iter().map(|c| eval(&mut predictor, c)).collect()
         };
         per_chunk.into_iter().flatten().collect()
     }

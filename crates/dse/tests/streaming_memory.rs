@@ -104,8 +104,10 @@ fn big_space_streams_in_bounded_memory() {
     // ceiling covers prepared-profile scratch, rayon bookkeeping, the
     // accumulators AND the batched kernels' per-chunk staging (this run
     // takes the default batched path: each in-flight chunk holds its
-    // admitted `DesignPoint`s, summaries, memo tables and lane arrays —
-    // all O(chunk), never O(space)) with a wide margin, while sitting
+    // admitted `DesignPoint`s, summaries and lane arrays, and each
+    // worker's kept memo tables start over before they outgrow what one
+    // chunk could fill — all O(chunk), never O(space)) with a wide
+    // margin, while sitting
     // ~5× under even the bare 100k-point outcome Vec (~9.6 MB of
     // `PointOutcome`s, before the dominant per-point `MachineConfig`s).
     let ceiling = 8 << 20;

@@ -100,3 +100,42 @@ fn truncated_final_window_is_accounted() {
         .sum();
     assert_eq!(covered, 12_345);
 }
+
+/// 100,000 unclosed `[`, alone and as the value of an unknown field —
+/// deeper than any parser recursion could survive on a thread's stack.
+fn deep_inputs() -> [String; 2] {
+    let deep = "[".repeat(100_000);
+    [deep.clone(), format!("{{\"junk\":{deep}")]
+}
+
+/// Every file the toolkit reads back — a profile (`pmt profile --out`,
+/// read by `--profile`), a shard snapshot (`--snapshot-out`, read by
+/// `pmt merge` and `--resume`), a corrector artifact (`--corrector`) and
+/// a simulation cache (`--cache`) — must answer pathologically nested
+/// JSON with an ordinary error, not abort the process on a stack
+/// overflow.
+#[test]
+fn deep_input_gets_a_structured_error_from_every_file_loader() {
+    for (i, deep) in deep_inputs().iter().enumerate() {
+        let err = serde_json::from_str::<ApplicationProfile>(deep).unwrap_err();
+        assert!(!err.to_string().is_empty(), "profile, input {i}");
+        let err = serde_json::from_str::<pmt::api::AccumulatorSnapshot>(deep).unwrap_err();
+        assert!(!err.to_string().is_empty(), "snapshot, input {i}");
+        let err = pmt::ml::ResidualModel::from_json(deep).unwrap_err();
+        assert_eq!(err.code, "bad_corrector", "corrector, input {i}");
+
+        let path = std::env::temp_dir().join(format!(
+            "pmt-deep-sim-cache-{}-{i}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, deep).unwrap();
+        let loaded = SimCache::load(path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let err = loaded.unwrap_err();
+        assert!(err.starts_with("sim cache:"), "sim cache, input {i}: {err}");
+    }
+    // A deep value inside an element the cache does parse: the unknown
+    // field is skipped up to the parser's depth limit, then refused.
+    let row = format!("[[1,{{\"junk\":{}}}]]", "[".repeat(100_000));
+    assert!(SimCache::from_json(&row).is_err());
+}

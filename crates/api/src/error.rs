@@ -28,7 +28,7 @@ pub struct ErrorBody {
 /// An [`ErrorBody`] plus the HTTP status it travels under.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ApiError {
-    /// HTTP status code (400, 404, 405, 413, 429, 500).
+    /// HTTP status code (400, 404, 405, 408, 413, 429, 500).
     pub status: u16,
     /// The structured body.
     pub body: ErrorBody,

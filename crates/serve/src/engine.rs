@@ -31,10 +31,10 @@ pub fn predict_response(
 }
 
 /// Assemble the wire response from an evaluated summary — the one
-/// function both the solo path above and the cross-request batch
-/// scheduler call, so a batched request's bytes are the solo request's
-/// bytes by construction (given the summaries match bit for bit, which
-/// the `BatchPredictor` conformance suite pins).
+/// function both the single-point path above and every `pmt serve`
+/// predict flight call, so a served request's bytes are the CLI's bytes
+/// by construction, whoever shared its flight (given the summaries match
+/// bit for bit, which the `BatchPredictor` conformance suite pins).
 pub fn summary_response(
     workload: &str,
     machine: &MachineConfig,

@@ -4,10 +4,24 @@
 //! offline and the protocol surface is tiny.
 
 use pmt_api::{ApiError, ErrorBody};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Largest accepted header block.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
+
+/// Longest a single read of a request may wait for the client's next
+/// bytes before the request is answered `408 request_timeout`.
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest the whole header block may take to arrive. Headers are read
+/// byte by byte, so without this a client trickling one byte per
+/// [`READ_TIMEOUT`] could hold a worker indefinitely.
+const HEADER_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Longest a single write of a response may wait on a client that is
+/// not reading.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed request: method, target path, lower-cased headers, raw body.
 #[derive(Clone, Debug)]
@@ -41,13 +55,19 @@ impl Request {
 
 /// Read one request off the stream. `max_body` bounds the accepted
 /// `Content-Length`; bodies beyond it are refused with 413 before any
-/// byte of them is read.
+/// byte of them is read. A read that times out (the stream's own read
+/// timeout), or a header block still incomplete after the header
+/// deadline (5 s), is a `408 request_timeout`.
 pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, ApiError> {
     // Read byte-wise until the blank line; requests are small (bodies are
     // bounded and read in one gulp below).
+    let started = Instant::now();
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {
+        if started.elapsed() > HEADER_DEADLINE {
+            return Err(timed_out("request headers"));
+        }
         if head.len() >= MAX_HEADER_BYTES {
             return Err(ApiError::too_large(
                 "headers_too_large",
@@ -62,6 +82,7 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
                 ))
             }
             Ok(_) => head.push(byte[0]),
+            Err(e) if is_timeout(&e) => return Err(timed_out("request headers")),
             Err(e) => {
                 return Err(ApiError::bad_request(
                     "read_error",
@@ -123,9 +144,27 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     }
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body).map_err(|e| {
-        ApiError::bad_request("truncated_request", format!("reading request body: {e}"))
+        if is_timeout(&e) {
+            timed_out("the request body")
+        } else {
+            ApiError::bad_request("truncated_request", format!("reading request body: {e}"))
+        }
     })?;
     Ok(Request { body, ..request })
+}
+
+/// Whether a read failed because the stream's read timeout expired
+/// (`WouldBlock` on Unix, `TimedOut` on Windows).
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+fn timed_out(what: &str) -> ApiError {
+    ApiError::new(
+        408,
+        "request_timeout",
+        format!("{what} did not arrive in time; the connection is closed"),
+    )
 }
 
 /// A response ready to write: status, JSON body, optional `Retry-After`.
@@ -190,6 +229,7 @@ pub fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
@@ -248,6 +288,36 @@ mod tests {
         let raw = b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n";
         let err = read_request(&mut Cursor::new(raw.to_vec()), 1024).unwrap_err();
         assert_eq!(err.body.code, "bad_header");
+    }
+
+    /// A client that sends `sent`, then stalls until the read timeout.
+    struct Stalls<'a> {
+        sent: &'a [u8],
+    }
+
+    impl Read for Stalls<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.sent.is_empty() {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.sent.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_stalled_client_is_a_408_in_the_headers_or_the_body() {
+        for sent in [
+            &b""[..],
+            b"GET /x HTTP/1.1\r\n",
+            b"POST /x HTTP/1.1\r\ncontent-length: 5\r\n\r\nab",
+        ] {
+            let err = read_request(&mut Stalls { sent }, 1024).unwrap_err();
+            assert_eq!(
+                (err.status, err.body.code.as_str()),
+                (408, "request_timeout")
+            );
+            assert_eq!(status_text(err.status), "Request Timeout");
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! * [`http`] — a minimal hand-rolled HTTP/1.1 layer over `std::net`
 //!   (one request per connection, `Connection: close`), because the
 //!   build environment is offline and the protocol surface is tiny;
-//! * [`Server`] — the daemon: a worker thread pool, bounded in-flight
-//!   sweeps (429 + `Retry-After` backpressure), coalescing of concurrent
-//!   identical explore requests, a bounded response cache, and
+//! * [`Server`] — the daemon: a worker thread pool with per-connection
+//!   read and write deadlines, bounded in-flight sweeps (429 +
+//!   `Retry-After` backpressure), one flight type through which
+//!   identical explores coalesce and distinct predicts on one profile
+//!   batch into one `BatchPredictor` pass, a bounded response cache, and
 //!   [`Metrics`] counters surfaced at `GET /metrics`.
 //!
 //! The wire contract itself lives in [`pmt_api`]; see `docs/API.md` for
@@ -35,10 +37,10 @@
 //! ```
 
 pub mod engine;
+mod flight;
 pub mod http;
 mod metrics;
 mod registry;
-mod scheduler;
 mod server;
 
 pub use metrics::Metrics;

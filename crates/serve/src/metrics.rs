@@ -5,6 +5,31 @@ use pmt_api::{CorrectorMetrics, MemoMetrics, MetricsResponse, WIRE_SCHEMA_VERSIO
 use pmt_core::MemoStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The two kinds of request that run through flights.
+#[derive(Clone, Copy)]
+pub(crate) enum Kind {
+    /// `POST /v1/predict`.
+    Predict,
+    /// `POST /v1/explore`.
+    Explore,
+}
+
+/// How one predict or explore request ended: exactly one per request,
+/// recorded through [`Metrics::record`].
+#[derive(Clone, Copy)]
+pub(crate) enum Outcome {
+    /// Answered from the response cache.
+    CacheHit,
+    /// Answered from a flight another request led.
+    Joined,
+    /// Led a flight to completion.
+    Led,
+    /// Led an explore flight the in-flight sweep cap refused (429).
+    Rejected,
+    /// Its flight's computation panicked (500).
+    Failed,
+}
+
 /// Cumulative counters since daemon start. All counters are relaxed —
 /// they are monotone telemetry, not synchronization; the coalescing and
 /// backpressure decisions use their own synchronized state.
@@ -16,30 +41,32 @@ pub struct Metrics {
     pub predict_requests: AtomicU64,
     /// `POST /v1/explore` requests handled.
     pub explore_requests: AtomicU64,
-    /// Requests answered with any error status.
+    /// Requests answered with any error status (every response is
+    /// written through one helper, which counts this).
     pub errors: AtomicU64,
     /// Requests rejected with 429.
     pub rejected_busy: AtomicU64,
     /// Explore requests that joined an identical in-flight computation.
     pub coalesced_requests: AtomicU64,
-    /// Predict requests answered from another caller's batch flight.
+    /// Predict requests answered from a batch flight another caller led.
     pub batched_requests: AtomicU64,
     /// Batch flights evaluated (one `BatchPredictor` pass each).
     pub batch_flights: AtomicU64,
     /// Design points evaluated inside batch flights.
     pub batch_points: AtomicU64,
-    /// Requests that ended in a panic-shaped 500 (panicking leaders plus
-    /// the riders/followers the panic failed).
+    /// Requests whose flight panicked and answered a 500 (the leader and
+    /// every member it failed).
     pub failed_requests: AtomicU64,
-    /// Requests that led a flight to completion (solo predicts, batch
-    /// leaders, explore leaders).
+    /// Requests that led a flight to completion (predict and explore
+    /// leaders; a flight of one is led by its only member).
     pub flight_leaders: AtomicU64,
     /// Predict requests currently inside `handle_predict` — the
     /// idle-close signal for the batch window (when every in-flight
     /// predict is already aboard a batch and nothing is queued, waiting
     /// longer cannot grow it).
     pub predict_inflight: AtomicU64,
-    /// Cumulative `BatchPredictor` memo tallies across batch flights.
+    /// Cumulative `BatchPredictor` memo tallies across batch flights (one
+    /// predictor per flight).
     pub memo_cache_entries: AtomicU64,
     /// See [`MemoMetrics`].
     pub memo_cache_hits: AtomicU64,
@@ -98,6 +125,23 @@ impl Metrics {
     /// Add `n` to a counter.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count one request's [`Outcome`]. This is the only writer of the
+    /// six partition counters, so every predict or explore request that
+    /// records an outcome lands in exactly one of them:
+    /// `response_cache_hits + coalesced_requests + batched_requests +
+    /// rejected_busy + failed_requests + flight_leaders` is the number of
+    /// such requests served.
+    pub(crate) fn record(&self, kind: Kind, outcome: Outcome) {
+        Metrics::bump(match (outcome, kind) {
+            (Outcome::CacheHit, _) => &self.response_cache_hits,
+            (Outcome::Joined, Kind::Explore) => &self.coalesced_requests,
+            (Outcome::Joined, Kind::Predict) => &self.batched_requests,
+            (Outcome::Led, _) => &self.flight_leaders,
+            (Outcome::Rejected, _) => &self.rejected_busy,
+            (Outcome::Failed, _) => &self.failed_requests,
+        });
     }
 
     /// Fold one batch flight's memo snapshot into the cumulative

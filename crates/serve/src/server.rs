@@ -1,42 +1,46 @@
-//! The daemon: accept loop, worker pool, routing, coalescing,
-//! backpressure.
+//! The daemon: accept loop, worker pool, routing, backpressure.
 //!
 //! # Concurrency shape
 //!
 //! One acceptor thread pushes connections onto an mpsc channel; `threads`
-//! workers pull and serve them (one request per connection). Heavy work
-//! — an explore sweep — passes three gates, in order:
+//! workers pull and serve them (one request per connection, each read
+//! and written under fixed deadlines, so an idle client gets a 408
+//! instead of holding a worker). Predict and explore requests pass three
+//! gates, in order:
 //!
 //! 1. **Response cache**: a bounded FIFO of completed responses keyed by
 //!    (profile content, canonical request JSON). A warm repeat performs
 //!    zero new predictions.
-//! 2. **Coalescing**: concurrent identical requests share one
-//!    computation. The first becomes the *leader*; the rest block on the
-//!    flight's condvar and receive a clone of the leader's response.
-//! 3. **Backpressure**: leaders take an in-flight sweep slot
-//!    (compare-and-swap on an atomic); at capacity the request is
+//! 2. **Flights** ([`crate::flight`]): concurrent requests that can
+//!    share work join one flight — identical explores coalesce onto one
+//!    sweep, distinct predicts on one profile batch into one
+//!    `BatchPredictor` pass. Members hand their connection to the flight
+//!    and free their worker; the leader computes once and answers all.
+//! 3. **Backpressure**: explore leaders take an in-flight sweep slot
+//!    (compare-and-swap on an atomic); at capacity the flight is
 //!    rejected with 429 + `Retry-After` rather than queued without
 //!    bound.
 //!
-//! So for N concurrent identical explore requests:
-//! `cache_hits + coalesced + computed + rejected_busy == N`, and the
-//! space is swept at most once — the invariant the serve-smoke CI job
-//! asserts via `/metrics`.
+//! Every predict or explore request that reaches gate 1 ends as exactly
+//! one [`Outcome`], so the six partition counters sum to the number of
+//! such requests, and identical work runs at most once — the invariants
+//! the serve-smoke CI job asserts via `/metrics`.
 
 use crate::engine;
-use crate::http::{read_request, Request, Response};
-use crate::metrics::Metrics;
-use crate::registry::Registry;
-use crate::scheduler::{self, BatchQueues};
+use crate::flight::{FlightGuard, FlightKey, Flights, Member};
+use crate::http::{read_request, Request, Response, READ_TIMEOUT, WRITE_TIMEOUT};
+use crate::metrics::{Kind, Metrics, Outcome};
+use crate::registry::{RegisteredProfile, Registry};
 use pmt_api::{
     fnv1a, ApiError, ExploreRequest, HealthResponse, PredictRequest, ProfilesResponse,
     RegisterProfileRequest, WIRE_SCHEMA_VERSION,
 };
+use pmt_core::{BatchPredictor, ModelConfig};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -95,41 +99,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// One in-flight explore computation that identical concurrent requests
-/// coalesce onto.
-struct Flight {
-    done: Mutex<Option<Response>>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, response: Response) {
-        // Poison-tolerant: this also runs from `FlightGuard::drop` during
-        // an unwind, where a second panic would abort the process.
-        if let Ok(mut done) = self.done.lock() {
-            *done = Some(response);
-        }
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Response {
-        let mut done = self.done.lock().expect("flight lock");
-        loop {
-            if let Some(r) = done.as_ref() {
-                return r.clone();
-            }
-            done = self.cv.wait(done).expect("flight lock");
-        }
-    }
-}
-
 /// One response-cache lookup outcome. A `Collision` is a lookup whose
 /// 64-bit key matched an entry but whose stored identity bytes did not —
 /// without the verification it would have served another request's
@@ -167,7 +136,7 @@ impl ResponseCache {
         }
     }
 
-    fn insert(&mut self, key: u64, identity: &str, response: Response) {
+    fn insert(&mut self, key: u64, identity: &str, response: &Response) {
         // A colliding key keeps its first occupant; the colliding
         // request is simply never cached (and counted on lookup).
         if self.capacity == 0 || self.by_key.contains_key(&key) {
@@ -179,7 +148,8 @@ impl ResponseCache {
             }
         }
         self.order.push_back(key);
-        self.by_key.insert(key, (identity.to_string(), response));
+        self.by_key
+            .insert(key, (identity.to_string(), response.clone()));
     }
 
     fn len(&self) -> usize {
@@ -187,18 +157,25 @@ impl ResponseCache {
     }
 }
 
-/// State shared by every worker. Flights are keyed by the full request
-/// identity string, not its 64-bit hash — two distinct requests must
-/// never coalesce onto one computation. (Batch queues are keyed by the
-/// profile content hash instead: *distinct* requests do share a batch
-/// flight, each keeping its own demuxed response.)
+/// State shared by every worker.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) registry: Arc<Registry>,
     pub(crate) metrics: Metrics,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-    pub(crate) batches: BatchQueues,
+    pub(crate) flights: Flights,
     cache: Mutex<ResponseCache>,
+}
+
+impl Shared {
+    pub(crate) fn new(config: ServeConfig, registry: Arc<Registry>) -> Shared {
+        Shared {
+            cache: Mutex::new(ResponseCache::new(config.response_cache_entries)),
+            config,
+            registry,
+            metrics: Metrics::new(),
+            flights: Mutex::new(HashMap::new()),
+        }
+    }
 }
 
 /// A running daemon. Dropping it stops and joins the threads.
@@ -214,14 +191,7 @@ impl Server {
     pub fn start(config: ServeConfig, registry: Arc<Registry>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            cache: Mutex::new(ResponseCache::new(config.response_cache_entries)),
-            config,
-            registry,
-            metrics: Metrics::new(),
-            flights: Mutex::new(HashMap::new()),
-            batches: BatchQueues::new(),
-        });
+        let shared = Arc::new(Shared::new(config, registry));
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
@@ -309,8 +279,9 @@ impl Drop for Server {
 
 /// Requests a graceful drain of a running [`Server`] from another
 /// thread: the acceptor stops taking new connections, every connection
-/// already accepted — including in-flight batch flights and coalesced
-/// sweeps — is served to completion, then the workers exit and
+/// already accepted — including every member of an in-flight flight —
+/// is served to completion (an idle one with its 408 once its read
+/// deadline passes), then the workers exit and
 /// [`Server::join`] returns. This is what `pmt serve` triggers on
 /// SIGTERM/SIGINT.
 #[derive(Clone, Debug)]
@@ -341,11 +312,16 @@ fn worker_loop(shared: &Shared, rx: &Mutex<mpsc::Receiver<TcpStream>>) {
     }
 }
 
-/// One request, one response, close — unless the predict handler handed
-/// the connection off to a batch flight, in which case the flight's
-/// leader writes the response and this worker writes nothing.
+/// One request, one response, close — unless the handler handed the
+/// connection off to a flight, in which case the flight's leader writes
+/// the response and this worker writes nothing.
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     Metrics::bump(&shared.metrics.requests);
+    // Deadlines: an idle client is answered 408 instead of holding this
+    // worker, and a client that never reads cannot stall whoever writes
+    // to it — this worker, or the leader of a flight it joins.
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut stream = Some(stream);
     let response = match read_request(
         stream.as_mut().expect("connection"),
@@ -359,19 +335,25 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         .unwrap_or_else(|_| Response::error(&ApiError::internal("request handling panicked"))),
         Err(e) => Response::error(&e),
     };
-    // Handed off: the response (and its error accounting) belongs to
-    // the batch leader now.
-    let Some(mut stream) = stream else { return };
-    if response.is_error() {
-        Metrics::bump(&shared.metrics.errors);
+    // Handed off: the response belongs to the flight's leader now.
+    if let Some(stream) = stream.as_mut() {
+        respond(&shared.metrics, stream, &response);
     }
-    let _ = response.write_to(&mut stream);
+}
+
+/// Write one response, counting it under `errors` if it is one. Worker
+/// replies and flight deliveries alike go through here, so this is the
+/// only writer of `errors`.
+pub(crate) fn respond(metrics: &Metrics, stream: &mut TcpStream, response: &Response) {
+    if response.is_error() {
+        Metrics::bump(&metrics.errors);
+    }
+    let _ = response.write_to(stream);
 }
 
 /// Route one parsed request. `stream` is the caller's connection; the
-/// predict handler may move it into a batch flight (see
-/// [`scheduler::submit`]), after which the returned response is a
-/// placeholder that is never written.
+/// predict and explore handlers may move it into a flight, after which
+/// the returned response is a placeholder that is never written.
 fn handle(shared: &Shared, request: &Request, stream: &mut Option<TcpStream>) -> Response {
     let method = request.method.as_str();
     let target = request.target.split('?').next().unwrap_or("");
@@ -401,7 +383,7 @@ fn handle(shared: &Shared, request: &Request, stream: &mut Option<TcpStream>) ->
         }
         ("POST", "/v1/explore") => {
             Metrics::bump(&shared.metrics.explore_requests);
-            or_error(handle_explore(shared, request))
+            or_error(handle_explore(shared, request, stream))
         }
         (_, "/healthz" | "/metrics" | "/v1/profiles" | "/v1/predict" | "/v1/explore") => {
             Response::error(&ApiError::new(
@@ -417,18 +399,18 @@ fn handle(shared: &Shared, request: &Request, stream: &mut Option<TcpStream>) ->
     }
 }
 
-pub(crate) fn json_200<T: serde::Serialize>(value: &T) -> Response {
+fn json_200<T: serde::Serialize>(value: &T) -> Response {
     Response::json(serde_json::to_string(value).expect("wire types serialize"))
 }
 
 /// Assemble one predict response through the engine, overlay the
 /// daemon's corrector (when one is loaded), and keep the corrector
-/// counters honest. Both the solo predict path and every batch lane
-/// answer through this one function, so a corrected batched response is
-/// byte-identical to the corrected solo response.
-pub(crate) fn predict_json(
+/// counters honest. Every predict flight answers each member through
+/// this one function, so a corrected batched response is byte-identical
+/// to the corrected solo response.
+fn predict_json(
     shared: &Shared,
-    profile: &crate::registry::RegisteredProfile,
+    profile: &RegisteredProfile,
     machine: &pmt_uarch::MachineConfig,
     summary: &pmt_core::PredictionSummary,
 ) -> Response {
@@ -488,37 +470,6 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// Counts a computing request under `failed_requests` if its evaluation
-/// unwinds before [`complete`](SoloFlight::complete) disarms it — the
-/// `failed` term of the metrics partition invariant, for flights with no
-/// riders to publish to (solo predicts).
-struct SoloFlight<'a> {
-    metrics: &'a Metrics,
-    completed: bool,
-}
-
-impl<'a> SoloFlight<'a> {
-    fn start(metrics: &'a Metrics) -> SoloFlight<'a> {
-        SoloFlight {
-            metrics,
-            completed: false,
-        }
-    }
-
-    fn complete(mut self) {
-        self.completed = true;
-        Metrics::bump(&self.metrics.flight_leaders);
-    }
-}
-
-impl Drop for SoloFlight<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            Metrics::bump(&self.metrics.failed_requests);
-        }
-    }
-}
-
 fn handle_predict(
     shared: &Shared,
     request: &Request,
@@ -528,141 +479,96 @@ fn handle_predict(
     req.check_version()?;
     let profile = shared.registry.get(&req.profile)?;
     // Resolve before admission: machine errors are this caller's 4xx,
-    // never a batch-mate's problem.
+    // never a flight-mate's problem.
     let machine = req.machine.resolve()?;
     let (key, identity) = request_identity(profile.content_hash, &req);
     let _inflight = GaugeGuard::hold(&shared.metrics.predict_inflight);
-    if let Some(hit) = cache_lookup(shared, key, &identity) {
+    if let Some(hit) = cache_lookup(shared, Kind::Predict, key, &identity) {
         return Ok(hit);
     }
-    if shared.config.batch_window_ms > 0 {
-        return Ok(
-            match scheduler::submit(shared, &profile, machine, key, identity, stream) {
-                Some(response) => response,
-                // Handed off: the batch leader answers this connection;
-                // this placeholder is never written (the stream is gone).
-                None => Response::json(String::new()),
-            },
-        );
-    }
-    // Batching disabled: a solo flight through the same assembly path.
-    let flight = SoloFlight::start(&shared.metrics);
+    let capacity = match shared.config.batch_window_ms {
+        0 => 1,
+        _ => shared.config.batch_max_points.max(1),
+    };
+    let member = Member::new(key, identity, Some(machine));
+    let flight_key = FlightKey::Predict(profile.content_hash);
+    let Some(mut guard) = FlightGuard::admit(shared, flight_key, member, stream, capacity) else {
+        return Ok(HANDED_OFF);
+    };
+    guard.collect();
+    let responses = predict_flight(shared, &profile, guard.close());
+    Ok(guard.deliver(responses, Outcome::Led))
+}
+
+/// The placeholder a handler returns once its connection belongs to a
+/// flight; nothing ever writes it.
+const HANDED_OFF: Response = Response {
+    status: 200,
+    body: String::new(),
+    retry_after_s: None,
+};
+
+/// Evaluate a closed predict flight: every member's design point in one
+/// `BatchPredictor` pass on the leader's worker, later points replaying
+/// earlier points' memoized curve queries, stride walks, CP(ROB) and
+/// branch penalties. The predictor's results are bit-identical to the
+/// single-point path in any order, so sharing a flight can never change
+/// a byte of anyone's response.
+fn predict_flight(
+    shared: &Shared,
+    profile: &RegisteredProfile,
+    members: &[Member],
+) -> Vec<Response> {
     let started = Instant::now();
-    let summary = pmt_core::IntervalModel::new(&machine).predict_summary(&profile.prepared);
-    let response = predict_json(shared, &profile, &machine, &summary);
-    Metrics::add(&shared.metrics.points_predicted, 1);
-    Metrics::add(
-        &shared.metrics.predict_nanos,
-        started.elapsed().as_nanos() as u64,
-    );
-    flight.complete();
-    cache_insert(shared, key, &identity, &response);
-    Ok(response)
-}
-
-/// Completes the leader's flight and unregisters it exactly once — with
-/// the computed response on the normal path
-/// ([`publish`](FlightGuard::publish)), or with a structured 500 from
-/// `Drop` if the computation unwinds. Without the unwind arm, followers
-/// would block on the condvar forever and the stuck flight key would
-/// poison every future identical request.
-struct FlightGuard<'a> {
-    shared: &'a Shared,
-    identity: &'a str,
-    flight: &'a Flight,
-    completed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn finish(shared: &Shared, identity: &str, flight: &Flight, response: Response) {
-        flight.complete(response);
-        // `if let` rather than `.expect`: the drop path runs during
-        // unwind, where a second panic would abort the process.
-        if let Ok(mut flights) = shared.flights.lock() {
-            flights.remove(identity);
-        }
+    let mut predictor = BatchPredictor::new(&profile.prepared, &ModelConfig::default());
+    let responses = members
+        .iter()
+        .map(|member| {
+            let machine = member.machine.as_ref().expect("a predict member");
+            let summary = predictor.predict_summary(machine);
+            predict_json(shared, profile, machine, &summary)
+        })
+        .collect();
+    let metrics = &shared.metrics;
+    let n = members.len() as u64;
+    Metrics::add(&metrics.points_predicted, n);
+    Metrics::add(&metrics.predict_nanos, started.elapsed().as_nanos() as u64);
+    if shared.config.batch_window_ms > 0 {
+        Metrics::bump(&metrics.batch_flights);
+        Metrics::add(&metrics.batch_points, n);
+        metrics.absorb_memo_stats(&predictor.memo_stats());
     }
-
-    /// Publish the leader's response to the followers (normal path).
-    fn publish(mut self, response: Response) {
-        self.completed = true;
-        Self::finish(self.shared, self.identity, self.flight, response);
-    }
+    responses
 }
 
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        // The panicking leader is the `failed` term's explore case; its
-        // followers count themselves when they see the 500.
-        Metrics::bump(&self.shared.metrics.failed_requests);
-        Self::finish(
-            self.shared,
-            self.identity,
-            self.flight,
-            Response::error(&ApiError::internal(
-                "explore computation panicked; the in-flight request was aborted",
-            )),
-        );
-    }
-}
-
-fn handle_explore(shared: &Shared, request: &Request) -> Result<Response, ApiError> {
+fn handle_explore(
+    shared: &Shared,
+    request: &Request,
+    stream: &mut Option<TcpStream>,
+) -> Result<Response, ApiError> {
     let req: ExploreRequest = parse_body(request)?;
     req.check_version()?;
     let profile = shared.registry.get(&req.profile)?;
     let (key, identity) = request_identity(profile.content_hash, &req);
-
-    // Gate 1: the response cache.
-    if let Some(hit) = cache_lookup(shared, key, &identity) {
+    if let Some(hit) = cache_lookup(shared, Kind::Explore, key, &identity) {
         return Ok(hit);
     }
-
-    // Gate 2: coalesce onto an identical in-flight computation.
-    let (flight, leader) = {
-        let mut flights = shared.flights.lock().expect("flights lock");
-        match flights.get(&identity) {
-            Some(f) => (Arc::clone(f), false),
-            None => {
-                let f = Arc::new(Flight::new());
-                flights.insert(identity.clone(), Arc::clone(&f));
-                (f, true)
-            }
-        }
+    let member = Member::new(key, identity.clone(), None);
+    let flight_key = FlightKey::Explore(identity);
+    let Some(mut guard) = FlightGuard::admit(shared, flight_key, member, stream, usize::MAX) else {
+        return Ok(HANDED_OFF);
     };
-    if !leader {
-        let response = flight.wait();
-        // Classify after the wait, not before: a follower whose leader
-        // panicked received the guard's 500 and belongs to the `failed`
-        // term of the partition invariant, not `coalesced` (sweep errors
-        // reach followers as the leader's own 4xx/429, never a 500).
-        if response.status == 500 {
-            Metrics::bump(&shared.metrics.failed_requests);
-        } else {
-            Metrics::bump(&shared.metrics.coalesced_requests);
-        }
-        return Ok(response);
-    }
-
-    // Leader: compute (or reject), publish to followers, uncache the
-    // flight — via the guard, so a panicking sweep still unblocks its
-    // followers and frees the key.
-    let guard = FlightGuard {
-        shared,
-        identity: &identity,
-        flight: &flight,
-        completed: false,
+    // The flight stays open to identical requests while the sweep runs;
+    // every member then gets the leader's bytes, including a 429 or a
+    // structured 4xx from the sweep.
+    let response = leader_compute(shared, &req, &profile.prepared);
+    let leader = if response.status == 429 {
+        Outcome::Rejected
+    } else {
+        Outcome::Led
     };
-    let response = leader_compute(shared, &req, &profile.prepared, key, &identity);
-    // A 429 was already counted under `rejected_busy`; everything else
-    // — including a structured 4xx from the sweep — led the flight.
-    if response.status != 429 {
-        Metrics::bump(&shared.metrics.flight_leaders);
-    }
-    guard.publish(response.clone());
-    Ok(response)
+    let members = guard.close().len();
+    Ok(guard.deliver(vec![response; members], leader))
 }
 
 /// Releases an in-flight sweep slot on scope exit — including unwind, so
@@ -677,17 +583,14 @@ impl Drop for SweepSlot<'_> {
     }
 }
 
-/// The leader's path: backpressure gate, space-size cap, sweep.
+/// An explore leader's path: backpressure gate, space-size cap, sweep.
 fn leader_compute(
     shared: &Shared,
     req: &ExploreRequest,
     prepared: &pmt_core::PreparedProfile<'static>,
-    key: u64,
-    identity: &str,
 ) -> Response {
     // Gate 3: an in-flight sweep slot, or 429.
     if !acquire_sweep_slot(shared) {
-        Metrics::bump(&shared.metrics.rejected_busy);
         return Response::error(&ApiError::busy(
             format!(
                 "{} sweeps already in flight; retry shortly",
@@ -699,31 +602,24 @@ fn leader_compute(
     let _slot = SweepSlot {
         metrics: &shared.metrics,
     };
-    let response = match sized_ok(shared, req) {
-        Err(e) => Response::error(&e),
-        Ok(()) => {
-            let started = Instant::now();
-            let result = engine::explore_response(prepared, req);
-            match result {
-                Ok(resp) => {
-                    Metrics::add(
-                        &shared.metrics.points_predicted,
-                        resp.summary.evaluated as u64,
-                    );
-                    Metrics::add(
-                        &shared.metrics.predict_nanos,
-                        started.elapsed().as_nanos() as u64,
-                    );
-                    json_200(&resp)
-                }
-                Err(e) => Response::error(&e),
-            }
-        }
-    };
-    if !response.is_error() {
-        cache_insert(shared, key, identity, &response);
+    if let Err(e) = sized_ok(shared, req) {
+        return Response::error(&e);
     }
-    response
+    let started = Instant::now();
+    match engine::explore_response(prepared, req) {
+        Ok(resp) => {
+            Metrics::add(
+                &shared.metrics.points_predicted,
+                resp.summary.evaluated as u64,
+            );
+            Metrics::add(
+                &shared.metrics.predict_nanos,
+                started.elapsed().as_nanos() as u64,
+            );
+            json_200(&resp)
+        }
+        Err(e) => Response::error(&e),
+    }
 }
 
 /// Refuse spaces past the configured point cap (413) before sweeping.
@@ -771,12 +667,13 @@ fn request_identity<T: serde::Serialize>(content_hash: u64, req: &T) -> (u64, St
     (fnv1a(&[&identity]), identity)
 }
 
-/// Gate-1 lookup: a verified hit returns the cached response; a verified
-/// collision counts toward `response_cache_collisions` and misses.
-fn cache_lookup(shared: &Shared, key: u64, identity: &str) -> Option<Response> {
+/// Gate-1 lookup: a verified hit returns the cached response (the
+/// request's outcome); a verified collision counts toward
+/// `response_cache_collisions` and misses.
+fn cache_lookup(shared: &Shared, kind: Kind, key: u64, identity: &str) -> Option<Response> {
     match shared.cache.lock().expect("cache lock").get(key, identity) {
         CacheLookup::Hit(hit) => {
-            Metrics::bump(&shared.metrics.response_cache_hits);
+            shared.metrics.record(kind, Outcome::CacheHit);
             Some(hit)
         }
         CacheLookup::Collision => {
@@ -789,7 +686,7 @@ fn cache_lookup(shared: &Shared, key: u64, identity: &str) -> Option<Response> {
 
 pub(crate) fn cache_insert(shared: &Shared, key: u64, identity: &str, response: &Response) {
     let mut cache = shared.cache.lock().expect("cache lock");
-    cache.insert(key, identity, response.clone());
+    cache.insert(key, identity, response);
     shared
         .metrics
         .response_cache_entries
@@ -810,41 +707,30 @@ mod tests {
     #[test]
     fn response_cache_is_bounded_fifo() {
         let mut cache = ResponseCache::new(2);
-        cache.insert(1, "one", Response::json("a".into()));
-        cache.insert(2, "two", Response::json("b".into()));
-        cache.insert(3, "three", Response::json("c".into()));
+        cache.insert(1, "one", &Response::json("a".into()));
+        cache.insert(2, "two", &Response::json("b".into()));
+        cache.insert(3, "three", &Response::json("c".into()));
         assert_eq!(cache.len(), 2);
         assert!(hit(cache.get(1, "one")).is_none(), "oldest evicted");
         assert_eq!(hit(cache.get(2, "two")).unwrap().body, "b");
         assert_eq!(hit(cache.get(3, "three")).unwrap().body, "c");
         // Zero capacity caches nothing.
         let mut none = ResponseCache::new(0);
-        none.insert(1, "one", Response::json("a".into()));
+        none.insert(1, "one", &Response::json("a".into()));
         assert_eq!(none.len(), 0);
     }
 
     #[test]
     fn colliding_keys_are_verified_misses_not_wrong_hits() {
         let mut cache = ResponseCache::new(4);
-        cache.insert(7, "request A", Response::json("a".into()));
+        cache.insert(7, "request A", &Response::json("a".into()));
         // Same 64-bit key, different request bytes: must not serve "a".
         assert!(matches!(cache.get(7, "request B"), CacheLookup::Collision));
         assert!(matches!(cache.get(8, "request B"), CacheLookup::Miss));
         // The first occupant keeps the slot; the collider is never cached.
-        cache.insert(7, "request B", Response::json("b".into()));
+        cache.insert(7, "request B", &Response::json("b".into()));
         assert_eq!(hit(cache.get(7, "request A")).unwrap().body, "a");
         assert!(matches!(cache.get(7, "request B"), CacheLookup::Collision));
-    }
-
-    #[test]
-    fn flight_delivers_to_waiters() {
-        let flight = Arc::new(Flight::new());
-        let f2 = Arc::clone(&flight);
-        let waiter = std::thread::spawn(move || f2.wait());
-        flight.complete(Response::json("done".into()));
-        assert_eq!(waiter.join().unwrap().body, "done");
-        // Late waiters get the completed response immediately.
-        assert_eq!(flight.wait().body, "done");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use pmt_serve::{engine, Registry, ServeConfig, Server};
 use pmt_workloads::WorkloadSpec;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn profile(name: &str) -> ApplicationProfile {
@@ -121,6 +122,7 @@ fn metric(addr: SocketAddr, name: &str) -> u64 {
         "batch_points" => m.batch_points,
         "failed_requests" => m.failed_requests,
         "flight_leaders" => m.flight_leaders,
+        "inflight_sweeps" => m.inflight_sweeps,
         "memo_cache_hits" => m.memo.cache_hits,
         "memo_cp_hits" => m.memo.cp_hits,
         other => panic!("unknown metric {other}"),
@@ -479,8 +481,8 @@ fn batch_leader_panic_fails_riders_with_structured_500s_and_frees_the_queue() {
         assert!(err.message.contains("panicked"), "{}", err.message);
     }
 
-    // Every poisoned request is a `failed` term — leaders counted by
-    // the batch guard mid-unwind, riders by the 500 they woke to.
+    // Every poisoned request is a `failed` term, leaders and riders
+    // alike, counted by their flight's guard mid-unwind.
     assert_eq!(metric(addr, "failed_requests"), N as u64);
     assert_eq!(metric(addr, "batched_requests"), 0);
     assert_eq!(partition_terms(addr), N as u64);
@@ -493,9 +495,10 @@ fn batch_leader_panic_fails_riders_with_structured_500s_and_frees_the_queue() {
     server.stop();
 }
 
-/// A flight of one runs inline on the leader's own worker: its panic
-/// unwinds there, through the batch guard and the worker's catch-all,
-/// and must leave the same trail as a multi-lane flight's.
+/// A flight of one runs inline on the leader's own worker, as every
+/// flight does: its panic unwinds there, through the flight guard and
+/// the worker's catch-all, and must leave the same trail as a
+/// multi-member flight's.
 #[test]
 fn a_poisoned_flight_of_one_fails_alone_and_frees_the_queue() {
     let server = serve(ServeConfig {
@@ -756,4 +759,182 @@ fn corrected_batched_predicts_match_corrected_solo_bytes() {
     assert_eq!(from_batched.body, from_solo.body, "corrected bytes agree");
     batched.stop();
     solo.stop();
+}
+
+// --------------------------------------------------- flights and deadlines
+
+/// An explore whose sweep outlasts a few probes, in debug and release
+/// builds alike: ROB sizes × clocks, about a second of sweeping.
+fn long_explore() -> String {
+    let points = if cfg!(debug_assertions) {
+        49_152
+    } else {
+        393_216
+    };
+    let robs: Vec<f64> = (0..points / 8).map(|i| 32.0 + i as f64).collect();
+    let clocks: Vec<f64> = (0..8).map(|i| 2.0 + 0.1 * f64::from(i)).collect();
+    let axes = vec![AxisSpec::new("rob", &robs), AxisSpec::new("f", &clocks)];
+    let req = ExploreRequest::new("astar", SpaceSpec::product(None, axes));
+    serde_json::to_string(&req).unwrap()
+}
+
+/// Send a complete request without reading the reply yet.
+fn send(addr: SocketAddr, path: &str, body: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    stream
+}
+
+#[test]
+fn explore_followers_free_their_workers() {
+    let server = serve(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let body = long_explore();
+
+    // The leader's sweep holds one worker; the other is free.
+    let leader = send(addr, "/v1/explore", &body);
+    while metric(addr, "inflight_sweeps") == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // The free worker parses the identical follower, then this probe.
+    // A follower that handed its connection to the flight freed that
+    // worker, so the probe is answered mid-sweep; a follower parked on
+    // the flight would hold it until the sweep ends.
+    let follower = send(addr, "/v1/explore", &body);
+    assert_eq!(
+        metric(addr, "inflight_sweeps"),
+        1,
+        "the probe must be answered while the sweep runs"
+    );
+
+    let (led, joined) = (read_reply(leader), read_reply(follower));
+    assert_eq!(led.status, 200, "{}", led.body);
+    assert_eq!(
+        joined.body, led.body,
+        "every member gets the leader's bytes"
+    );
+    assert_eq!(metric(addr, "coalesced_requests"), 1);
+    assert_eq!(metric(addr, "flight_leaders"), 1);
+    server.stop();
+}
+
+#[test]
+fn a_mixed_burst_keeps_the_partition() {
+    let server = serve(ServeConfig {
+        threads: 2,
+        max_inflight_sweeps: 1,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+
+    // Warm the cache for the repeats.
+    let warm_predict = dvfs_request(3.0);
+    let warm_explore = serde_json::to_string(&explore_request()).unwrap();
+    assert_eq!(post(addr, "/v1/predict", &warm_predict).status, 200);
+    assert_eq!(post(addr, "/v1/explore", &warm_explore).status, 200);
+
+    // One concurrent burst of every outcome: identical explores (one
+    // leads, the rest join), a different explore the single sweep slot
+    // refuses, distinct predicts on one profile, warm repeats, and a
+    // poisoned request of each kind.
+    let long = long_explore();
+    let mut other = explore_request();
+    other.top_k = 5;
+    let mut burst = vec![("/v1/explore", long.clone()), ("/v1/explore", long.clone())];
+    burst.push(("/v1/explore", long));
+    burst.push(("/v1/explore", serde_json::to_string(&other).unwrap()));
+    burst.extend((0..4).map(|i| ("/v1/predict", dvfs_request(2.0 + 0.1 * f64::from(i)))));
+    burst.push(("/v1/predict", warm_predict));
+    burst.push(("/v1/explore", warm_explore));
+    burst.push(("/v1/predict", poison_predict()));
+    let poison = serde_json::to_string(&poison_request()).unwrap();
+    burst.push(("/v1/explore", poison));
+
+    let barrier = std::sync::Barrier::new(burst.len());
+    let replies: Vec<Reply> = std::thread::scope(|scope| {
+        let handles: Vec<_> = burst
+            .iter()
+            .map(|(path, body)| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    post(addr, path, body)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for r in &replies {
+        assert!(
+            matches!(r.status, 200 | 429 | 500),
+            "{}: {}",
+            r.status,
+            r.body
+        );
+    }
+
+    // Every predict or explore sent (the two warm-ups included) is
+    // exactly one partition term, and every non-200 reply received is
+    // exactly one `errors` count.
+    assert_eq!(partition_terms(addr), burst.len() as u64 + 2);
+    let non_200 = replies.iter().filter(|r| r.status != 200).count();
+    assert_eq!(metric(addr, "errors"), non_200 as u64);
+    assert!(metric(addr, "response_cache_hits") >= 2, "warm repeats hit");
+    assert!(metric(addr, "failed_requests") >= 1, "the poisoned predict");
+    server.stop();
+}
+
+#[test]
+fn idle_connections_get_408_and_never_starve_the_pool() {
+    let server = serve(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+
+    // Two connections that never send a byte reach both workers first
+    // (connections are dispatched in accept order) and park them in a
+    // read; the read deadline must free them for the probe.
+    let idle: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    assert_eq!(get(addr, "/healthz").status, 200);
+    for stream in idle {
+        let reply = read_reply(stream);
+        assert_eq!(reply.status, 408, "{}", reply.body);
+        let err: pmt_api::ErrorBody = serde_json::from_str(&reply.body).unwrap();
+        assert_eq!(err.code, "request_timeout");
+    }
+    assert_eq!(metric(addr, "errors"), 2);
+    server.stop();
+}
+
+#[test]
+fn stop_completes_while_idle_connections_are_open() {
+    let server = serve(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    // Both idle connections are with workers before the stop begins.
+    while server.metrics().requests.load(Ordering::Relaxed) < 2 {
+        std::thread::yield_now();
+    }
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        done.send(()).unwrap();
+    });
+    stopped
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("stop must complete while idle connections are open");
+    drop(idle);
 }

@@ -6,9 +6,9 @@
 //!
 //! The arena belongs to the [`PreparedProfile`]; a predictor only
 //! borrows it, so constructing one costs a config clone, four small
-//! empty tables and an empty list of per-window issue-stage limits —
-//! every sweep worker, DVFS sweep and served flight over one profile
-//! shares one layout.
+//! empty tables and empty per-window lists of issue-stage limits and
+//! kept stages — every sweep worker, DVFS sweep and served flight over
+//! one profile shares one layout.
 //!
 //! # Why the results are bit-identical to the single-point path
 //!
@@ -50,6 +50,23 @@
 //!   window's class counts and the issue stage) are kept per window
 //!   for one `ExecConfig` and dropped when a point's `ExecConfig`
 //!   differs from it.
+//! * **Stage reuse.** A window's core + cache stage (`model::CoreStage`:
+//!   its cache queries, latency mix, CP(ROB), dispatch breakdown, branch
+//!   and chaining cycles, L̄(ROB) and LLC store misses) reads only the
+//!   cache hierarchy, ROB size, dispatch width, front-end depth,
+//!   predictor kind and issue stage. The memo keeps the last point's
+//!   `StageKey` (those fields but the issue stage, which `bind_exec`
+//!   tracks) and each window's stage under it. `bind_stage` decides once
+//!   per point: an equal key replays every window's kept stage, any
+//!   other computes each through the tables above and keeps it. A
+//!   replay is bit-identical: the stage is what those lookups and that
+//!   arithmetic returned for the same inputs, and each of them reads
+//!   nothing outside the key. It counts as the hits its lookups would
+//!   have been — each kept stage records how many cache, CP and branch
+//!   lookups computing it took — and those lookups would all hit, since
+//!   starting the memo over and a new issue stage both drop the kept
+//!   stages. The memory stage (MLP, bus, DRAM, i-cache, CPI stack,
+//!   activity) runs on every point.
 //!
 //! Each table answers a repeated key from a last-answer slot before it
 //! hashes: one slot per window (per curve and level for cache queries)
@@ -73,19 +90,19 @@
 //! neighbouring design points share most axes, so most points reuse
 //! earlier points' curve queries, stride walks and branch penalties
 //! outright — and since consecutive points differ in one or two axes,
-//! most lookups repeat the slot's previous key and never hash. A
-//! repeated point costs a few key comparisons per window plus the
-//! Eq 3.1 arithmetic.
+//! most lookups repeat the slot's previous key and never hash. A point
+//! whose stage key repeats the previous point's costs one key comparison
+//! plus, per window, a stride lookup and the memory stage's arithmetic.
 
 use crate::branch_penalty::BranchPenalty;
 use crate::config::ModelConfig;
 use crate::dispatch::ExecLimits;
 use crate::kernels::arena::CurveArena;
 use crate::mlp::MemoryBehavior;
-use crate::model::{Evaluator, PredictionSummary, WindowInputs};
+use crate::model::{CoreStage, Evaluator, PredictionSummary};
 use crate::prepared::PreparedProfile;
 use pmt_trace::FastHashMap;
-use pmt_uarch::{ExecConfig, MachineConfig};
+use pmt_uarch::{CacheHierarchy, ExecConfig, MachineConfig, PredictorKind};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
@@ -121,6 +138,33 @@ struct BranchKey {
     interval_bits: u64,
     lat_bits: u64,
 }
+
+/// Every machine field a window's core + cache stage reads, besides the
+/// issue stage (`Memo::bind_exec` tracks that one).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct StageKey {
+    caches: CacheHierarchy,
+    rob: u32,
+    width: u32,
+    frontend_depth: u32,
+    predictor: PredictorKind,
+}
+
+impl StageKey {
+    fn of(machine: &MachineConfig) -> StageKey {
+        StageKey {
+            caches: machine.caches,
+            rob: machine.core.rob_size,
+            width: machine.core.dispatch_width,
+            frontend_depth: machine.core.frontend_depth,
+            predictor: machine.predictor.kind,
+        }
+    }
+}
+
+/// Lookups of the cache, CP(ROB) and branch tables — the three tables a
+/// core + cache stage consults.
+type StageLookups = [u64; 3];
 
 /// A snapshot of the predictor's memo tables: how many entries each
 /// holds and how the lookups split into hits and misses. Every miss
@@ -222,6 +266,11 @@ impl<K: Hash + Eq + Copy, V: Copy> Table<K, V> {
         value
     }
 
+    /// Lookups answered so far, hit or miss.
+    fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
     /// Drop every entry and slot; the tallies keep counting.
     fn clear(&mut self) {
         self.map.clear();
@@ -242,6 +291,14 @@ pub(crate) struct Memo {
     exec: Option<ExecConfig>,
     /// Each window's port and unit limits on `exec`.
     limits: Vec<Option<ExecLimits>>,
+    /// The key every window's kept stage was computed under, if there is
+    /// one; during a point, set only while that point replays them.
+    stage_key: Option<StageKey>,
+    /// Each window's kept core + cache stage, with the lookups computing
+    /// it took.
+    stages: Vec<Option<(CoreStage, StageLookups)>>,
+    /// The lookup tallies when the window being computed started.
+    stage_start: StageLookups,
 }
 
 impl Memo {
@@ -258,6 +315,9 @@ impl Memo {
             branch: Table::new(slots, slots),
             exec: None,
             limits: vec![None; slots],
+            stage_key: None,
+            stages: vec![None; slots],
+            stage_start: [0; 3],
         }
     }
 
@@ -268,7 +328,63 @@ impl Memo {
         if self.exec.as_ref() != Some(exec) {
             self.exec = Some(exec.clone());
             self.limits.fill(None);
+            self.drop_stages();
         }
+    }
+
+    /// Decide, once for the point on `machine`, whether every window
+    /// replays its kept stage: only when all of them were kept under an
+    /// equal key. A point that computes its stages names their key only
+    /// once it kept them all ([`stages_kept`](Self::stages_kept)), so a
+    /// point abandoned midway leaves no mix of two keys' stages to replay.
+    pub(crate) fn bind_stage(&mut self, machine: &MachineConfig) {
+        if self.stage_key != Some(StageKey::of(machine)) {
+            self.stage_key = None;
+        }
+    }
+
+    /// The point on `machine` has kept every window's stage.
+    pub(crate) fn stages_kept(&mut self, machine: &MachineConfig) {
+        self.stage_key = Some(StageKey::of(machine));
+    }
+
+    /// Window `window`'s kept stage if this point replays it, counted as
+    /// the hits its lookups would have been; otherwise `None`, and the
+    /// caller computes the stage and hands it to
+    /// [`keep_stage`](Self::keep_stage).
+    pub(crate) fn replay_stage(&mut self, window: u32) -> Option<CoreStage> {
+        if self.stage_key.is_some() {
+            let (stage, [cache, cp, branch]) =
+                self.stages[window as usize].expect("a replayed point's stages are all kept");
+            self.cache.hits += cache;
+            self.cp.hits += cp;
+            self.branch.hits += branch;
+            return Some(stage);
+        }
+        self.stage_start = self.stage_lookups();
+        None
+    }
+
+    /// Keep window `window`'s freshly computed stage for the next point,
+    /// with the lookups it took since [`replay_stage`](Self::replay_stage).
+    pub(crate) fn keep_stage(&mut self, window: u32, stage: CoreStage) {
+        let (now, start) = (self.stage_lookups(), self.stage_start);
+        let took = [now[0] - start[0], now[1] - start[1], now[2] - start[2]];
+        self.stages[window as usize] = Some((stage, took));
+    }
+
+    fn stage_lookups(&self) -> StageLookups {
+        [
+            self.cache.lookups(),
+            self.cp.lookups(),
+            self.branch.lookups(),
+        ]
+    }
+
+    /// Forget every kept stage: the next point computes its own.
+    fn drop_stages(&mut self) {
+        self.stage_key = None;
+        self.stages.fill(None);
     }
 
     /// Window `window`'s port and unit limits on the bound issue stage.
@@ -291,13 +407,15 @@ impl Memo {
         self.cache.last.len() + self.stride.last.len() + self.cp.last.len() + self.branch.last.len()
     }
 
-    /// Start over: drop every entry (the port and unit limits, which are
-    /// not entries, stay bound to their issue stage).
+    /// Start over: drop every entry, and the kept stages that replay
+    /// them (the port and unit limits, which are not entries, stay bound
+    /// to their issue stage).
     fn clear(&mut self) {
         self.cache.clear();
         self.stride.clear();
         self.cp.clear();
         self.branch.clear();
+        self.drop_stages();
     }
 
     /// Curve `curve`'s queries at cache level `level` (0 = L1), whose
@@ -316,18 +434,20 @@ impl Memo {
         )
     }
 
-    /// One window's stride walk (before its MSHR cap) on `machine` at
-    /// dispatch rate `deff`.
+    /// Window `window`'s stride walk (before its MSHR cap) on `machine`
+    /// at dispatch rate `deff`, where the L3 critical reuse distance of
+    /// its load curve is `crit_l3`.
     pub(crate) fn stride(
         &mut self,
         machine: &MachineConfig,
         deff: f64,
-        inp: &WindowInputs<'_>,
+        window: u32,
+        crit_l3: u64,
         compute: impl FnOnce() -> MemoryBehavior,
     ) -> MemoryBehavior {
         let key = StrideKey {
-            window: inp.window,
-            crit_l3: inp.loads_model.critical_rd[2],
+            window,
+            crit_l3,
             rob: machine.core.rob_size,
             prefetch: machine.prefetcher.enabled.then(|| PrefetchKey {
                 table_entries: machine.prefetcher.table_entries,
@@ -336,7 +456,7 @@ impl Memo {
                 deff_bits: deff.to_bits(),
             }),
         };
-        self.stride.get_or(inp.window, key, compute)
+        self.stride.get_or(window, key, compute)
     }
 
     /// CP(ROB) of window `window`.

@@ -195,8 +195,9 @@ pub(crate) struct WindowInputs<'a> {
     pub(crate) deps: &'a DependenceProfile,
     load_deps: &'a LoadDependenceDistribution,
     entropy: f64,
-    pub(crate) loads_model: CacheModel,
-    stores_model: CacheModel,
+    /// The window's fitted load and store curves.
+    loads_curve: CurveId,
+    stores_curve: CurveId,
     static_loads: &'a [StaticLoadProfile],
     /// Prebuilt virtual-stream skeleton for the stride-MLP model.
     stream: &'a VirtualStream,
@@ -207,21 +208,35 @@ pub(crate) struct WindowInputs<'a> {
     window_cold_stores: f64,
 }
 
-/// The machine-dependent load/store scalars [`IntervalModel`] feeds its
-/// memory model, grouped so the call reads like the thesis' Eq 4.x input
-/// list.
-struct MemoryInputs {
-    /// Loads in the window.
-    loads: f64,
+/// The core + cache stage of one window's Eq 3.1: everything that
+/// reads only the cache hierarchy, the ROB size, the dispatch width, the
+/// front-end depth, the predictor kind and the issue stage. A batched
+/// predictor keeps each window's stage and replays it for the next
+/// point when none of those fields changed (`kernels::batch` has the
+/// rule); the memory stage reads it and runs on every point.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CoreStage {
+    /// The window's load and store cache queries.
+    loads_model: CacheModel,
+    stores_model: CacheModel,
+    n_uops: f64,
+    dispatch: DispatchBreakdown,
+    base_cycles: f64,
+    /// Predicted branch misprediction rate and mispredictions.
+    miss_rate: f64,
+    mispredicts: f64,
+    branch_cycles: f64,
+    /// LLC-hit chaining cycles (§4.8).
+    chain_cycles: f64,
     /// L̄(ROB): loads per ROB window.
     loads_per_rob: f64,
     /// LLC store misses (bandwidth/power accounting).
     store_llc_misses: f64,
 }
 
-/// Streaming accumulator combining per-window predictions exactly like
-/// the original collect-then-fold loop, so summaries stay bit-identical
-/// whether or not the windows themselves are kept.
+/// Running sums over the windows, added in window order with the
+/// arithmetic the collect-then-fold loop always used, so summaries stay
+/// bit-identical whether or not the windows themselves are kept.
 #[derive(Default)]
 struct Combiner {
     cycles: f64,
@@ -234,18 +249,6 @@ struct Combiner {
 }
 
 impl Combiner {
-    fn add(&mut self, w: &WindowPrediction) {
-        self.cycles += w.cycles;
-        for c in CpiComponent::ALL {
-            self.stack_cycles[c as usize] += w.stack.get(c) * w.instructions;
-        }
-        merge_activity(&mut self.activity, &w.activity);
-        self.mlp_num += w.memory.mlp * w.memory.llc_load_misses.max(1e-9);
-        self.mlp_den += w.memory.llc_load_misses.max(1e-9);
-        self.br_num += w.branch_miss_rate * w.instructions;
-        self.br_den += w.instructions;
-    }
-
     fn finish(mut self, profile: &ApplicationProfile) -> PredictionSummary {
         let instructions = profile.total_instructions;
         let mut cpi_stack = CpiStack::default();
@@ -413,8 +416,8 @@ pub(crate) struct Evaluator<'m> {
 }
 
 impl Evaluator<'_> {
-    /// Walk the windows once, combining as we go; keep the per-window
-    /// predictions only when `collect_windows` asks.
+    /// Walk the windows once, folding each into the running sums; keep
+    /// the per-window predictions only when `collect_windows` asks.
     pub(crate) fn run(
         &mut self,
         prepared: &PreparedProfile<'_>,
@@ -423,6 +426,7 @@ impl Evaluator<'_> {
         let profile = prepared.profile();
         if let Some(memo) = self.memo.as_deref_mut() {
             memo.bind_exec(&self.machine.exec);
+            memo.bind_stage(self.machine);
         }
         let inst_model =
             self.cache_model(CurveId::Inst, CacheModel::inst_lines(&self.machine.caches));
@@ -433,12 +437,6 @@ impl Evaluator<'_> {
 
         let mut combiner = Combiner::default();
         let mut windows = Vec::new();
-        let mut fold = |w: WindowPrediction| {
-            combiner.add(&w);
-            if collect_windows {
-                windows.push(w);
-            }
-        };
         match self.config.evaluation {
             EvaluationMode::PerMicroTrace if !profile.micro_traces.is_empty() => {
                 for (wi, (t, pw)) in profile
@@ -447,14 +445,27 @@ impl Evaluator<'_> {
                     .zip(prepared.windows())
                     .enumerate()
                 {
-                    let inputs = self.trace_inputs(wi as u32, t, pw);
-                    fold(self.evaluate_window(&inputs, profile, &inst_model, miss_rate_of));
+                    self.evaluate_window(
+                        &trace_inputs(wi as u32, t, pw),
+                        profile,
+                        &inst_model,
+                        miss_rate_of,
+                        &mut combiner,
+                        collect_windows.then_some(&mut windows),
+                    );
                 }
             }
-            _ => {
-                let inputs = self.combined_inputs(profile, prepared);
-                fold(self.evaluate_window(&inputs, profile, &inst_model, miss_rate_of));
-            }
+            _ => self.evaluate_window(
+                &combined_inputs(profile, prepared),
+                profile,
+                &inst_model,
+                miss_rate_of,
+                &mut combiner,
+                collect_windows.then_some(&mut windows),
+            ),
+        }
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.stages_kept(self.machine);
         }
         (combiner.finish(profile), windows)
     }
@@ -485,29 +496,25 @@ impl Evaluator<'_> {
     /// The stride-MLP virtual-stream walk for one window, then its MSHR
     /// cap. A memo miss computes through this very walk, so a hit
     /// replays its bytes; the cap runs after the lookup on both paths.
-    fn stride(
-        &mut self,
-        deff: f64,
-        inp: &WindowInputs<'_>,
-        loads: f64,
-        store_llc_misses: f64,
-    ) -> MemoryBehavior {
+    fn stride(&mut self, inp: &WindowInputs<'_>, stage: &CoreStage, loads: f64) -> MemoryBehavior {
+        let deff = stage.dispatch.effective;
         let model = StrideMlpModel::new(self.machine, deff);
         let walk = || {
             model.walk_stream(
                 inp.stream,
                 inp.static_loads,
-                &inp.loads_model,
+                &stage.loads_model,
                 inp.stream_uops,
                 loads,
                 inp.window_cold,
             )
         };
+        let crit_l3 = stage.loads_model.critical_rd[2];
         let walk = match self.memo.as_deref_mut() {
-            Some(memo) => memo.stride(self.machine, deff, inp, walk),
+            Some(memo) => memo.stride(self.machine, deff, inp.window, crit_l3, walk),
             None => walk(),
         };
-        model.finish_walk(walk, store_llc_misses)
+        model.finish_walk(walk, stage.store_llc_misses)
     }
 
     /// CP(ROB): the window dependency profile's critical-path length.
@@ -531,79 +538,161 @@ impl Evaluator<'_> {
         }
     }
 
-    /// Per-micro-trace inputs: machine-independent parts from the
-    /// preparation, machine-dependent cache queries done here. `wi` is
-    /// the window's position in evaluation order.
-    fn trace_inputs<'a>(
-        &mut self,
-        wi: u32,
-        t: &'a MicroTraceProfile,
-        pw: &'a PreparedWindow,
-    ) -> WindowInputs<'a> {
-        let data_lines = CacheModel::data_lines(&self.machine.caches);
-        WindowInputs {
-            window: wi,
-            index: t.index,
-            instructions: t.weight_instructions as f64,
-            class_counts: pw.class_counts,
-            deps: &t.deps,
-            load_deps: &t.load_deps,
-            entropy: pw.entropy,
-            loads_model: self.cache_model(CurveId::WindowLoads(wi), data_lines),
-            stores_model: self.cache_model(CurveId::WindowStores(wi), data_lines),
-            static_loads: &t.static_loads,
-            stream: &pw.stream,
-            stream_uops: t.uops,
-            window_cold: t.window_cold_misses as f64,
-            window_cold_stores: t.window_cold_store_misses as f64,
-        }
-    }
-
-    /// Whole-application inputs (combined mode).
-    fn combined_inputs<'a>(
-        &mut self,
-        profile: &'a ApplicationProfile,
-        prepared: &'a PreparedProfile<'_>,
-    ) -> WindowInputs<'a> {
-        // The stride sample (the first micro-trace's static loads), its
-        // length and its skeleton come from the preparation as one unit so
-        // the skeleton's owner indices always match the slice (the thesis'
-        // combined variant pairs with the cold-miss model, where these
-        // inputs are unused).
-        let (static_loads, stream_uops, stream) = prepared.combined_stride_inputs();
-        let data_lines = CacheModel::data_lines(&self.machine.caches);
-        WindowInputs {
-            window: 0,
-            index: 0,
-            instructions: profile.total_instructions as f64,
-            class_counts: *prepared.combined_class_counts(),
-            deps: &profile.deps,
-            load_deps: &profile.load_deps,
-            entropy: profile.branch.entropy,
-            loads_model: self.cache_model(CurveId::GlobalLoads, data_lines),
-            stores_model: self.cache_model(CurveId::GlobalStores, data_lines),
-            static_loads,
-            stream,
-            stream_uops,
-            window_cold: profile.memory.cold.total_cold() as f64,
-            window_cold_stores: profile.memory.stores.cold() as f64,
-        }
-    }
-
-    /// Evaluate Eq 3.1 for one window.
+    /// Eq 3.1 for one window, folded into `combiner`: the core + cache
+    /// stage, then the memory stage. The window's [`WindowPrediction`]
+    /// is built only when `windows` collects them.
     fn evaluate_window(
         &mut self,
         inp: &WindowInputs<'_>,
         profile: &ApplicationProfile,
         inst_model: &CacheModel,
         miss_rate_of: impl Fn(f64) -> f64,
-    ) -> WindowPrediction {
+        combiner: &mut Combiner,
+        windows: Option<&mut Vec<WindowPrediction>>,
+    ) {
+        let stage = self.core_stage(inp, miss_rate_of);
         let m = self.machine;
+        let rob = m.core.rob_size;
+        let n_uops = stage.n_uops;
+
+        // --- Instruction cache misses (§2.5.1) ------------------------------
+        let ir = &inst_model.ratios;
+        let l2_lat = m.caches.l2.latency as f64;
+        let l3_lat = m.caches.l3.latency as f64;
+        let dram = m.mem.dram_latency as f64;
+        let inst_accesses = inp.instructions * profile.memory.inst_accesses_per_instruction;
+        let icache_cycles =
+            inst_accesses * (ir.l2_hit() * l2_lat + ir.l3_hit() * l3_lat + ir.l3 * dram);
+
+        // --- Memory: MLP + DRAM penalty (Ch 4) ------------------------------
+        let loads = inp.class_counts[UopClass::Load.index()];
+        let stores = inp.class_counts[UopClass::Store.index()];
+        let branches = inp.class_counts[UopClass::Branch.index()];
+        let memory = self.memory_behavior(inp, &stage, loads, profile);
+        let density = memory.miss_window_density.clamp(0.0, 1.0);
+        let bus = if self.config.bus_queuing && memory.llc_load_misses > 0.0 {
+            // Eq 4.6: include store bandwidth.
+            let mlp_prime = memory.mlp * (memory.llc_load_misses + memory.llc_store_misses)
+                / memory.llc_load_misses;
+            // Eq 4.5, active only while misses are dense enough to queue.
+            density * (mlp_prime + 1.0) / 2.0 * m.mem.bus_transfer_cycles as f64
+        } else {
+            0.0
+        };
+        // The window ahead of a miss drains concurrently with it, hiding
+        // up to ROB/D_eff cycles of every miss group's latency — the same
+        // threshold below which out-of-order execution hides latencies
+        // entirely (§4.8).
+        let rob_fill = rob as f64 / stage.dispatch.effective;
+        let effective_latency =
+            (dram + bus - rob_fill).max((m.mem.bus_transfer_cycles as f64).max(20.0));
+        let dram_cycles = memory.stalling_load_misses * effective_latency / memory.mlp.max(1.0);
+
+        // --- Assemble -------------------------------------------------------
+        let cycles = stage.base_cycles
+            + stage.branch_cycles
+            + icache_cycles
+            + dram_cycles
+            + stage.chain_cycles;
+        let mut stack = CpiStack::default();
+        if inp.instructions > 0.0 {
+            stack.add(CpiComponent::Base, stage.base_cycles / inp.instructions);
+            stack.add(CpiComponent::Branch, stage.branch_cycles / inp.instructions);
+            stack.add(CpiComponent::ICache, icache_cycles / inp.instructions);
+            stack.add(CpiComponent::L3Data, stage.chain_cycles / inp.instructions);
+            stack.add(CpiComponent::Dram, dram_cycles / inp.instructions);
+        }
+
+        // --- Predicted activity factors (Eq 3.16) ---------------------------
+        let (lr, sr) = (&stage.loads_model.ratios, &stage.stores_model.ratios);
+        let regfile_writes = n_uops - stores - branches;
+        let l2_accesses = lr.l1 * loads + sr.l1 * stores + ir.l1 * inp.instructions;
+        let l3_accesses = lr.l2 * loads + sr.l2 * stores + ir.l2 * inp.instructions;
+        let dram_accesses =
+            memory.llc_load_misses + memory.llc_store_misses + ir.l3 * inp.instructions;
+
+        // --- Fold, in the order the summaries have always summed ------------
+        combiner.cycles += cycles;
+        for c in CpiComponent::ALL {
+            combiner.stack_cycles[c as usize] += stack.get(c) * inp.instructions;
+        }
+        let sum = &mut combiner.activity;
+        sum.uops += n_uops;
+        for (sum, count) in sum.issue_per_class.iter_mut().zip(&inp.class_counts) {
+            *sum += count;
+        }
+        sum.rob_accesses += 2.0 * n_uops;
+        sum.iq_accesses += 2.0 * n_uops;
+        sum.regfile_reads += 1.4 * n_uops;
+        sum.regfile_writes += regfile_writes;
+        sum.l1i_accesses += inp.instructions;
+        sum.l1d_accesses += loads + stores;
+        sum.l2_accesses += l2_accesses;
+        sum.l3_accesses += l3_accesses;
+        sum.dram_accesses += dram_accesses;
+        sum.bus_transfers += dram_accesses;
+        sum.branch_lookups += branches;
+        sum.branch_misses += stage.mispredicts;
+        combiner.mlp_num += memory.mlp * memory.llc_load_misses.max(1e-9);
+        combiner.mlp_den += memory.llc_load_misses.max(1e-9);
+        combiner.br_num += stage.miss_rate * inp.instructions;
+        combiner.br_den += inp.instructions;
+
+        if let Some(windows) = windows {
+            windows.push(WindowPrediction {
+                index: inp.index,
+                instructions: inp.instructions,
+                cycles,
+                stack,
+                dispatch: stage.dispatch,
+                memory,
+                branch_miss_rate: stage.miss_rate,
+                activity: ActivityVector {
+                    uops: n_uops,
+                    instructions: inp.instructions,
+                    cycles,
+                    issue_per_class: inp.class_counts,
+                    rob_accesses: 2.0 * n_uops,
+                    iq_accesses: 2.0 * n_uops,
+                    regfile_reads: 1.4 * n_uops,
+                    regfile_writes,
+                    l1i_accesses: inp.instructions,
+                    l1d_accesses: loads + stores,
+                    l2_accesses,
+                    l3_accesses,
+                    dram_accesses,
+                    bus_transfers: dram_accesses,
+                    branch_lookups: branches,
+                    branch_misses: stage.mispredicts,
+                },
+            });
+        }
+    }
+
+    /// The window's core + cache stage ([`CoreStage`]): replayed from the
+    /// memo when this point's stage key equals the last point's,
+    /// computed through the memo lookups otherwise.
+    fn core_stage(
+        &mut self,
+        inp: &WindowInputs<'_>,
+        miss_rate_of: impl Fn(f64) -> f64,
+    ) -> CoreStage {
+        if let Some(stage) = self
+            .memo
+            .as_deref_mut()
+            .and_then(|memo| memo.replay_stage(inp.window))
+        {
+            return stage;
+        }
+        let m = self.machine;
+        let data_lines = CacheModel::data_lines(&m.caches);
+        let loads_model = self.cache_model(inp.loads_curve, data_lines);
+        let stores_model = self.cache_model(inp.stores_curve, data_lines);
         let n_uops: f64 = inp.class_counts.iter().sum();
         let rob = m.core.rob_size;
 
         // --- Average latency, with short (L1/L2) load misses folded in ----
-        let lr = &inp.loads_model.ratios;
+        let lr = &loads_model.ratios;
         let l1_lat = m.caches.l1d.latency as f64;
         let l2_lat = m.caches.l2.latency as f64;
         let load_lat = l1_lat + (l2_lat - l1_lat) * lr.l1;
@@ -639,15 +728,7 @@ impl Evaluator<'_> {
             0.0
         };
 
-        // --- Instruction cache misses (§2.5.1) ------------------------------
-        let ir = &inst_model.ratios;
-        let l3_lat = m.caches.l3.latency as f64;
-        let dram = m.mem.dram_latency as f64;
-        let inst_accesses = inp.instructions * profile.memory.inst_accesses_per_instruction;
-        let icache_cycles =
-            inst_accesses * (ir.l2_hit() * l2_lat + ir.l3_hit() * l3_lat + ir.l3 * dram);
-
-        // --- Memory: MLP + DRAM penalty (Ch 4) ------------------------------
+        // --- Memory-stage inputs that read only the hierarchy and ROB -----
         let loads = inp.class_counts[UopClass::Load.index()];
         let stores = inp.class_counts[UopClass::Store.index()];
         let loads_per_rob = if n_uops > 0.0 {
@@ -655,40 +736,9 @@ impl Evaluator<'_> {
         } else {
             0.0
         };
-        let sr_l1 = inp.stores_model.ratios.l1;
-        let sr_l2 = inp.stores_model.ratios.l2;
-        let store_cold_frac = inp.stores_model.cold_fraction();
-        let store_llc_misses = (inp.stores_model.ratios.l3 - store_cold_frac).max(0.0) * stores
-            + inp.window_cold_stores;
-        let memory = self.memory_behavior(
-            inp,
-            MemoryInputs {
-                loads,
-                loads_per_rob,
-                store_llc_misses,
-            },
-            &dispatch,
-            profile,
-        );
-
-        let density = memory.miss_window_density.clamp(0.0, 1.0);
-        let bus = if self.config.bus_queuing && memory.llc_load_misses > 0.0 {
-            // Eq 4.6: include store bandwidth.
-            let mlp_prime = memory.mlp * (memory.llc_load_misses + memory.llc_store_misses)
-                / memory.llc_load_misses;
-            // Eq 4.5, active only while misses are dense enough to queue.
-            density * (mlp_prime + 1.0) / 2.0 * m.mem.bus_transfer_cycles as f64
-        } else {
-            0.0
-        };
-        // The window ahead of a miss drains concurrently with it, hiding
-        // up to ROB/D_eff cycles of every miss group's latency — the same
-        // threshold below which out-of-order execution hides latencies
-        // entirely (§4.8).
-        let rob_fill = rob as f64 / dispatch.effective;
-        let effective_latency =
-            (dram + bus - rob_fill).max((m.mem.bus_transfer_cycles as f64).max(20.0));
-        let dram_cycles = memory.stalling_load_misses * effective_latency / memory.mlp.max(1.0);
+        let store_cold_frac = stores_model.cold_fraction();
+        let store_llc_misses =
+            (stores_model.ratios.l3 - store_cold_frac).max(0.0) * stores + inp.window_cold_stores;
 
         // --- LLC hit chaining (§4.8) ----------------------------------------
         let chain_cycles = if self.config.llc_chaining {
@@ -696,7 +746,7 @@ impl Evaluator<'_> {
                 inp.load_deps,
                 lr.l3_hit(),
                 loads_per_rob,
-                l3_lat,
+                m.caches.l3.latency as f64,
                 rob as f64,
                 dispatch.effective,
             );
@@ -705,71 +755,37 @@ impl Evaluator<'_> {
             0.0
         };
 
-        // --- Assemble -------------------------------------------------------
-        let cycles = base_cycles + branch_cycles + icache_cycles + dram_cycles + chain_cycles;
-        let mut stack = CpiStack::default();
-        if inp.instructions > 0.0 {
-            stack.add(CpiComponent::Base, base_cycles / inp.instructions);
-            stack.add(CpiComponent::Branch, branch_cycles / inp.instructions);
-            stack.add(CpiComponent::ICache, icache_cycles / inp.instructions);
-            stack.add(CpiComponent::L3Data, chain_cycles / inp.instructions);
-            stack.add(CpiComponent::Dram, dram_cycles / inp.instructions);
-        }
-
-        // --- Predicted activity factors (Eq 3.16) ---------------------------
-        let inst_l1_misses = ir.l1 * inp.instructions;
-        let dram_accesses =
-            memory.llc_load_misses + memory.llc_store_misses + ir.l3 * inp.instructions;
-        let activity = ActivityVector {
-            uops: n_uops,
-            instructions: inp.instructions,
-            cycles,
-            issue_per_class: inp.class_counts,
-            rob_accesses: 2.0 * n_uops,
-            iq_accesses: 2.0 * n_uops,
-            regfile_reads: 1.4 * n_uops,
-            regfile_writes: n_uops
-                - inp.class_counts[UopClass::Store.index()]
-                - inp.class_counts[UopClass::Branch.index()],
-            l1i_accesses: inp.instructions,
-            l1d_accesses: loads + stores,
-            l2_accesses: lr.l1 * loads + sr_l1 * stores + inst_l1_misses,
-            l3_accesses: lr.l2 * loads + sr_l2 * stores + ir.l2 * inp.instructions,
-            dram_accesses,
-            bus_transfers: dram_accesses,
-            branch_lookups: branches,
-            branch_misses: mispredicts,
-        };
-
-        WindowPrediction {
-            index: inp.index,
-            instructions: inp.instructions,
-            cycles,
-            stack,
+        let stage = CoreStage {
+            loads_model,
+            stores_model,
+            n_uops,
             dispatch,
-            memory,
-            branch_miss_rate: miss_rate,
-            activity,
+            base_cycles,
+            miss_rate,
+            mispredicts,
+            branch_cycles,
+            chain_cycles,
+            loads_per_rob,
+            store_llc_misses,
+        };
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.keep_stage(inp.window, stage);
         }
+        stage
     }
 
     fn memory_behavior(
         &mut self,
         inp: &WindowInputs<'_>,
-        mem: MemoryInputs,
-        dispatch: &DispatchBreakdown,
+        stage: &CoreStage,
+        loads: f64,
         profile: &ApplicationProfile,
     ) -> MemoryBehavior {
         let m = self.machine;
-        let lr = &inp.loads_model.ratios;
-        let MemoryInputs {
-            loads,
-            loads_per_rob,
-            store_llc_misses,
-        } = mem;
+        let loads_model = &stage.loads_model;
         match self.config.mlp_model {
             MlpModelKind::Stride if !inp.static_loads.is_empty() && inp.stream_uops > 0 => {
-                let mut behavior = self.stride(dispatch.effective, inp, loads, store_llc_misses);
+                let mut behavior = self.stride(inp, stage, loads);
                 if !self.config.mshr_cap {
                     // Undo the cap by re-flooring at the raw value — the
                     // cap is inside evaluate; approximate by scaling up.
@@ -783,8 +799,8 @@ impl Evaluator<'_> {
             }
             _ => {
                 // Cold-miss model (Eqs 4.1–4.3).
-                let cold_frac_access = inp.loads_model.cold_fraction();
-                let m_llc = lr.l3.max(cold_frac_access);
+                let cold_frac_access = loads_model.cold_fraction();
+                let m_llc = loads_model.ratios.l3.max(cold_frac_access);
                 let cold_frac_misses = if m_llc > 0.0 {
                     (cold_frac_access / m_llc).min(1.0)
                 } else {
@@ -801,7 +817,7 @@ impl Evaluator<'_> {
                     m_llc,
                     cold_frac_misses,
                     mean_cold,
-                    loads_per_rob,
+                    stage.loads_per_rob,
                     mshr,
                 );
                 // Reuse misses extrapolate as a rate; cold misses are the
@@ -809,13 +825,13 @@ impl Evaluator<'_> {
                 let reuse_ratio = (m_llc - cold_frac_access).max(0.0);
                 let llc_load_misses = reuse_ratio * loads + inp.window_cold;
                 // Poisson estimate of the miss-window density.
-                let misses_per_rob = m_llc * loads_per_rob;
+                let misses_per_rob = m_llc * stage.loads_per_rob;
                 let miss_window_density = 1.0 - (-misses_per_rob).exp();
                 MemoryBehavior {
                     mlp,
                     llc_load_misses,
                     stalling_load_misses: llc_load_misses,
-                    llc_store_misses: store_llc_misses,
+                    llc_store_misses: stage.store_llc_misses,
                     prefetch_coverage: 0.0,
                     miss_window_density,
                 }
@@ -824,27 +840,54 @@ impl Evaluator<'_> {
     }
 }
 
-fn merge_activity(into: &mut ActivityVector, from: &ActivityVector) {
-    into.uops += from.uops;
-    for (a, b) in into
-        .issue_per_class
-        .iter_mut()
-        .zip(from.issue_per_class.iter())
-    {
-        *a += b;
+/// Per-micro-trace inputs: the machine-independent parts from the
+/// preparation. `wi` is the window's position in evaluation order.
+fn trace_inputs<'a>(wi: u32, t: &'a MicroTraceProfile, pw: &'a PreparedWindow) -> WindowInputs<'a> {
+    WindowInputs {
+        window: wi,
+        index: t.index,
+        instructions: t.weight_instructions as f64,
+        class_counts: pw.class_counts,
+        deps: &t.deps,
+        load_deps: &t.load_deps,
+        entropy: pw.entropy,
+        loads_curve: CurveId::WindowLoads(wi),
+        stores_curve: CurveId::WindowStores(wi),
+        static_loads: &t.static_loads,
+        stream: &pw.stream,
+        stream_uops: t.uops,
+        window_cold: t.window_cold_misses as f64,
+        window_cold_stores: t.window_cold_store_misses as f64,
     }
-    into.rob_accesses += from.rob_accesses;
-    into.iq_accesses += from.iq_accesses;
-    into.regfile_reads += from.regfile_reads;
-    into.regfile_writes += from.regfile_writes;
-    into.l1i_accesses += from.l1i_accesses;
-    into.l1d_accesses += from.l1d_accesses;
-    into.l2_accesses += from.l2_accesses;
-    into.l3_accesses += from.l3_accesses;
-    into.dram_accesses += from.dram_accesses;
-    into.bus_transfers += from.bus_transfers;
-    into.branch_lookups += from.branch_lookups;
-    into.branch_misses += from.branch_misses;
+}
+
+/// Whole-application inputs (combined mode).
+fn combined_inputs<'a>(
+    profile: &'a ApplicationProfile,
+    prepared: &'a PreparedProfile<'_>,
+) -> WindowInputs<'a> {
+    // The stride sample (the first micro-trace's static loads), its
+    // length and its skeleton come from the preparation as one unit so
+    // the skeleton's owner indices always match the slice (the thesis'
+    // combined variant pairs with the cold-miss model, where these
+    // inputs are unused).
+    let (static_loads, stream_uops, stream) = prepared.combined_stride_inputs();
+    WindowInputs {
+        window: 0,
+        index: 0,
+        instructions: profile.total_instructions as f64,
+        class_counts: *prepared.combined_class_counts(),
+        deps: &profile.deps,
+        load_deps: &profile.load_deps,
+        entropy: profile.branch.entropy,
+        loads_curve: CurveId::GlobalLoads,
+        stores_curve: CurveId::GlobalStores,
+        static_loads,
+        stream,
+        stream_uops,
+        window_cold: profile.memory.cold.total_cold() as f64,
+        window_cold_stores: profile.memory.stores.cold() as f64,
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@ use pmt_core::kernels::lanes::LANES;
 use pmt_core::{BatchPredictor, IntervalModel, MlpModelKind, ModelConfig, PreparedProfile};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
 use pmt_trace::UopClass;
-use pmt_uarch::{CacheConfig, DesignSpace, ExecConfig, MachineConfig, PortMap, PortRoute};
+use pmt_uarch::{
+    CacheConfig, DesignSpace, ExecConfig, MachineConfig, PortMap, PortRoute, PredictorKind,
+    PrefetcherConfig,
+};
 use pmt_workloads::WorkloadSpec;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -556,5 +559,126 @@ fn narrowed_keys_recompute_only_what_each_axis_feeds() {
             }
             assert_entries_equal_misses(&stats, "narrowed keys");
         }
+    }
+}
+
+/// Nehalem's issue stage with one latency changed: the integer
+/// multiplier takes twice as long.
+fn slower_multiply() -> ExecConfig {
+    let nehalem = ExecConfig::nehalem();
+    let resources = UopClass::ALL
+        .iter()
+        .map(|&class| {
+            let mut res = nehalem.resources(class);
+            if class == UopClass::IntMul {
+                res.latency *= 2;
+            }
+            (class, res)
+        })
+        .collect();
+    ExecConfig::new(resources, nehalem.ports.clone())
+}
+
+/// A batched point replays the last point's core + cache stage when
+/// its stage key is unchanged, so every machine field that stage reads
+/// must be in the key. One predictor, warmed at a base machine, flips
+/// one field at a time: the variant, the base, the variant again and the
+/// base again, each against the memo-less path. A field missing from the
+/// key would hand the variant the base's stage (or the base the
+/// variant's). Fields the memory stage reads (DRAM, bus, MSHR,
+/// prefetcher) ride along: a stage replayed across them must still leave
+/// them their say. The small-cache base puts loads in L2 and L3, so the
+/// L3 latency moves a prediction too.
+#[test]
+fn every_field_the_reused_stage_reads_is_in_its_key() {
+    type Flip = fn(&mut MachineConfig);
+    let flips: [(&str, Flip); 21] = [
+        ("l1i size", |m| m.caches.l1i.size_kb /= 8),
+        ("l1i associativity", |m| m.caches.l1i.associativity *= 2),
+        ("l1i latency", |m| m.caches.l1i.latency += 3),
+        ("l1d size", |m| m.caches.l1d.size_kb *= 2),
+        ("l1d associativity", |m| m.caches.l1d.associativity *= 2),
+        ("l1d latency", |m| m.caches.l1d.latency += 3),
+        ("l2 size", |m| m.caches.l2.size_kb *= 2),
+        ("l2 associativity", |m| m.caches.l2.associativity *= 2),
+        ("l2 latency", |m| m.caches.l2.latency += 5),
+        ("l3 size", |m| m.caches.l3.size_kb /= 4),
+        ("l3 associativity", |m| m.caches.l3.associativity *= 2),
+        ("l3 latency", |m| m.caches.l3.latency += 12),
+        ("rob", |m| m.core.rob_size = 48),
+        ("dispatch width", |m| m.core.dispatch_width = 2),
+        ("front-end depth", |m| m.core.frontend_depth += 10),
+        ("predictor kind", |m| m.predictor.kind = PredictorKind::GAg),
+        ("exec latency", |m| m.exec = slower_multiply()),
+        ("dram latency", |m| m.mem.dram_latency += 150),
+        ("bus cycles", |m| m.mem.bus_transfer_cycles *= 4),
+        ("mshr", |m| m.mem.mshr_entries = 2),
+        ("prefetcher", |m| {
+            m.prefetcher = if m.prefetcher.enabled {
+                PrefetcherConfig::disabled()
+            } else {
+                PrefetcherConfig::stride_64()
+            }
+        }),
+    ];
+    let mut small = MachineConfig::nehalem();
+    small.caches.l1i = CacheConfig::new(8, 4, 64, 1);
+    small.caches.l1d = CacheConfig::new(8, 8, 64, 2);
+    small.caches.l2 = CacheConfig::new(32, 8, 64, 8);
+    small.caches.l3 = CacheConfig::new(256, 16, 64, 30);
+    // Flips that move no prediction here: no model term reads an
+    // associativity or the L1-I latency, and the suite's instruction
+    // footprints fit even a 1 KiB L1-I. They are flipped anyway, since
+    // the key holds the whole hierarchy.
+    let inert = [
+        "l1i size",
+        "l1i associativity",
+        "l1i latency",
+        "l1d associativity",
+        "l2 associativity",
+        "l3 associativity",
+    ];
+    let mut moved = std::collections::BTreeSet::new();
+    for (mode, config) in [
+        ("per-window", ModelConfig::default()),
+        ("combined", ModelConfig::ispass_2015()),
+    ] {
+        for profile in profiles() {
+            let prepared = PreparedProfile::new(profile);
+            let mut batch = BatchPredictor::new(&prepared, &config);
+            let scalar = |m: &MachineConfig| {
+                json(&IntervalModel::with_config(m, config.clone()).predict_summary(&prepared))
+            };
+            for base in [
+                MachineConfig::nehalem(),
+                MachineConfig::nehalem_with_prefetcher(),
+                small.clone(),
+            ] {
+                let base_body = scalar(&base);
+                let ctx = format!("{mode}, {}, base {}", profile.name, base.name);
+                assert_eq!(base_body, json(&batch.predict_summary(&base)), "{ctx}");
+                for (field, flip) in flips {
+                    let mut variant = base.clone();
+                    flip(&mut variant);
+                    let variant_body = scalar(&variant);
+                    if variant_body != base_body {
+                        moved.insert(field);
+                    }
+                    for _ in 0..2 {
+                        let got = json(&batch.predict_summary(&variant));
+                        assert_eq!(variant_body, got, "{ctx}: {field} variant");
+                        let got = json(&batch.predict_summary(&base));
+                        assert_eq!(base_body, got, "{ctx}: {field} base");
+                    }
+                }
+            }
+        }
+    }
+    for (field, _) in flips {
+        assert_eq!(
+            moved.contains(field),
+            !inert.contains(&field),
+            "{field}: whether the flip moves some prediction"
+        );
     }
 }

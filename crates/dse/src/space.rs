@@ -56,6 +56,16 @@ pub trait LazyDesignSpace: Sync {
     /// Materialize the point at `index` (`0..len()`), with `id == index`.
     fn point_at(&self, index: usize) -> DesignPoint;
 
+    /// Overwrite `point` with the point at `index`, reusing its
+    /// allocations where the space can: every field equals
+    /// [`point_at`](Self::point_at)'s except the machine's `name`, which
+    /// may be left stale. The sweep's hot path decodes each index into
+    /// one reused point this way; reported points are named through
+    /// `point_at`.
+    fn decode_into(&self, index: usize, point: &mut DesignPoint) {
+        *point = self.point_at(index);
+    }
+
     /// Whether the space has no points.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -375,20 +385,9 @@ impl LazyDesignSpace for ProductSpace {
     }
 
     fn point_at(&self, index: usize) -> DesignPoint {
-        let len = self.len();
-        assert!(
-            index < len,
-            "design-point index {index} out of bounds for a {len}-point space"
-        );
         let mut machine = self.base.clone();
         let mut name = self.base.name.clone();
-        // Mixed-radix decode: the last axis is the least significant
-        // digit, so each axis' stride is the product of the later axes'
-        // lengths.
-        let mut stride = len;
-        for axis in &self.axes {
-            stride /= axis.values.len();
-            let value = axis.values[index / stride % axis.values.len()];
+        for (axis, value) in self.values_at(index) {
             (axis.apply)(&mut machine, value);
             // Integer-valued knobs print without a trailing ".0".
             if value.fract() == 0.0 {
@@ -399,19 +398,71 @@ impl LazyDesignSpace for ProductSpace {
             .expect("writing to a String cannot fail");
         }
         machine.name = name;
-        let coords = (
-            machine.core.dispatch_width,
-            machine.core.rob_size,
-            machine.caches.l1d.size_kb,
-            machine.caches.l2.size_kb,
-            machine.caches.l3.size_kb,
-        );
         DesignPoint {
             id: index,
+            coords: coords_of(&machine),
             machine,
-            coords,
         }
     }
+
+    /// [`point_at`](Self::point_at) without the name, and without the
+    /// base machine's clone: the plain fields are copied from the base
+    /// and the issue stage is cloned only when an axis changed it.
+    fn decode_into(&self, index: usize, point: &mut DesignPoint) {
+        let MachineConfig {
+            name: _,
+            core,
+            exec,
+            caches,
+            mem,
+            predictor,
+            prefetcher,
+        } = &mut point.machine;
+        (*core, *caches, *mem, *predictor, *prefetcher) = (
+            self.base.core,
+            self.base.caches,
+            self.base.mem,
+            self.base.predictor,
+            self.base.prefetcher,
+        );
+        if *exec != self.base.exec {
+            exec.clone_from(&self.base.exec);
+        }
+        for (axis, value) in self.values_at(index) {
+            (axis.apply)(&mut point.machine, value);
+        }
+        point.id = index;
+        point.coords = coords_of(&point.machine);
+    }
+}
+
+impl ProductSpace {
+    /// Each axis with its value at `index`, in application order
+    /// (mixed-radix decode: the last axis is the least significant digit,
+    /// so each axis' stride is the product of the later axes' lengths).
+    fn values_at(&self, index: usize) -> impl Iterator<Item = (&Axis, f64)> + '_ {
+        let len = self.len();
+        assert!(
+            index < len,
+            "design-point index {index} out of bounds for a {len}-point space"
+        );
+        let mut stride = len;
+        self.axes.iter().map(move |axis| {
+            stride /= axis.values.len();
+            (axis, axis.values[index / stride % axis.values.len()])
+        })
+    }
+}
+
+/// A point's (dispatch, rob, l1_kb, l2_kb, l3_kb) coordinates.
+fn coords_of(machine: &MachineConfig) -> (u32, u32, u32, u32, u32) {
+    (
+        machine.core.dispatch_width,
+        machine.core.rob_size,
+        machine.caches.l1d.size_kb,
+        machine.caches.l2.size_kb,
+        machine.caches.l3.size_kb,
+    )
 }
 
 #[cfg(test)]
@@ -555,6 +606,32 @@ mod tests {
         ] {
             assert_eq!(space.point_at(index).machine.name, name, "point {index}");
         }
+    }
+
+    /// A point decoded in place equals `point_at`'s in everything but the
+    /// name, whatever point it held before — including one whose issue
+    /// stage an axis rewrote.
+    #[test]
+    fn decode_into_matches_point_at_but_the_name() {
+        // An axis that rewrites the issue stage: one class one cycle
+        // slower.
+        let slow_alu = |m: &mut MachineConfig, slow: f64| {
+            if slow == 1.0 {
+                let exec = serde_json::to_string(&m.exec).expect("serializes");
+                let exec = exec.replacen("\"latency\":1", "\"latency\":2", 1);
+                m.exec = serde_json::from_str(&exec).expect("parses");
+            }
+        };
+        let space = ProductSpace::frontier_demo().axis("slow", [0.0, 1.0], slow_alu);
+        let mut point = space.point_at(1);
+        assert_ne!(point.machine.exec, space.point_at(0).machine.exec);
+        for index in [0, 1, 2, 3, 47, 48, 12_345, 200_001, 207_359, 5, 4] {
+            space.decode_into(index, &mut point);
+            let mut want = space.point_at(index);
+            want.machine.name = point.machine.name.clone();
+            assert_eq!(point, want, "point {index}");
+        }
+        assert_eq!(point.machine.name, space.point_at(1).machine.name);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! default: the folding worker's [`BatchPredictor`] — one per worker,
 //! kept across all of its chunks, its memo bounded by one chunk's worth
 //! of entries — answers every admitted point's summary (SoA curve
-//! queries, cross-point memoization), and the per-point CPI/seconds
-//! arithmetic is evaluated over f64
-//! [`lanes`](pmt_core::kernels::lanes). Both are bit-identical to the
+//! queries, cross-point memoization), and each index is decoded into one
+//! reused point ([`LazyDesignSpace::decode_into`]) instead of a freshly
+//! cloned and named one. Both are bit-identical to the
 //! one-point-at-a-time path — pinned by `pmt-core`'s conformance suite
 //! and this module's own equivalence test — so
 //! [`per_point`](StreamingSweep::per_point) changes speed, never bytes.
@@ -57,8 +57,9 @@
 use crate::constrain::DesignConstraints;
 use crate::pareto::{FrontEntry, ParetoAccumulator};
 use crate::space::LazyDesignSpace;
-use pmt_core::kernels::lanes;
-use pmt_core::{BatchPredictor, IntervalModel, ModelConfig, Moments, PreparedProfile};
+use pmt_core::{
+    BatchPredictor, IntervalModel, ModelConfig, Moments, PredictionSummary, PreparedProfile,
+};
 use pmt_power::PowerModel;
 use pmt_profiler::ApplicationProfile;
 use pmt_uarch::DesignPoint;
@@ -640,23 +641,22 @@ impl<'a> StreamingSweep<'a> {
             }
             return acc;
         }
-        // The batched path: materialize the chunk's admitted points in
-        // index order, then evaluate them together through the batched
-        // kernels. The fold below runs in the same index order as the
-        // per-point loop above, so the two paths are bit-identical.
-        let mut points: Vec<DesignPoint> = Vec::with_capacity(end - start);
+        // The batched path: decode each index into one reused point (no
+        // per-point machine clone or name; reported entries are named
+        // through `point_at` later) and predict it on the worker's
+        // predictor. It folds in the same index order as the per-point
+        // loop above, so the two paths are bit-identical.
+        let mut point = space.point_at(start);
         for index in start..end {
-            let point = space.point_at(index);
+            space.decode_into(index, &mut point);
             if let Some(c) = &self.prefilter {
                 if !c.admits(&point) {
                     acc.rejected += 1;
                     continue;
                 }
             }
-            points.push(point);
-        }
-        for p in evaluate_stream_points_batched(&points, predictor) {
-            self.fold_point(&mut acc, p);
+            let summary = predictor.predict_summary(&point.machine);
+            self.fold_point(&mut acc, stream_point(&point, &summary));
         }
         acc
     }
@@ -1020,58 +1020,34 @@ pub(crate) fn evaluate_stream_point(
     prepared: &PreparedProfile<'_>,
     model_cfg: &ModelConfig,
 ) -> StreamPoint {
+    let model = IntervalModel::with_config(&point.machine, model_cfg.clone());
+    stream_point(point, &model.predict_summary(prepared))
+}
+
+/// The streamed record of `point`'s prediction `summary`: its CPI,
+/// seconds at the point's clock, and power.
+fn stream_point(point: &DesignPoint, summary: &PredictionSummary) -> StreamPoint {
     let machine = &point.machine;
-    let model = IntervalModel::with_config(machine, model_cfg.clone());
-    let prediction = model.predict_summary(prepared);
-    let power = PowerModel::new(machine).power(&prediction.activity).total();
     StreamPoint {
         design_id: point.id,
-        cpi: prediction.cpi(),
-        seconds: prediction.seconds_at(machine.core.frequency_ghz),
-        power,
+        cpi: summary.cpi(),
+        seconds: summary.seconds_at(machine.core.frequency_ghz),
+        power: PowerModel::power_of(machine, &summary.activity).total(),
     }
 }
 
-/// [`evaluate_stream_point`] for a whole slice of points at once, in
-/// order — the batched model half the streaming fold and the
-/// materializing sweeps share. The caller's [`BatchPredictor`] answers
-/// every summary (SoA curve queries, memos shared across the batch and
-/// with whatever the predictor saw before); the CPI/seconds arithmetic
-/// runs over f64 [`lanes`]. Every step replicates the one-point path
-/// exactly (same summaries, per-lane correctly-rounded division and
-/// multiplication only), so the returned points are bit-identical to
-/// mapping [`evaluate_stream_point`].
+/// [`evaluate_stream_point`] for a whole slice of points, in order, on
+/// the caller's [`BatchPredictor`] — memos shared across the slice and
+/// with whatever the predictor saw before. The materializing sweep's
+/// model half; the streaming fold runs the same per-point steps, so a
+/// streamed sweep is bit-identical to a materialized one.
 pub(crate) fn evaluate_stream_points_batched(
     points: &[DesignPoint],
     batch: &mut BatchPredictor<'_, '_>,
 ) -> Vec<StreamPoint> {
-    let mut summaries = Vec::with_capacity(points.len());
-    batch.predict_batch_into(points.iter().map(|p| &p.machine), &mut summaries);
-    let k = points.len();
-    let cycles: Vec<f64> = summaries.iter().map(|s| s.cycles).collect();
-    let instructions: Vec<f64> = summaries.iter().map(|s| s.instructions as f64).collect();
-    let freq_ghz: Vec<f64> = points
+    points
         .iter()
-        .map(|p| p.machine.core.frequency_ghz)
-        .collect();
-    let mut cpi = vec![0.0; k];
-    let mut hz = vec![0.0; k];
-    let mut seconds = vec![0.0; k];
-    lanes::div(&cycles, &instructions, &mut cpi);
-    lanes::mul_scalar(&freq_ghz, 1e9, &mut hz);
-    lanes::div(&cycles, &hz, &mut seconds);
-    (0..k)
-        .map(|i| StreamPoint {
-            design_id: points[i].id,
-            // `PredictionSummary::cpi` guards the empty profile.
-            cpi: if summaries[i].instructions > 0 {
-                cpi[i]
-            } else {
-                0.0
-            },
-            seconds: seconds[i],
-            power: PowerModel::power_of(&points[i].machine, &summaries[i].activity).total(),
-        })
+        .map(|p| stream_point(p, &batch.predict_summary(&p.machine)))
         .collect()
 }
 

@@ -204,8 +204,8 @@ impl SpaceEvaluation {
 
     /// The model half of a sweep: every point's (cpi, seconds, power),
     /// in point order, evaluated through the batched kernels
-    /// ([`crate::streaming::evaluate_stream_points_batched`] — the *same
-    /// function* the streaming engine folds, so a streamed sweep is
+    /// ([`crate::streaming::evaluate_stream_points_batched`] — the same
+    /// per-point steps the streaming engine folds, so a streamed sweep is
     /// bit-identical to a materialized one by construction). Chunks run
     /// in parallel when asked; order-preserving either way.
     fn predict_model_points(

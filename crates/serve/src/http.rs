@@ -14,9 +14,9 @@ const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// bytes before the request is answered `408 request_timeout`.
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Longest the whole header block may take to arrive. Headers are read
-/// byte by byte, so without this a client trickling one byte per
-/// [`READ_TIMEOUT`] could hold a worker indefinitely.
+/// Longest the whole header block may take to arrive. Each read takes
+/// whatever the client has sent, so without this a client trickling one
+/// byte per [`READ_TIMEOUT`] could hold a worker indefinitely.
 const HEADER_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Longest a single write of a response may wait on a client that is
@@ -54,34 +54,38 @@ impl Request {
 }
 
 /// Read one request off the stream. `max_body` bounds the accepted
-/// `Content-Length`; bodies beyond it are refused with 413 before any
-/// byte of them is read. A read that times out (the stream's own read
-/// timeout), or a header block still incomplete after the header
-/// deadline (5 s), is a `408 request_timeout`.
+/// `Content-Length`; bodies beyond it are refused with 413 before the
+/// rest of them is read (the reads that took the header block may
+/// already hold their first bytes). A read that times out (the stream's
+/// own read timeout), or a header block still incomplete after the
+/// header deadline (5 s), is a `408 request_timeout`.
 pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, ApiError> {
-    // Read byte-wise until the blank line; requests are small (bodies are
-    // bounded and read in one gulp below).
+    // Read in chunks until the blank line. Bytes read past it start the
+    // body; nothing after the body belongs to another request, since
+    // every connection carries one (`Connection: close`).
     let started = Instant::now();
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
+    let mut chunk = [0u8; 4096];
+    let head_len = loop {
+        // A blank line may straddle the previous chunk's end.
+        let from = head.len().saturating_sub(chunk.len() + 3);
+        if let Some(at) = head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + at + 4;
+        }
         if started.elapsed() > HEADER_DEADLINE {
             return Err(timed_out("request headers"));
         }
         if head.len() >= MAX_HEADER_BYTES {
-            return Err(ApiError::too_large(
-                "headers_too_large",
-                format!("request headers exceed {MAX_HEADER_BYTES} bytes"),
-            ));
+            return Err(headers_too_large());
         }
-        match stream.read(&mut byte) {
+        match stream.read(&mut chunk) {
             Ok(0) => {
                 return Err(ApiError::bad_request(
                     "truncated_request",
                     "connection closed before the request headers ended",
                 ))
             }
-            Ok(_) => head.push(byte[0]),
+            Ok(n) => head.extend_from_slice(&chunk[..n]),
             Err(e) if is_timeout(&e) => return Err(timed_out("request headers")),
             Err(e) => {
                 return Err(ApiError::bad_request(
@@ -90,7 +94,11 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
                 ))
             }
         }
+    };
+    if head_len > MAX_HEADER_BYTES {
+        return Err(headers_too_large());
     }
+    let body_start = head.split_off(head_len);
     let head = String::from_utf8(head)
         .map_err(|_| ApiError::bad_request("bad_request_line", "headers are not valid UTF-8"))?;
     let mut lines = head.split("\r\n");
@@ -143,7 +151,9 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         ));
     }
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| {
+    let early = body_start.len().min(content_length);
+    body[..early].copy_from_slice(&body_start[..early]);
+    stream.read_exact(&mut body[early..]).map_err(|e| {
         if is_timeout(&e) {
             timed_out("the request body")
         } else {
@@ -151,6 +161,13 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         }
     })?;
     Ok(Request { body, ..request })
+}
+
+fn headers_too_large() -> ApiError {
+    ApiError::too_large(
+        "headers_too_large",
+        format!("request headers exceed {MAX_HEADER_BYTES} bytes"),
+    )
 }
 
 /// Whether a read failed because the stream's read timeout expired
@@ -318,6 +335,74 @@ mod tests {
             );
             assert_eq!(status_text(err.status), "Request Timeout");
         }
+    }
+
+    /// A client whose bytes arrive in `segments` (one per TCP segment,
+    /// say); each `read` returns at most the rest of one, and is counted.
+    struct Counting<'a> {
+        segments: Vec<&'a [u8]>,
+        reads: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(segment) = self.segments.first_mut() else {
+                return Ok(0);
+            };
+            let n = segment.read(buf)?;
+            if segment.is_empty() {
+                self.segments.remove(0);
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_curl_style_predict_takes_at_most_three_reads() {
+        let body = br#"{"schema_version":1,"profile":"astar","machine":{"name":"nehalem"}}"#;
+        let head = format!(
+            "POST /v1/predict HTTP/1.1\r\nHost: 127.0.0.1:7171\r\nUser-Agent: curl/8.5.0\r\n\
+             Accept: */*\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        let whole = [head.as_bytes(), body].concat();
+        // Headers and body in separate segments, in one, and split
+        // inside the blank line.
+        let split = head.len() - 2;
+        for segments in [
+            vec![head.as_bytes(), &body[..]],
+            vec![&whole[..]],
+            vec![&whole[..split], &whole[split..]],
+        ] {
+            let mut client = Counting { segments, reads: 0 };
+            let req = read_request(&mut client, 1024).unwrap();
+            assert_eq!(req.target, "/v1/predict");
+            assert_eq!(req.header("content-type"), Some("application/json"));
+            assert_eq!(req.body, body);
+            assert!(client.reads <= 3, "{} reads", client.reads);
+        }
+    }
+
+    #[test]
+    fn a_header_block_past_the_limit_is_a_413() {
+        let padding = "x".repeat(MAX_HEADER_BYTES);
+        let endless = format!("GET /x HTTP/1.1\r\nx-pad: {padding}");
+        let complete = format!("{endless}\r\n\r\n");
+        for raw in [endless, complete] {
+            let err = read_request(&mut Cursor::new(raw.into_bytes()), 1024).unwrap_err();
+            assert_eq!(
+                (err.status, err.body.code.as_str()),
+                (413, "headers_too_large")
+            );
+        }
+        // A block that ends exactly at the limit is accepted.
+        let line = "GET /x HTTP/1.1\r\nx-pad: \r\n\r\n";
+        let fill = "y".repeat(MAX_HEADER_BYTES - line.len());
+        let raw = format!("GET /x HTTP/1.1\r\nx-pad: {fill}\r\n\r\n");
+        assert_eq!(raw.len(), MAX_HEADER_BYTES);
+        let req = read_request(&mut Cursor::new(raw.into_bytes()), 1024).unwrap();
+        assert_eq!(req.header("x-pad"), Some(fill.as_str()));
     }
 
     #[test]

@@ -1,36 +1,22 @@
-//! Chunked f64 lane arithmetic: `core::arch` SIMD behind a
-//! scalar-identical fallback, selected once at runtime.
+//! The host's SIMD level and the lane width batch tests straddle.
 //!
-//! # Why the fallback is bit-identical
-//!
-//! Every operation here is an *elementwise* IEEE-754 add/mul/div — no
-//! horizontal reductions, no reassociation, and deliberately **no FMA**.
-//! Per-lane packed arithmetic (`_mm256_div_pd` and friends) is
-//! correctly rounded exactly like the corresponding scalar instruction,
-//! so the SIMD and scalar paths produce the same bits for the same
-//! inputs, and golden tests keep pinning bit-equality regardless of
-//! which path the host selects. Anything that would break that contract
-//! (reductions, FMA contraction, reciprocal approximations) stays out
-//! of this module by design.
-//!
-//! # Dispatch
-//!
-//! [`simd_level`] probes the CPU once (cached): AVX2 where available,
-//! the x86-64 baseline SSE2 otherwise, plain scalar on other
-//! architectures. Setting `PMT_FORCE_SCALAR=1` in the environment forces
-//! the scalar path — CI runs the conformance suite both ways so both
-//! code paths are exercised on every push.
+//! No kernel dispatches on the level today: the batched kernels run the
+//! same scalar IEEE-754 arithmetic as the single-point model. The level
+//! is probed once and recorded with perf records (pmtbench, `speedup`),
+//! so a record names the vector width its host offered. Setting
+//! `PMT_FORCE_SCALAR=1` in the environment reports
+//! [`SimdLevel::Scalar`].
 
 use std::sync::OnceLock;
 
-/// f64 lanes in the widest vector path (AVX2 = 256 bits). Batch tests
-/// probe sizes straddling this boundary (lane−1, lane, lane+1).
+/// f64 lanes in one 256-bit (AVX2) vector. Batch tests probe sizes
+/// straddling this boundary (lane−1, lane, lane+1).
 pub const LANES: usize = 4;
 
-/// The vector width the runtime dispatch selected.
+/// The widest vector unit the host offers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Plain scalar loops (also the `PMT_FORCE_SCALAR=1` path).
+    /// No vector unit (also what `PMT_FORCE_SCALAR=1` reports).
     Scalar,
     /// 128-bit SSE2 lanes (the x86-64 baseline).
     Sse2,
@@ -49,9 +35,9 @@ impl SimdLevel {
     }
 }
 
-/// The lane width this process uses, probed once: `PMT_FORCE_SCALAR=1`
-/// forces [`SimdLevel::Scalar`]; otherwise the best supported x86-64
-/// level (other architectures run scalar).
+/// The host's SIMD level, probed once: `PMT_FORCE_SCALAR=1` reports
+/// [`SimdLevel::Scalar`]; otherwise the best supported x86-64 level
+/// (other architectures report scalar).
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(detect)
@@ -74,257 +60,14 @@ fn detect() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// `out[i] = num[i] / den[i]`.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-pub fn div(num: &[f64], den: &[f64], out: &mut [f64]) {
-    assert_eq!(num.len(), den.len(), "lanes::div length mismatch");
-    assert_eq!(num.len(), out.len(), "lanes::div length mismatch");
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_level() returned Avx2/Sse2 only after runtime
-        // feature detection on this CPU.
-        SimdLevel::Avx2 => unsafe { div_avx2(num, den, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { div_sse2(num, den, out) },
-        _ => {
-            for i in 0..num.len() {
-                out[i] = num[i] / den[i];
-            }
-        }
-    }
-}
-
-/// `out[i] = num[i] / den` (broadcast divisor — *not* a multiply by the
-/// reciprocal, which would round differently).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn div_scalar(num: &[f64], den: f64, out: &mut [f64]) {
-    assert_eq!(num.len(), out.len(), "lanes::div_scalar length mismatch");
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level proven by runtime detection (see div()).
-        SimdLevel::Avx2 => unsafe { div_scalar_avx2(num, den, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { div_scalar_sse2(num, den, out) },
-        _ => {
-            for i in 0..num.len() {
-                out[i] = num[i] / den;
-            }
-        }
-    }
-}
-
-/// `out[i] = a[i] * b[i]`.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-pub fn mul(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "lanes::mul length mismatch");
-    assert_eq!(a.len(), out.len(), "lanes::mul length mismatch");
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level proven by runtime detection (see div()).
-        SimdLevel::Avx2 => unsafe { mul_avx2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { mul_sse2(a, b, out) },
-        _ => {
-            for i in 0..a.len() {
-                out[i] = a[i] * b[i];
-            }
-        }
-    }
-}
-
-/// `out[i] = a[i] * s`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_scalar(a: &[f64], s: f64, out: &mut [f64]) {
-    assert_eq!(a.len(), out.len(), "lanes::mul_scalar length mismatch");
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level proven by runtime detection (see div()).
-        SimdLevel::Avx2 => unsafe { mul_scalar_avx2(a, s, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { mul_scalar_sse2(a, s, out) },
-        _ => {
-            for i in 0..a.len() {
-                out[i] = a[i] * s;
-            }
-        }
-    }
-}
-
-// Each x86-64 body widens the same scalar loop: packed correctly-rounded
-// lanes over the aligned prefix, the scalar tail for the remainder —
-// identical bits either way.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use core::arch::x86_64::*;
-
-    macro_rules! lanes_binop {
-        ($avx2:ident, $sse2:ident, $op256:ident, $op128:ident, $op:tt) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
-                let n = a.len();
-                let mut i = 0;
-                while i + 4 <= n {
-                    // SAFETY: i + 4 <= n bounds every 4-wide load/store.
-                    unsafe {
-                        let va = _mm256_loadu_pd(a.as_ptr().add(i));
-                        let vb = _mm256_loadu_pd(b.as_ptr().add(i));
-                        _mm256_storeu_pd(out.as_mut_ptr().add(i), $op256(va, vb));
-                    }
-                    i += 4;
-                }
-                while i < n {
-                    out[i] = a[i] $op b[i];
-                    i += 1;
-                }
-            }
-
-            #[target_feature(enable = "sse2")]
-            pub unsafe fn $sse2(a: &[f64], b: &[f64], out: &mut [f64]) {
-                let n = a.len();
-                let mut i = 0;
-                while i + 2 <= n {
-                    // SAFETY: i + 2 <= n bounds every 2-wide load/store.
-                    unsafe {
-                        let va = _mm_loadu_pd(a.as_ptr().add(i));
-                        let vb = _mm_loadu_pd(b.as_ptr().add(i));
-                        _mm_storeu_pd(out.as_mut_ptr().add(i), $op128(va, vb));
-                    }
-                    i += 2;
-                }
-                while i < n {
-                    out[i] = a[i] $op b[i];
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    macro_rules! lanes_scalar_op {
-        ($avx2:ident, $sse2:ident, $op256:ident, $op128:ident, $op:tt) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $avx2(a: &[f64], s: f64, out: &mut [f64]) {
-                let n = a.len();
-                let vs = _mm256_set1_pd(s);
-                let mut i = 0;
-                while i + 4 <= n {
-                    // SAFETY: i + 4 <= n bounds every 4-wide load/store.
-                    unsafe {
-                        let va = _mm256_loadu_pd(a.as_ptr().add(i));
-                        _mm256_storeu_pd(out.as_mut_ptr().add(i), $op256(va, vs));
-                    }
-                    i += 4;
-                }
-                while i < n {
-                    out[i] = a[i] $op s;
-                    i += 1;
-                }
-            }
-
-            #[target_feature(enable = "sse2")]
-            pub unsafe fn $sse2(a: &[f64], s: f64, out: &mut [f64]) {
-                let n = a.len();
-                let vs = _mm_set1_pd(s);
-                let mut i = 0;
-                while i + 2 <= n {
-                    // SAFETY: i + 2 <= n bounds every 2-wide load/store.
-                    unsafe {
-                        let va = _mm_loadu_pd(a.as_ptr().add(i));
-                        _mm_storeu_pd(out.as_mut_ptr().add(i), $op128(va, vs));
-                    }
-                    i += 2;
-                }
-                while i < n {
-                    out[i] = a[i] $op s;
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    lanes_binop!(div_avx2, div_sse2, _mm256_div_pd, _mm_div_pd, /);
-    lanes_binop!(mul_avx2, mul_sse2, _mm256_mul_pd, _mm_mul_pd, *);
-    lanes_scalar_op!(div_scalar_avx2, div_scalar_sse2, _mm256_div_pd, _mm_div_pd, /);
-    lanes_scalar_op!(mul_scalar_avx2, mul_scalar_sse2, _mm256_mul_pd, _mm_mul_pd, *);
-}
-
-#[cfg(target_arch = "x86_64")]
-use x86::{
-    div_avx2, div_scalar_avx2, div_scalar_sse2, div_sse2, mul_avx2, mul_scalar_avx2,
-    mul_scalar_sse2, mul_sse2,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn inputs(n: usize) -> (Vec<f64>, Vec<f64>) {
-        let a: Vec<f64> = (0..n).map(|i| (i as f64 + 0.25) * 1.7e3).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 + 1.5) * 3.1e-2).collect();
-        (a, b)
-    }
-
-    /// Every op must equal the plain scalar loop bit-for-bit at sizes
-    /// straddling both vector widths (0..=9 covers lane−1/lane/lane+1
-    /// for SSE2 and AVX2 alike).
-    #[test]
-    fn ops_match_scalar_bitwise_at_all_remainders() {
-        for n in 0..=9usize {
-            let (a, b) = inputs(n);
-            let mut out = vec![0.0; n];
-
-            div(&a, &b, &mut out);
-            for i in 0..n {
-                assert_eq!(out[i].to_bits(), (a[i] / b[i]).to_bits(), "div n={n} i={i}");
-            }
-
-            mul(&a, &b, &mut out);
-            for i in 0..n {
-                assert_eq!(out[i].to_bits(), (a[i] * b[i]).to_bits(), "mul n={n} i={i}");
-            }
-
-            div_scalar(&a, 3.7, &mut out);
-            for i in 0..n {
-                assert_eq!(
-                    out[i].to_bits(),
-                    (a[i] / 3.7).to_bits(),
-                    "div_s n={n} i={i}"
-                );
-            }
-
-            mul_scalar(&a, 1e9, &mut out);
-            for i in 0..n {
-                assert_eq!(
-                    out[i].to_bits(),
-                    (a[i] * 1e9).to_bits(),
-                    "mul_s n={n} i={i}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn level_is_stable_and_labeled() {
         let level = simd_level();
         assert_eq!(level, simd_level());
         assert!(!level.label().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_lengths_panic() {
-        let mut out = vec![0.0; 2];
-        div(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], &mut out);
     }
 }

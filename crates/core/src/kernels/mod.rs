@@ -11,19 +11,16 @@
 //!   prediction;
 //! * [`search`] — the branchless sorted-slice search those queries use,
 //!   probe-for-probe identical to `std`'s binary search;
-//! * [`lanes`] — chunked elementwise f64 arithmetic (`core::arch` SIMD
-//!   behind a scalar-identical runtime-selected fallback;
-//!   `PMT_FORCE_SCALAR=1` forces the fallback) for the outer
-//!   per-point arrays (CPI, seconds);
+//! * [`lanes`] — the host's SIMD level, recorded with perf records, and
+//!   the lane width batch tests straddle;
 //! * [`BatchPredictor`] — the entry point: one per (prepared profile,
 //!   config), borrowing the profile's arena and memoizing curve queries
 //!   and stride walks across the points of a batch.
 //!
 //! Everything here is bit-identical to the single-point
 //! [`IntervalModel::predict_summary`] by construction (same evaluator,
-//! same probe sequences as the reference searches, per-lane
-//! correctly-rounded SIMD); `crates/core/tests/batch_identity.rs` pins
-//! it.
+//! same probe sequences as the reference searches);
+//! `crates/core/tests/batch_identity.rs` pins it.
 //!
 //! [`IntervalModel::predict_summary`]: crate::IntervalModel::predict_summary
 

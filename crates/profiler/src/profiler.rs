@@ -1,4 +1,16 @@
 //! The single-pass streaming profiler.
+//!
+//! A profile runs as a two-stage pipeline. The calling thread generates
+//! the trace: it alone runs the record/skip window schedule over the
+//! [`TraceSource`], filling chunks of at most [`CHUNK_INSTRUCTIONS`]
+//! instructions, each tagged with its segment and whether it closes a
+//! window. One scoped thread per call owns the streaming state ([`Pass`])
+//! and folds the chunks in stream order, following their tags. The stages
+//! meet in a channel of at most [`CHANNEL_CHUNKS`] chunks, and spent
+//! buffers travel back to the generating stage for reuse, so memory is
+//! bounded and the steady state allocates nothing. One consumer in stream
+//! order and one schedule make the profile the same, byte for byte,
+//! however the threads interleave.
 
 use crate::cold::ColdMissProfile;
 use crate::config::ProfilerConfig;
@@ -7,11 +19,42 @@ use crate::profile::{ApplicationProfile, BranchProfile, MemoryProfile, MicroTrac
 use crate::strides::StaticLoadBuilder;
 use pmt_branch::EntropyProfiler;
 use pmt_statstack::{ReuseHistogram, ReuseRecorder};
-use pmt_trace::{FastHashMap, InstructionMix, MicroOp, TraceSource, UopClass};
+use pmt_trace::{FastHashMap, InstructionMix, MicroOp, SamplingConfig, TraceSource, UopClass};
+use std::panic;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::thread;
 
 /// Recording-segment capture target: the micro-trace buffer plus the
 /// per-load (line, reuse-distance) stream captured alongside it.
 type CaptureTarget<'a> = (&'a mut Vec<MicroOp>, &'a mut Vec<(u32, Option<u64>)>);
+
+/// Most instructions in one chunk passed from the generating stage to the
+/// analysing stage.
+const CHUNK_INSTRUCTIONS: u64 = 4_096;
+
+/// Most chunks waiting in the channel between the two stages. The stages
+/// run at similar, steady rates, so two chunks of slack keep both busy;
+/// each further chunk is one more resident buffer.
+const CHANNEL_CHUNKS: usize = 2;
+
+/// The part of a sampling window a chunk belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Segment {
+    /// Recorded into the window's micro-trace.
+    Record,
+    /// Fast-forwarded: seen only by the full-stream statistics.
+    Skip,
+}
+
+/// A run of whole instructions on its way from the generating stage to
+/// the analysing stage.
+struct Chunk {
+    uops: Vec<MicroOp>,
+    instructions: u64,
+    segment: Segment,
+    /// This chunk ends its window: the micro-trace closes after it.
+    closes_window: bool,
+}
 
 /// The micro-architecture independent profiler.
 ///
@@ -21,6 +64,13 @@ type CaptureTarget<'a> = (&'a mut Vec<MicroOp>, &'a mut Vec<(u32, Option<u64>)>)
 /// dependence-chain and per-static-load analyses run only inside the
 /// sampled micro-traces (thesis Ch 5), whose union is typically 0.1% of
 /// the stream.
+///
+/// Each call starts one scoped thread and joins it before returning: the
+/// calling thread generates the trace (so the source need not be `Send`)
+/// while the scoped thread analyses it, chunk by chunk and in stream order,
+/// so the profile does not depend on how the two threads interleave. A
+/// panic on either side is re-raised from the call; neither side can be
+/// left waiting on the other.
 #[derive(Clone, Debug)]
 pub struct Profiler {
     config: ProfilerConfig,
@@ -51,59 +101,96 @@ impl Profiler {
 
     /// Profile a named trace.
     pub fn profile_named<S: TraceSource>(&self, name: &str, source: &mut S) -> ApplicationProfile {
-        let mut pass = Pass::new(&self.config);
-        let micro_len = self.config.sampling.micro_trace_instructions;
-        let window_len = self.config.sampling.window_instructions;
-        let mut buf: Vec<MicroOp> = Vec::with_capacity(16 * 1024);
+        thread::scope(|scope| {
+            // Both channels live inside the scope: if generating panics,
+            // unwinding drops the sender, and the analysing stage ends
+            // instead of waiting forever.
+            let (chunks, inbox) = mpsc::sync_channel(CHANNEL_CHUNKS);
+            let (spent, spares) = mpsc::channel();
+            let analyser = scope.spawn(move || analyse(&self.config, name, inbox, spent));
+            generate(&self.config.sampling, source, chunks, spares);
+            match analyser.join() {
+                Ok(profile) => profile,
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        })
+    }
+}
 
-        'stream: loop {
-            // --- Recording segment: the micro-trace -------------------------
-            let mut recorded = 0u64;
-            let mut trace_uops: Vec<MicroOp> = Vec::with_capacity(2048);
-            let mut trace_dists: Vec<(u32, Option<u64>)> = Vec::new();
-            while recorded < micro_len {
-                buf.clear();
-                let want = (micro_len - recorded).min(8_192) as usize;
-                let got = source.fill(&mut buf, want);
-                if got == 0 {
-                    if recorded > 0 || pass.total_instructions > 0 {
-                        if recorded > 0 {
-                            pass.finish_micro_trace(trace_uops, trace_dists, recorded, 0);
-                        }
-                        break 'stream;
-                    }
-                    break 'stream;
+/// The generating stage: run the window schedule over `source` and send
+/// its instructions in chunks, until the source runs dry or the analysing
+/// stage hangs up (it only does so by panicking). Returning drops the
+/// sender, which tells the analysing stage the stream has ended.
+fn generate<S: TraceSource>(
+    sampling: &SamplingConfig,
+    source: &mut S,
+    chunks: SyncSender<Chunk>,
+    spares: Receiver<Vec<MicroOp>>,
+) {
+    let micro_len = sampling.micro_trace_instructions;
+    let skip_len = sampling.window_instructions - micro_len;
+    loop {
+        for (segment, len) in [(Segment::Record, micro_len), (Segment::Skip, skip_len)] {
+            let mut done = 0u64;
+            while done < len {
+                let mut uops = spares.try_recv().unwrap_or_default();
+                uops.clear();
+                let want = (len - done).min(CHUNK_INSTRUCTIONS) as usize;
+                let instructions = source.fill(&mut uops, want) as u64;
+                if instructions == 0 {
+                    return;
                 }
-                pass.consume(&buf, Some((&mut trace_uops, &mut trace_dists)));
-                recorded += got as u64;
-            }
-            if recorded < micro_len {
-                break; // stream ended mid-trace; handled above
-            }
-
-            // --- Skipping segment: rest of the window ----------------------
-            let mut skipped = 0u64;
-            let to_skip = window_len - micro_len;
-            let mut ended = false;
-            while skipped < to_skip {
-                buf.clear();
-                let want = (to_skip - skipped).min(8_192) as usize;
-                let got = source.fill(&mut buf, want);
-                if got == 0 {
-                    ended = true;
-                    break;
+                done += instructions;
+                let closes_window = done == len && (segment == Segment::Skip || skip_len == 0);
+                let chunk = Chunk {
+                    uops,
+                    instructions,
+                    segment,
+                    closes_window,
+                };
+                if chunks.send(chunk).is_err() {
+                    return;
                 }
-                pass.consume(&buf, None);
-                skipped += got as u64;
-            }
-            pass.finish_micro_trace(trace_uops, trace_dists, recorded, skipped);
-            if ended {
-                break;
             }
         }
-
-        pass.finish(name, &self.config)
     }
+}
+
+/// The analysing stage: fold every chunk into one [`Pass`] in stream
+/// order, closing a micro-trace wherever a chunk says its window ends, and
+/// the open one when the stream ends.
+fn analyse(
+    config: &ProfilerConfig,
+    name: &str,
+    chunks: Receiver<Chunk>,
+    spent: Sender<Vec<MicroOp>>,
+) -> ApplicationProfile {
+    let mut pass = Pass::new(config);
+    let mut trace_uops: Vec<MicroOp> = Vec::with_capacity(2048);
+    let mut trace_dists: Vec<(u32, Option<u64>)> = Vec::new();
+    let (mut recorded, mut skipped) = (0u64, 0u64);
+    for chunk in chunks {
+        match chunk.segment {
+            Segment::Record => {
+                pass.consume(&chunk.uops, Some((&mut trace_uops, &mut trace_dists)));
+                recorded += chunk.instructions;
+            }
+            Segment::Skip => {
+                pass.consume(&chunk.uops, None);
+                skipped += chunk.instructions;
+            }
+        }
+        // The generating stage may already be done and gone.
+        let _ = spent.send(chunk.uops);
+        if chunk.closes_window {
+            pass.finish_micro_trace(&trace_uops, &trace_dists, recorded, skipped);
+            trace_uops.clear();
+            trace_dists.clear();
+            (recorded, skipped) = (0, 0);
+        }
+    }
+    pass.finish_micro_trace(&trace_uops, &trace_dists, recorded, skipped);
+    pass.finish(name, config)
 }
 
 /// All streaming state of one profiling pass.
@@ -180,7 +267,7 @@ impl Pass {
                 if line != self.last_inst_line {
                     self.last_inst_line = line;
                     self.inst_line_accesses += 1;
-                    match self.inst_recorder.record(line) {
+                    match self.inst_recorder.observe(line) {
                         Some(d) => self.inst_hist.record(d),
                         None => self.inst_hist.record_cold(),
                     }
@@ -190,7 +277,7 @@ impl Pass {
             match u.class {
                 UopClass::Load | UopClass::Store => {
                     let line = u.addr >> self.line_shift;
-                    let dist = self.mem_recorder.record(line);
+                    let dist = self.mem_recorder.observe(line);
                     match u.class {
                         UopClass::Load => {
                             self.total_loads += 1;
@@ -233,20 +320,21 @@ impl Pass {
         }
     }
 
-    /// Close the current micro-trace and push its profile.
+    /// Close the current micro-trace and push its profile. An empty one
+    /// (the stream ended on a window boundary) pushes nothing.
     fn finish_micro_trace(
         &mut self,
-        uops: Vec<MicroOp>,
-        load_dists: Vec<(u32, Option<u64>)>,
+        uops: &[MicroOp],
+        load_dists: &[(u32, Option<u64>)],
         recorded: u64,
         skipped: u64,
     ) {
         if uops.is_empty() {
             return;
         }
-        let mix = InstructionMix::from_uops(&uops);
-        let deps = DependenceProfile::profile(&uops, &self.rob_grid);
-        let load_deps = LoadDependenceDistribution::profile(&uops, self.load_dep_window as usize);
+        let mix = InstructionMix::from_uops(uops);
+        let deps = DependenceProfile::profile(uops, &self.rob_grid);
+        let load_deps = LoadDependenceDistribution::profile(uops, self.load_dep_window as usize);
 
         // Static load analysis.
         let mut builders: FastHashMap<u64, StaticLoadBuilder> = FastHashMap::default();
@@ -451,7 +539,8 @@ fn average_load_deps(traces: &[MicroTraceProfile]) -> LoadDependenceDistribution
 mod tests {
     use super::*;
     use crate::config::ProfilerConfig;
-    use pmt_workloads::WorkloadSpec;
+    use pmt_workloads::{WorkloadSpec, WorkloadTrace};
+    use std::time::Duration;
 
     fn profile_of(name: &str, n: u64) -> ApplicationProfile {
         let spec = WorkloadSpec::by_name(name).expect("suite member");
@@ -548,5 +637,49 @@ mod tests {
             .profile_named("astar", &mut spec.trace(10_000));
         assert_eq!(p.mix, p.full_mix);
         assert_eq!(p.profiled_instructions, p.total_instructions);
+    }
+
+    /// A source that fails on its fourth fill, after three chunks.
+    struct FailingSource {
+        inner: WorkloadTrace,
+        fills: u32,
+    }
+
+    impl TraceSource for FailingSource {
+        fn fill(&mut self, buf: &mut Vec<MicroOp>, max_instructions: usize) -> usize {
+            self.fills += 1;
+            if self.fills > 3 {
+                panic!("source failed");
+            }
+            self.inner.fill(buf, max_instructions)
+        }
+
+        fn skip(&mut self, n: u64) -> u64 {
+            self.inner.skip(n)
+        }
+    }
+
+    #[test]
+    fn a_failing_source_fails_the_profile_instead_of_hanging() {
+        let (done, outcome) = mpsc::channel();
+        // The call runs on a helper thread so that a hang fails the test
+        // at the timeout rather than stalling the suite.
+        let helper = thread::spawn(move || {
+            let mut source = FailingSource {
+                inner: WorkloadSpec::by_name("astar").unwrap().trace(50_000),
+                fills: 0,
+            };
+            let profiler = Profiler::new(ProfilerConfig::fast_test());
+            let result = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+                profiler.profile_named("astar", &mut source)
+            }));
+            let _ = done.send(result.map(|p| p.total_instructions));
+        });
+        let result = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the profile hung instead of re-raising the source's panic");
+        helper.join().expect("the helper catches the panic");
+        let payload = result.expect_err("a failing source must fail the profile");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"source failed"));
     }
 }

@@ -174,3 +174,39 @@ fn thesis_grid_cpi_keeps_its_bits() {
         );
     }
 }
+
+/// FNV-1a digest of profile JSON for streams that end where the whole-window
+/// pins above never do: at 0 instructions, inside a skip segment (999 and
+/// 12,345 under `fast_test`'s 500-in-5,000 schedule), inside a micro-trace
+/// (10,250), and inside a window of the exhaustive schedule, which skips
+/// nothing (the last row).
+#[test]
+fn odd_length_profiles_keep_their_bytes() {
+    let fast = ProfilerConfig::fast_test;
+    let exhaustive = || ProfilerConfig::exhaustive(1_000);
+    let pins: [(&str, u64, ProfilerConfig, u64); 13] = [
+        ("astar", 0, fast(), 0x2bc9_46c9_a473_fb1a),
+        ("astar", 999, fast(), 0x02ae_47cc_96db_cc82),
+        ("astar", 10_250, fast(), 0x7567_2c19_1d59_09d4),
+        ("astar", 12_345, fast(), 0xb3d3_84b1_82a9_2c5f),
+        ("mcf", 0, fast(), 0xe5d8_9692_2a39_042d),
+        ("mcf", 999, fast(), 0x63a0_bf1d_d1a7_4d98),
+        ("mcf", 10_250, fast(), 0xaf6f_784d_1ce8_44a1),
+        ("mcf", 12_345, fast(), 0x2949_638d_bbb9_b29f),
+        ("lbm", 0, fast(), 0xff10_0cdb_1f10_c82a),
+        ("lbm", 999, fast(), 0x2b65_ea70_cec1_4d64),
+        ("lbm", 10_250, fast(), 0xd6ae_eb44_0e83_c525),
+        ("lbm", 12_345, fast(), 0x265e_6880_adc9_0570),
+        ("gcc", 12_345, exhaustive(), 0x51db_646a_313b_19d5),
+    ];
+    let mut drifted = Vec::new();
+    for (name, n, config, pinned) in pins {
+        let spec = WorkloadSpec::by_name(name).unwrap();
+        let profile = Profiler::new(config).profile_named(name, &mut spec.trace(n));
+        let digest = pmt::api::fnv1a(&[&serde_json::to_string(&profile).unwrap()]);
+        if digest != pinned {
+            drifted.push(format!("(\"{name}\", {n}, {digest:#018x})"));
+        }
+    }
+    assert!(drifted.is_empty(), "profile bytes drifted: {drifted:#?}");
+}

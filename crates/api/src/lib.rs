@@ -15,9 +15,7 @@
 //! # Versioning discipline
 //!
 //! Every request and response carries a `schema_version` field, following
-//! the convention established by
-//! [`ValidationReport`] and
-//! `BENCH_model.json`:
+//! the convention established by [`ValidationReport`]:
 //!
 //! * [`WIRE_SCHEMA_VERSION`] is bumped on any breaking change — a field
 //!   rename, removal, or semantic change. Additive changes (new endpoint,

@@ -1,18 +1,11 @@
 //! §6.2 headline: design-space evaluation speedup — profile-once + model
 //! versus per-point cycle-level simulation (wall-clock, so excluded from
-//! the deterministic report), plus the streaming-vs-collected sweep
-//! comparison over a ≥100k-point lazy space.
+//! the deterministic report), plus served predict throughput with
+//! micro-batching on vs off.
 //!
 //! Thin front-end over the shared figure registry: builds the typed
-//! figures and renders them through `pmt_bench::emit`. This binary
-//! additionally installs the counting allocator, so the perf record it
-//! writes carries real peak-allocation numbers for the streaming and
-//! materializing paths.
-
-#[global_allocator]
-static ALLOC: pmt_bench::alloc_track::CountingAlloc = pmt_bench::alloc_track::CountingAlloc;
+//! figures and renders them through `pmt_bench::emit`.
 
 fn main() {
-    pmt_bench::alloc_track::set_installed();
     pmt_bench::run_binary("speedup");
 }

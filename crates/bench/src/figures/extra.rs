@@ -1,21 +1,16 @@
 //! Non-figure experiments: the differential validation report, the
 //! wall-clock speedup headline and the development accuracy probe.
 
-use crate::alloc_track;
 use crate::harness::{
     evaluate_suite, mean_abs_error, shared_sim_cache, sim_instructions, space_stride, HarnessConfig,
 };
-use pmt_core::IntervalModel;
-use pmt_dse::{LazyDesignSpace, ProductSpace, SpaceEvaluation, StreamingSweep, SweepConfig};
-use pmt_power::PowerModel;
+use pmt_dse::{SpaceEvaluation, SweepConfig};
 use pmt_profiler::Profiler;
 use pmt_report::{fmt, Figure, Table};
 use pmt_sim::{OooSimulator, SimConfig};
 use pmt_uarch::{CpiComponent, DesignSpace, MachineConfig};
 use pmt_validate::{ValidationConfig, Validator};
 use pmt_workloads::{suite, WorkloadSpec};
-use rayon::prelude::*;
-use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// The differential validation report (the Table 6.1 / Fig 7.10 claim):
@@ -66,73 +61,21 @@ pub fn validation_report(cfg: &HarnessConfig) -> Vec<Figure> {
         .note("(thesis: 9.3% mean CPI error across the design space; a few percent for power)")]
 }
 
-/// One measured sweep path in `BENCH_model.json`.
-#[derive(Serialize)]
-struct PathRates {
-    serial_points_per_s: f64,
-    parallel_points_per_s: f64,
-}
-
-/// The streaming engine measured over the ≥100k-point lazy demo space,
-/// **one point at a time** (`.per_point()`) — the pre-kernels baseline,
-/// rate-comparable with schema-v2 records.
-#[derive(Serialize)]
-struct StreamingRates {
-    /// Size of the lazily decoded space (≥ 100k by construction).
-    space_points: usize,
-    serial_points_per_s: f64,
-    parallel_points_per_s: f64,
-    /// Frontier survivors (what the engine actually keeps).
-    frontier_points: usize,
-    /// Peak heap growth during the parallel streaming sweep; `None` when
-    /// the counting allocator is not installed (any process but the
-    /// `speedup` binary itself).
-    peak_alloc_bytes: Option<usize>,
-}
-
-/// The batched-kernels path (the streaming default) over the same lazy
-/// demo space: SoA curve queries, cross-point memoization and laned
-/// CPI/seconds arithmetic. `streaming` is measured with `.per_point()`,
-/// so these two arms isolate exactly what the kernels buy — the fold and
-/// its answers are bit-identical either way.
-#[derive(Serialize)]
-struct BatchedRates {
-    space_points: usize,
-    serial_points_per_s: f64,
-    parallel_points_per_s: f64,
-    /// Serial batched rate ÷ serial per-point streaming rate.
-    speedup_vs_streaming_serial: f64,
-    /// Peak heap growth during the parallel batched sweep (same counting
-    /// allocator caveat as [`StreamingRates::peak_alloc_bytes`]).
-    peak_alloc_bytes: Option<usize>,
-}
-
-/// The materializing path over the same space, for the memory
-/// comparison: every `DesignPoint` and `PointOutcome` in `Vec`s.
-#[derive(Serialize)]
-struct CollectedRates {
-    space_points: usize,
-    serial_points_per_s: f64,
-    peak_alloc_bytes: Option<usize>,
-}
-
 /// Served predict throughput over real sockets: concurrent distinct
 /// DVFS-style points against two in-process daemons, micro-batching on
-/// vs off. The schema-v4 arm behind CI's serve gate.
-#[derive(Serialize)]
+/// vs off. Printed for comparison only; the shared work a flight pays
+/// for is pinned without a clock by `pmt-core`'s `batch_identity` tests.
 struct ServeRates {
     /// Concurrent callers per round (each a distinct design point).
     concurrent_callers: usize,
     rounds: u32,
-    /// Total requests served by each daemon.
-    requests: u64,
     worker_threads: usize,
     /// Served points/s with `batch_window_ms: 0` (every predict solo).
     solo_points_per_s: f64,
     /// Served points/s with micro-batching on (identical bytes).
     batched_points_per_s: f64,
     /// Median over rounds of the per-round solo/batched wall-time
-    /// ratio (robust to one-off steal-time spikes) — CI gates ≥ 1.5.
+    /// ratio (robust to one-off steal-time spikes).
     speedup_vs_solo: f64,
     /// Flights the batching daemon evaluated.
     batch_flights: u64,
@@ -171,7 +114,7 @@ fn post_predict(addr: std::net::SocketAddr, body: &str) -> String {
 /// daemon in **interleaved** order (solo round 0, batched round 0, solo
 /// round 1, …) with one persistent client thread per caller and a
 /// barrier between segments. Interleaving matters as much as the
-/// persistent threads: the two daemons' rates are a ratio CI gates on,
+/// persistent threads: the two daemons' rates are compared as a ratio,
 /// so slow machine drift must hit both alike, and per-round thread
 /// spawns must not become the bottleneck the bench is measuring past.
 /// Returns each daemon's accumulated wall time, its replies in
@@ -250,7 +193,7 @@ fn measure_pair(
 /// default), smoke or not: the arm compares how two daemons schedule
 /// the *same* prediction work, so the per-point predict cost must
 /// dominate the fixed per-request cost (connect, parse, identity) both
-/// daemons pay alike — and the recorded rates stay comparable across
+/// daemons pay alike — and the printed rates stay comparable across
 /// smoke and full runs.
 fn serve_rates(cfg: &HarnessConfig) -> ServeRates {
     let spec = WorkloadSpec::by_name("astar").unwrap();
@@ -318,8 +261,7 @@ fn serve_rates(cfg: &HarnessConfig) -> ServeRates {
     };
     // Speedup is the median of per-round ratios, not the ratio of
     // totals: on shared runners a steal-time spike inside one ~20ms
-    // segment would otherwise dominate the whole measurement, and CI
-    // gates on this number.
+    // segment would otherwise dominate the whole measurement.
     let mut ratios: Vec<f64> = t_solo
         .iter()
         .zip(&t_batched)
@@ -330,7 +272,6 @@ fn serve_rates(cfg: &HarnessConfig) -> ServeRates {
     ServeRates {
         concurrent_callers: callers,
         rounds,
-        requests,
         worker_threads: threads,
         solo_points_per_s: rate(&t_solo),
         batched_points_per_s: rate(&t_batched),
@@ -342,63 +283,10 @@ fn serve_rates(cfg: &HarnessConfig) -> ServeRates {
     }
 }
 
-/// The machine-readable perf record the `speedup` binary writes (see the
-/// README "Performance trajectory" section for the schema contract).
-#[derive(Serialize)]
-struct BenchModelRecord {
-    schema_version: u32,
-    bench: &'static str,
-    workload: &'static str,
-    instructions: u64,
-    design_points: usize,
-    repetitions: u32,
-    threads: usize,
-    /// Refit-per-point path: `IntervalModel::predict` at every point.
-    legacy: PathRates,
-    /// Fit-once path: `PreparedProfile` + `predict_summary` per point.
-    prepared: PathRates,
-    speedup_serial: f64,
-    speedup_parallel: f64,
-    /// Fold-online path: `StreamingSweep` over the lazy ≥100k-point
-    /// demo space — bounded memory regardless of space size. Measured
-    /// with `.per_point()` since schema 3 (the v2-comparable baseline).
-    streaming: StreamingRates,
-    /// The batched prediction kernels over the same space — the
-    /// streaming default since schema 3.
-    batched: BatchedRates,
-    /// Which kernel lane implementation the batched arm dispatched to
-    /// (`"scalar"` under `PMT_FORCE_SCALAR` or without SIMD support).
-    kernel_simd: &'static str,
-    /// The same space materialized (`Vec<DesignPoint>` +
-    /// `Vec<PointOutcome>`), the memory baseline streaming removes.
-    collected: CollectedRates,
-    /// Served predict throughput with cross-request micro-batching on
-    /// vs off, over real sockets — new in schema 4.
-    serve: ServeRates,
-}
-
-/// Where the perf record lands.
-///
-/// `PMT_BENCH_OUT` names the file explicitly; otherwise full-scale runs
-/// write `BENCH_model.json` in the working directory and smoke runs
-/// write nothing — the smoke figure loops (`all_experiments --smoke`,
-/// CI's figure-smoke job) must not clobber the committed full-scale
-/// record with toy-scale rates. CI's perf gate opts in via
-/// `PMT_BENCH_OUT`.
-fn bench_out_path() -> Option<String> {
-    match std::env::var("PMT_BENCH_OUT") {
-        Ok(path) => Some(path),
-        Err(_) if HarnessConfig::smoke_requested() => None,
-        Err(_) => Some("BENCH_model.json".into()),
-    }
-}
-
 /// §6.2 headline: design-space evaluation speedup — profile-once +
-/// model versus per-point cycle-level simulation, plus the prepared
-/// fast path (fit once, predict the whole space) versus the legacy
-/// refit-per-point model path. Wall-clock timing, so deliberately
-/// excluded from the deterministic report; the prepared-vs-legacy rates
-/// are also written to `BENCH_model.json` for the perf trajectory.
+/// model versus per-point cycle-level simulation — plus served predict
+/// throughput with micro-batching on vs off. Wall-clock timing, so
+/// deliberately excluded from the deterministic report.
 pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     let n = cfg.instructions.min(300_000);
     let spec = WorkloadSpec::by_name("astar").unwrap();
@@ -418,127 +306,23 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     let profile = Profiler::new(cfg.profiler.clone()).profile_named("astar", &mut spec.trace(n));
     let t_profile = t0.elapsed();
 
-    // Legacy model path: refit every machine-independent model at every
-    // design point (what `predict` does), including the power model so
-    // both paths do one full sweep-point's work.
-    let legacy_point = |machine: &MachineConfig| {
-        let pred = IntervalModel::with_config(machine, cfg.model.clone()).predict(&profile);
-        PowerModel::new(machine).power(&pred.activity).total() + pred.cpi()
-    };
+    // The model over the whole space: `SpaceEvaluation` fits once per
+    // run and issues only machine-dependent queries per point.
     let t1 = Instant::now();
-    let mut acc = 0.0;
-    for _ in 0..reps {
-        for p in &points {
-            acc += legacy_point(&p.machine);
-        }
-    }
-    let t_legacy_serial = t1.elapsed();
-    let t2 = Instant::now();
-    for _ in 0..reps {
-        acc += points
-            .par_iter()
-            .map(|p| legacy_point(&p.machine))
-            .sum::<f64>();
-    }
-    let t_legacy_parallel = t2.elapsed();
-    let _ = acc;
-
-    // Prepared fast path: `SpaceEvaluation` fits once per run and issues
-    // only machine-dependent queries per point.
-    let t3 = Instant::now();
     for _ in 0..reps {
         SpaceEvaluation::run_serial(&points, &profile, None, &sweep_cfg);
     }
-    let t_prepared_serial = t3.elapsed();
-    let t4 = Instant::now();
-    for _ in 0..reps {
-        SpaceEvaluation::run(&points, &profile, None, &sweep_cfg);
-    }
-    let t_prepared_parallel = t4.elapsed();
-
-    // Streaming vs collected over the ≥100k-point lazy demo space: the
-    // rate and — when this process installed the counting allocator —
-    // the peak-allocation comparison proving the engine's memory stays
-    // bounded by the answer, not the space. The `streaming` arm runs
-    // `.per_point()` (the pre-kernels baseline, v2-comparable); the
-    // `batched` arm is the engine's default path through the SoA
-    // prediction kernels — identical answers, and the rate ratio is the
-    // kernels' headline.
-    let big = ProductSpace::frontier_demo();
-    let sweep = || StreamingSweep::new(&profile).model(cfg.model.clone());
-    let t_s0 = Instant::now();
-    let stream_serial = sweep().per_point().serial().run(&big);
-    let t_stream_serial = t_s0.elapsed();
-    let stream_base = alloc_track::mark();
-    let t_s1 = Instant::now();
-    let stream_parallel = sweep().per_point().run(&big);
-    let t_stream_parallel = t_s1.elapsed();
-    let stream_peak = alloc_track::peak_since(stream_base);
-    let t_b0 = Instant::now();
-    let batched_serial = sweep().serial().run(&big);
-    let t_batched_serial = t_b0.elapsed();
-    let batched_base = alloc_track::mark();
-    let t_b1 = Instant::now();
-    let batched_parallel = sweep().run(&big);
-    let t_batched_parallel = t_b1.elapsed();
-    let batched_peak = alloc_track::peak_since(batched_base);
-    assert_eq!(
-        stream_serial.frontier_ids(),
-        stream_parallel.frontier_ids(),
-        "serial and parallel streaming folds disagree"
-    );
-    assert_eq!(
-        stream_serial.frontier_ids(),
-        batched_serial.frontier_ids(),
-        "batched kernels drifted from the per-point fold"
-    );
-    assert_eq!(
-        batched_serial.frontier_ids(),
-        batched_parallel.frontier_ids(),
-        "serial and parallel batched folds disagree"
-    );
-
-    let collect_base = alloc_track::mark();
-    let t_c0 = Instant::now();
-    let big_points: Vec<pmt_uarch::DesignPoint> = big.iter_points().collect();
-    let collected_eval = SpaceEvaluation::run_serial(&big_points, &profile, None, &sweep_cfg);
-    let t_collected = t_c0.elapsed();
-    let collected_peak = alloc_track::peak_since(collect_base);
-    let collected_n = collected_eval.outcomes.len();
-    drop(collected_eval);
-    drop(big_points);
-
-    let big_rate = |d: Duration| big.len() as f64 / d.as_secs_f64().max(1e-12);
-    let streaming = StreamingRates {
-        space_points: big.len(),
-        serial_points_per_s: big_rate(t_stream_serial),
-        parallel_points_per_s: big_rate(t_stream_parallel),
-        frontier_points: stream_parallel.frontier.len(),
-        peak_alloc_bytes: stream_peak,
-    };
-    let batched = BatchedRates {
-        space_points: big.len(),
-        serial_points_per_s: big_rate(t_batched_serial),
-        parallel_points_per_s: big_rate(t_batched_parallel),
-        speedup_vs_streaming_serial: big_rate(t_batched_serial)
-            / big_rate(t_stream_serial).max(1e-12),
-        peak_alloc_bytes: batched_peak,
-    };
-    let collected = CollectedRates {
-        space_points: collected_n,
-        serial_points_per_s: big_rate(t_collected),
-        peak_alloc_bytes: collected_peak,
-    };
+    let t_model = t1.elapsed() / reps;
 
     // Simulation for a sample of the space, extrapolated.
     let sample = 8.min(points.len());
-    let t5 = Instant::now();
+    let t2 = Instant::now();
     let mut sim_acc = 0.0;
     for p in points.iter().take(sample) {
         let r = OooSimulator::new(SimConfig::new(p.machine.clone())).run(&mut spec.trace(n));
         sim_acc += r.cpi();
     }
-    let t_sim_sample = t5.elapsed();
+    let t_sim_sample = t2.elapsed();
     let t_sim_full = t_sim_sample * (points.len() as u32) / (sample as u32);
     let _ = sim_acc;
 
@@ -547,49 +331,7 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     // sockets.
     let serve = serve_rates(cfg);
 
-    let total = (points.len() as u32 * reps) as f64;
-    let rate = |d: Duration| total / d.as_secs_f64().max(1e-12);
-    let record = BenchModelRecord {
-        schema_version: 4,
-        bench: "sweep_points_per_second",
-        workload: "astar",
-        instructions: n,
-        design_points: points.len(),
-        repetitions: reps,
-        threads: rayon::current_num_threads(),
-        legacy: PathRates {
-            serial_points_per_s: rate(t_legacy_serial),
-            parallel_points_per_s: rate(t_legacy_parallel),
-        },
-        prepared: PathRates {
-            serial_points_per_s: rate(t_prepared_serial),
-            parallel_points_per_s: rate(t_prepared_parallel),
-        },
-        speedup_serial: rate(t_prepared_serial) / rate(t_legacy_serial).max(1e-12),
-        speedup_parallel: rate(t_prepared_parallel) / rate(t_legacy_parallel).max(1e-12),
-        streaming,
-        batched,
-        kernel_simd: pmt_core::kernels::lanes::simd_level().label(),
-        collected,
-        serve,
-    };
-    // A requested record that cannot be written is a hard error: CI's
-    // perf gate reads the file this run was supposed to produce, and a
-    // silent fallback would let it assert against a stale record.
-    let record_note = match bench_out_path() {
-        Some(out) => {
-            let json = serde_json::to_string(&record).expect("perf record serializes");
-            if let Err(e) = std::fs::write(&out, json + "\n") {
-                panic!("could not write the perf record {out}: {e}");
-            }
-            eprintln!("perf record -> {out}");
-            format!("machine-readable record in {out}")
-        }
-        None => "record not written at smoke scale (set PMT_BENCH_OUT to force)".into(),
-    };
-
     let secs = |d: Duration| format!("{} ms", fmt::f64(d.as_secs_f64() * 1e3, 2));
-    let t_model = t_prepared_serial / reps;
     let speedup = t_sim_full.as_secs_f64() / (t_profile + t_model).as_secs_f64();
     let sim_table = Figure::table(
         "speedup",
@@ -617,106 +359,12 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
         fmt::f64(speedup, 1)
     ));
 
-    let pts = |d: Duration| format!("{} pts/s", fmt::f64(rate(d), 0));
-    let prepared_table = Figure::table(
-        "speedup_prepared",
-        "§6.2",
-        "sweep throughput: prepared fast path vs legacy refit-per-point",
-        Table {
-            columns: vec!["path".into(), "serial".into(), "parallel".into()],
-            rows: vec![
-                vec![
-                    "legacy (refit per point)".into(),
-                    pts(t_legacy_serial),
-                    pts(t_legacy_parallel),
-                ],
-                vec![
-                    "prepared (fit once)".into(),
-                    pts(t_prepared_serial),
-                    pts(t_prepared_parallel),
-                ],
-                vec![
-                    "speedup".into(),
-                    format!("{}×", fmt::f64(record.speedup_serial, 1)),
-                    format!("{}×", fmt::f64(record.speedup_parallel, 1)),
-                ],
-            ],
-        },
-    )
-    .note(format!("{} threads; {record_note}", record.threads));
-
-    let mb = |b: Option<usize>| match b {
-        Some(bytes) => format!("{} MiB", fmt::f64(bytes as f64 / (1 << 20) as f64, 1)),
-        None => "untracked".into(),
-    };
-    let streaming_table = Figure::table(
-        "speedup_streaming",
-        "§7.4 at scale",
-        format!(
-            "streaming vs collected sweep over the {}-point lazy space",
-            record.streaming.space_points
-        )
-        .as_str(),
-        Table {
-            columns: vec!["path".into(), "points/s".into(), "peak alloc".into()],
-            rows: vec![
-                vec![
-                    "streaming (per point, serial)".into(),
-                    format!(
-                        "{} pts/s",
-                        fmt::f64(record.streaming.serial_points_per_s, 0)
-                    ),
-                    "—".into(),
-                ],
-                vec![
-                    "streaming (per point, parallel)".into(),
-                    format!(
-                        "{} pts/s",
-                        fmt::f64(record.streaming.parallel_points_per_s, 0)
-                    ),
-                    mb(record.streaming.peak_alloc_bytes),
-                ],
-                vec![
-                    "streaming (batched kernels, serial)".into(),
-                    format!("{} pts/s", fmt::f64(record.batched.serial_points_per_s, 0)),
-                    "—".into(),
-                ],
-                vec![
-                    "streaming (batched kernels, parallel)".into(),
-                    format!(
-                        "{} pts/s",
-                        fmt::f64(record.batched.parallel_points_per_s, 0)
-                    ),
-                    mb(record.batched.peak_alloc_bytes),
-                ],
-                vec![
-                    "collected (materialize every point)".into(),
-                    format!(
-                        "{} pts/s",
-                        fmt::f64(record.collected.serial_points_per_s, 0)
-                    ),
-                    mb(record.collected.peak_alloc_bytes),
-                ],
-            ],
-        },
-    )
-    .note(format!(
-        "{} frontier survivors kept out of {} points; batched kernels \
-         ({}) are {}× the per-point serial rate, bit-identical fold; peak \
-         alloc is live-heap growth during the sweep (counting allocator, \
-         speedup binary only)",
-        record.streaming.frontier_points,
-        record.streaming.space_points,
-        record.kernel_simd,
-        fmt::f64(record.batched.speedup_vs_streaming_serial, 1)
-    ));
-
     let serve_table = Figure::table(
         "speedup_serve",
         "service at scale",
         format!(
             "served predict throughput: {} concurrent callers × {} rounds, micro-batching on vs off",
-            record.serve.concurrent_callers, record.serve.rounds
+            serve.concurrent_callers, serve.rounds
         )
         .as_str(),
         Table {
@@ -724,15 +372,15 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
             rows: vec![
                 vec![
                     "solo flights (--batch-window-ms 0)".into(),
-                    format!("{} pts/s", fmt::f64(record.serve.solo_points_per_s, 0)),
+                    format!("{} pts/s", fmt::f64(serve.solo_points_per_s, 0)),
                 ],
                 vec![
                     "micro-batched (one flight per window)".into(),
-                    format!("{} pts/s", fmt::f64(record.serve.batched_points_per_s, 0)),
+                    format!("{} pts/s", fmt::f64(serve.batched_points_per_s, 0)),
                 ],
                 vec![
                     "speedup (median round)".into(),
-                    format!("{}×", fmt::f64(record.serve.speedup_vs_solo, 1)),
+                    format!("{}×", fmt::f64(serve.speedup_vs_solo, 1)),
                 ],
             ],
         },
@@ -741,13 +389,13 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
         "{} flights, mean size {}, {} requests answered from a shared \
          flight, {} cross-request memo hits; response bytes asserted \
          equal between the two daemons ({} worker threads each)",
-        record.serve.batch_flights,
-        fmt::f64(record.serve.batch_mean_size, 2),
-        record.serve.batched_requests,
-        record.serve.memo_cache_hits,
-        record.serve.worker_threads,
+        serve.batch_flights,
+        fmt::f64(serve.batch_mean_size, 2),
+        serve.batched_requests,
+        serve.memo_cache_hits,
+        serve.worker_threads,
     ));
-    vec![sim_table, prepared_table, streaming_table, serve_table]
+    vec![sim_table, serve_table]
 }
 
 /// Development aid: per-workload model-vs-simulator deltas on the

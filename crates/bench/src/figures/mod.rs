@@ -355,7 +355,7 @@ pub const REGISTRY: &[FigureBinary] = &[
     FigureBinary {
         bin: "speedup",
         paper_ref: "§6.2 headline",
-        title: "profile-once + model vs per-point simulation, wall-clock; prepared vs legacy sweep throughput (writes BENCH_model.json)",
+        title: "profile-once + model vs per-point simulation, wall-clock; served predict throughput, micro-batching on vs off",
         chapter: 6,
         crates: &["core", "dse", "profiler", "sim"],
         trained_entropy: false,

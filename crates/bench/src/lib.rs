@@ -17,7 +17,6 @@
 //! The `pmt report` subcommand drives the same registry to regenerate
 //! `docs/REPRODUCTION.md`.
 
-pub mod alloc_track;
 pub mod emit;
 pub mod figures;
 pub mod harness;

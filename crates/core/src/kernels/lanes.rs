@@ -2,8 +2,8 @@
 //!
 //! No kernel dispatches on the level today: the batched kernels run the
 //! same scalar IEEE-754 arithmetic as the single-point model. The level
-//! is probed once and recorded with perf records (pmtbench, `speedup`),
-//! so a record names the vector width its host offered. Setting
+//! is probed once and recorded with pmtbench's perf records, so a record
+//! names the vector width its host offered. Setting
 //! `PMT_FORCE_SCALAR=1` in the environment reports
 //! [`SimdLevel::Scalar`].
 

@@ -186,6 +186,44 @@ fn frequency_only_variants_replay_memo_hits_identically() {
     }
 }
 
+/// The shared work that makes a served predict flight pay, pinned
+/// without a clock: one `BatchPredictor` evaluates N nehalem machines
+/// that differ only in `core.frequency_ghz`, one after another, as
+/// `pmt serve` evaluates a flight of distinct DVFS-style predicts.
+/// Frequency is in no memo key, so the whole flight misses only what its
+/// first point missed and every later point replays all of it — while
+/// each summary still matches its scalar model byte for byte.
+#[test]
+fn frequency_only_flight_misses_only_its_first_point() {
+    const CALLERS: usize = 16;
+    let profile = &profiles()[0];
+    let prepared = PreparedProfile::new(profile);
+    let config = ModelConfig::default();
+    let mut batch = BatchPredictor::new(&prepared, &config);
+    let mut first = None;
+    for i in 0..CALLERS {
+        let mut m = MachineConfig::nehalem();
+        m.core.frequency_ghz = 1.0 + 0.001 * i as f64;
+        let got = batch.predict_summary(&m);
+        first.get_or_insert(batch.memo_stats());
+        let want = IntervalModel::with_config(&m, config.clone()).predict_summary(&prepared);
+        assert_eq!(json(&want), json(&got), "caller {i}");
+    }
+    let first = first.expect("a non-empty flight");
+    let flight = batch.memo_stats();
+    assert!(first.misses() > 0, "a cold point must populate the memos");
+    assert_eq!(
+        flight.misses(),
+        first.misses(),
+        "frequency-only callers recompute nothing"
+    );
+    assert_eq!(
+        flight.hits(),
+        first.hits() + (CALLERS as u64 - 1) * first.misses(),
+        "every later caller replays everything the first one computed"
+    );
+}
+
 /// The golden acceptance scale: the full 243-point Table 6.3 space
 /// through ONE predictor (maximum memo reuse — the production shape), in
 /// both evaluation modes, every point byte-identical to the scalar path.

@@ -29,10 +29,9 @@
 //! of entries — answers every admitted point's summary (SoA curve
 //! queries, cross-point memoization), and each index is decoded into one
 //! reused point ([`LazyDesignSpace::decode_into`]) instead of a freshly
-//! cloned and named one. Both are bit-identical to the
-//! one-point-at-a-time path — pinned by `pmt-core`'s conformance suite
-//! and this module's own equivalence test — so
-//! [`per_point`](StreamingSweep::per_point) changes speed, never bytes.
+//! cloned and named one. Both are bit-identical to evaluating each point
+//! on its own scalar `IntervalModel` — pinned by `pmt-core`'s
+//! conformance suite and this module's own equivalence test.
 //!
 //! ```
 //! use pmt_dse::{Objective, StreamingSweep};
@@ -57,9 +56,7 @@
 use crate::constrain::DesignConstraints;
 use crate::pareto::{FrontEntry, ParetoAccumulator};
 use crate::space::LazyDesignSpace;
-use pmt_core::{
-    BatchPredictor, IntervalModel, ModelConfig, Moments, PredictionSummary, PreparedProfile,
-};
+use pmt_core::{BatchPredictor, ModelConfig, Moments, PredictionSummary, PreparedProfile};
 use pmt_power::PowerModel;
 use pmt_profiler::ApplicationProfile;
 use pmt_uarch::DesignPoint;
@@ -426,6 +423,21 @@ impl ChunkFold {
         self.rejected += other.rejected;
         self.over_budget += other.over_budget;
     }
+
+    /// The reported summary of a whole `space_points`-point fold.
+    fn into_summary(self, space_points: usize) -> StreamingSummary {
+        StreamingSummary {
+            space_points,
+            evaluated: self.evaluated,
+            rejected: self.rejected,
+            over_budget: self.over_budget,
+            frontier: self.pareto.into_sorted(),
+            top: self.top.into_sorted(),
+            cpi: self.cpi,
+            power: self.power,
+            seconds: self.seconds,
+        }
+    }
 }
 
 /// A memory-bounded design-space sweep: lazy points in, online
@@ -442,7 +454,6 @@ pub struct StreamingSweep<'a> {
     objective: Objective,
     chunk: usize,
     serial: bool,
-    per_point: bool,
 }
 
 impl<'a> StreamingSweep<'a> {
@@ -459,7 +470,6 @@ impl<'a> StreamingSweep<'a> {
             objective: Objective::Seconds,
             chunk: DEFAULT_CHUNK,
             serial: false,
-            per_point: false,
         }
     }
 
@@ -522,15 +532,6 @@ impl<'a> StreamingSweep<'a> {
         self
     }
 
-    /// Evaluate one design point at a time instead of through the
-    /// batched kernels. Bit-identical to the default batched path (the
-    /// kernels replicate the scalar arithmetic exactly) — this exists
-    /// for measurement baselines and equivalence tests, not correctness.
-    pub fn per_point(mut self) -> Self {
-        self.per_point = true;
-        self
-    }
-
     /// Prepare the profile once, stream every point of `space` through
     /// the accumulators, and return the bounded summary.
     pub fn run<S: LazyDesignSpace + ?Sized>(&self, space: &S) -> StreamingSummary {
@@ -555,17 +556,7 @@ impl<'a> StreamingSweep<'a> {
         for chunk in folded {
             total.merge(chunk);
         }
-        StreamingSummary {
-            space_points: n,
-            evaluated: total.evaluated,
-            rejected: total.rejected,
-            over_budget: total.over_budget,
-            frontier: total.pareto.into_sorted(),
-            top: total.top.into_sorted(),
-            cpi: total.cpi,
-            power: total.power,
-            seconds: total.seconds,
-        }
+        total.into_summary(n)
     }
 
     /// The predictor one sweep worker keeps across all of its chunks:
@@ -593,13 +584,13 @@ impl<'a> StreamingSweep<'a> {
     ) -> Vec<ChunkFold> {
         match serial {
             Some(predictor) => chunks
-                .map(|c| self.fold_chunk(predictor, prepared, space, c))
+                .map(|c| self.fold_chunk(predictor, space, c))
                 .collect(),
             None => chunks
                 .into_par_iter()
                 .map_init(
                     || self.worker_predictor(prepared),
-                    |predictor, c| self.fold_chunk(predictor, prepared, space, c),
+                    |predictor, c| self.fold_chunk(predictor, space, c),
                 )
                 .collect(),
         }
@@ -615,7 +606,6 @@ impl<'a> StreamingSweep<'a> {
     fn fold_chunk<S: LazyDesignSpace + ?Sized>(
         &self,
         predictor: &mut BatchPredictor<'_, '_>,
-        prepared: &PreparedProfile<'_>,
         space: &S,
         c: usize,
     ) -> ChunkFold {
@@ -627,25 +617,10 @@ impl<'a> StreamingSweep<'a> {
         let start = c * self.chunk;
         let end = start.saturating_add(self.chunk).min(n);
         let mut acc = ChunkFold::new(self.top_k);
-        if self.per_point {
-            for index in start..end {
-                let point = space.point_at(index);
-                if let Some(c) = &self.prefilter {
-                    if !c.admits(&point) {
-                        acc.rejected += 1;
-                        continue;
-                    }
-                }
-                let p = evaluate_stream_point(&point, prepared, &self.model);
-                self.fold_point(&mut acc, p);
-            }
-            return acc;
-        }
-        // The batched path: decode each index into one reused point (no
-        // per-point machine clone or name; reported entries are named
-        // through `point_at` later) and predict it on the worker's
-        // predictor. It folds in the same index order as the per-point
-        // loop above, so the two paths are bit-identical.
+        // Decode each index into one reused point (no per-point machine
+        // clone or name; reported entries are named through `point_at`
+        // later) and predict it on the worker's predictor, in index
+        // order.
         let mut point = space.point_at(start);
         for index in start..end {
             space.decode_into(index, &mut point);
@@ -661,9 +636,7 @@ impl<'a> StreamingSweep<'a> {
         acc
     }
 
-    /// Fold one predicted point into a chunk's accumulators — shared by
-    /// the per-point and batched halves of
-    /// [`fold_chunk`](Self::fold_chunk) so the two paths cannot drift.
+    /// Fold one predicted point into a chunk's accumulators.
     fn fold_point(&self, acc: &mut ChunkFold, p: StreamPoint) {
         acc.evaluated += 1;
         acc.cpi.push(p.cpi);
@@ -972,56 +945,28 @@ pub fn merge_shards(mut shards: Vec<ShardAccumulators>) -> Result<StreamingSumma
     // Replay the single-process fold: sets merge order-independently,
     // moments merge in global chunk order (shards are sorted, and each
     // shard's per-chunk lists are already in chunk order).
-    let mut pareto: ParetoAccumulator<StreamPoint> = ParetoAccumulator::new();
-    let mut top: TopK<StreamPoint> = TopK::new(top_k);
-    let mut cpi = Moments::new();
-    let mut power = Moments::new();
-    let mut seconds = Moments::new();
-    let (mut evaluated, mut rejected, mut over_budget) = (0usize, 0usize, 0usize);
+    let mut total = ChunkFold::new(top_k);
     for s in shards {
         for e in &s.frontier {
-            pareto.push(e.id, e.coords, e.item);
+            total.pareto.push(e.id, e.coords, e.item);
         }
         for e in &s.top {
-            top.push(e.key, e.id, e.item);
+            total.top.push(e.key, e.id, e.item);
         }
         for m in &s.cpi_chunks {
-            cpi.merge(m);
+            total.cpi.merge(m);
         }
         for m in &s.power_chunks {
-            power.merge(m);
+            total.power.merge(m);
         }
         for m in &s.seconds_chunks {
-            seconds.merge(m);
+            total.seconds.merge(m);
         }
-        evaluated += s.evaluated;
-        rejected += s.rejected;
-        over_budget += s.over_budget;
+        total.evaluated += s.evaluated;
+        total.rejected += s.rejected;
+        total.over_budget += s.over_budget;
     }
-    Ok(StreamingSummary {
-        space_points,
-        evaluated,
-        rejected,
-        over_budget,
-        frontier: pareto.into_sorted(),
-        top: top.into_sorted(),
-        cpi,
-        power,
-        seconds,
-    })
-}
-
-/// One model-only point evaluation — the same arithmetic as the
-/// materializing sweep's model half
-/// ([`SpaceEvaluation`](crate::SpaceEvaluation)), so streamed and
-/// collected results are bit-identical.
-pub(crate) fn evaluate_stream_point(
-    point: &DesignPoint,
-    prepared: &PreparedProfile<'_>,
-    model_cfg: &ModelConfig,
-) -> StreamPoint {
-    let model = IntervalModel::with_config(&point.machine, model_cfg.clone());
-    stream_point(point, &model.predict_summary(prepared))
+    Ok(total.into_summary(space_points))
 }
 
 /// The streamed record of `point`'s prediction `summary`: its CPI,
@@ -1036,11 +981,11 @@ fn stream_point(point: &DesignPoint, summary: &PredictionSummary) -> StreamPoint
     }
 }
 
-/// [`evaluate_stream_point`] for a whole slice of points, in order, on
-/// the caller's [`BatchPredictor`] — memos shared across the slice and
-/// with whatever the predictor saw before. The materializing sweep's
-/// model half; the streaming fold runs the same per-point steps, so a
-/// streamed sweep is bit-identical to a materialized one.
+/// The [`StreamPoint`]s of a whole slice of points, in order, on the
+/// caller's [`BatchPredictor`] — memos shared across the slice and with
+/// whatever the predictor saw before. The materializing sweep's model
+/// half; the streaming fold runs the same per-point steps, so a streamed
+/// sweep is bit-identical to a materialized one.
 pub(crate) fn evaluate_stream_points_batched(
     points: &[DesignPoint],
     batch: &mut BatchPredictor<'_, '_>,
@@ -1057,6 +1002,7 @@ mod tests {
     use crate::pareto::ParetoFront;
     use crate::space::ProductSpace;
     use crate::sweep::{SpaceEvaluation, SweepConfig};
+    use pmt_core::IntervalModel;
     use pmt_profiler::{Profiler, ProfilerConfig};
     use pmt_uarch::DesignSpace;
     use pmt_workloads::WorkloadSpec;
@@ -1064,6 +1010,63 @@ mod tests {
     fn profile() -> ApplicationProfile {
         let spec = WorkloadSpec::by_name("astar").unwrap();
         Profiler::new(ProfilerConfig::fast_test()).profile_named("astar", &mut spec.trace(30_000))
+    }
+
+    /// The scalar reference: one point on its own memo-less
+    /// `IntervalModel`.
+    fn evaluate_stream_point(
+        point: &DesignPoint,
+        prepared: &PreparedProfile<'_>,
+        model_cfg: &ModelConfig,
+    ) -> StreamPoint {
+        let model = IntervalModel::with_config(&point.machine, model_cfg.clone());
+        stream_point(point, &model.predict_summary(prepared))
+    }
+
+    /// `sweep`'s summary rebuilt from the scalar reference: every index
+    /// of `space`, chunk by chunk in index order, prefiltered and folded
+    /// through [`StreamingSweep::fold_point`] and merged in chunk order
+    /// as [`StreamingSweep::run`] does.
+    fn scalar_fold<S: LazyDesignSpace + ?Sized>(
+        sweep: &StreamingSweep<'_>,
+        space: &S,
+    ) -> StreamingSummary {
+        let prepared = PreparedProfile::new(sweep.profile);
+        let n = space.len();
+        let mut total = ChunkFold::new(sweep.top_k);
+        for c in 0..chunk_count(n, sweep.chunk) {
+            let mut acc = ChunkFold::new(sweep.top_k);
+            for index in c * sweep.chunk..((c + 1) * sweep.chunk).min(n) {
+                let point = space.point_at(index);
+                if sweep.prefilter.as_ref().is_some_and(|f| !f.admits(&point)) {
+                    acc.rejected += 1;
+                    continue;
+                }
+                sweep.fold_point(
+                    &mut acc,
+                    evaluate_stream_point(&point, &prepared, &sweep.model),
+                );
+            }
+            total.merge(acc);
+        }
+        total.into_summary(n)
+    }
+
+    /// Run `sweep` over `space` and assert it equals its scalar fold,
+    /// byte for byte (via serde_json: shortest-round-trip floats make
+    /// equal strings ⇔ equal bits).
+    fn run_matching_scalar<S: LazyDesignSpace + ?Sized>(
+        sweep: &StreamingSweep<'_>,
+        space: &S,
+        ctx: &str,
+    ) -> StreamingSummary {
+        let summary = sweep.run(space);
+        assert_eq!(
+            serde_json::to_string(&summary).unwrap(),
+            serde_json::to_string(&scalar_fold(sweep, space)).unwrap(),
+            "{ctx}"
+        );
+        summary
     }
 
     #[test]
@@ -1145,45 +1148,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_fold_is_bit_identical_to_per_point() {
+    fn batched_fold_is_bit_identical_to_scalar() {
         let profile = profile();
         let space = DesignSpace::small();
         for chunk in [1, 3, 5, 64] {
-            let batched = StreamingSweep::new(&profile)
-                .chunk(chunk)
-                .top_k(4)
-                .serial()
-                .run(&space);
-            let scalar = StreamingSweep::new(&profile)
-                .chunk(chunk)
-                .top_k(4)
-                .serial()
-                .per_point()
-                .run(&space);
-            // Byte compare via serde_json: shortest-round-trip floats
-            // make equal strings ⇔ equal bits.
-            assert_eq!(
-                serde_json::to_string(&batched).unwrap(),
-                serde_json::to_string(&scalar).unwrap(),
-                "chunk {chunk}"
-            );
+            let sweep = StreamingSweep::new(&profile).chunk(chunk).top_k(4).serial();
+            run_matching_scalar(&sweep, &space, &format!("chunk {chunk}"));
         }
         // Filters interleave identically on both paths.
-        let batched = StreamingSweep::new(&profile)
+        let sweep = StreamingSweep::new(&profile)
             .constraints(DesignConstraints::new().max_dispatch_width(2))
             .max_power_w(25.0)
-            .serial()
-            .run(&space);
-        let scalar = StreamingSweep::new(&profile)
-            .constraints(DesignConstraints::new().max_dispatch_width(2))
-            .max_power_w(25.0)
-            .serial()
-            .per_point()
-            .run(&space);
-        assert_eq!(
-            serde_json::to_string(&batched).unwrap(),
-            serde_json::to_string(&scalar).unwrap()
-        );
+            .serial();
+        run_matching_scalar(&sweep, &space, "prefilter + power budget");
         // Real chunk order: the 103,680-point demo space in default
         // 1,024-point chunks, all through one kept predictor whose memo
         // and slots carry across every axis step and chunk, on a toy
@@ -1192,17 +1169,9 @@ mod tests {
         let toy = Profiler::new(ProfilerConfig::fast_test())
             .profile_named("mcf", &mut spec.trace(10_000));
         let space = ProductSpace::frontier_demo();
-        let batched = StreamingSweep::new(&toy).top_k(4).serial().run(&space);
-        let scalar = StreamingSweep::new(&toy)
-            .top_k(4)
-            .serial()
-            .per_point()
-            .run(&space);
-        assert_eq!(batched.evaluated, space.len());
-        assert_eq!(
-            serde_json::to_string(&batched).unwrap(),
-            serde_json::to_string(&scalar).unwrap()
-        );
+        let sweep = StreamingSweep::new(&toy).top_k(4).serial();
+        let summary = run_matching_scalar(&sweep, &space, "frontier_demo");
+        assert_eq!(summary.evaluated, space.len());
     }
 
     #[test]

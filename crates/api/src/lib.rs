@@ -42,7 +42,6 @@
 //! | [`MetricsResponse`] | `GET /metrics` | service counters |
 //! | [`HealthResponse`] | `GET /healthz` | liveness |
 //! | [`ErrorBody`] | any error status | structured failure |
-//! | [`AccumulatorSnapshot`] | `pmt explore --snapshot-out` / `--checkpoint` files, read by `pmt merge` / `--resume` | one shard's sweep state |
 //!
 //! Plus the serde round-trip forms of the modeling inputs: a
 //! [`MachineSpec`] names or inlines a full machine description
@@ -57,13 +56,11 @@
 
 mod error;
 mod machine;
-mod snapshot;
 mod space;
 mod wire;
 
 pub use error::{ApiError, ErrorBody};
 pub use machine::{machine_by_name, MachineSpec, MACHINE_NAMES};
-pub use snapshot::{profile_fingerprint, AccumulatorSnapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use space::{AxisSpec, SpaceSpec, AXIS_NAMES, SPACE_NAMES};
 pub use wire::{
     CorrectorMetrics, ExploreRequest, ExploreResponse, HealthResponse, MemoMetrics,

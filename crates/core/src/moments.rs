@@ -3,7 +3,7 @@
 //! Large design-space sweeps fold predictions into accumulators instead
 //! of collecting them (see `pmt_dse`'s streaming engine). [`Moments`] is
 //! the scalar summary those folds share: count, sum, mean, extrema —
-//! everything that merges *exactly* across shards. Quantities that do
+//! everything that merges *exactly* across chunks. Quantities that do
 //! not merge exactly (percentiles, medians) deliberately stay out; use
 //! `pmt_validate::ErrorStats` on a materialized set when you need them.
 //!
@@ -29,7 +29,7 @@
 //! assert_eq!(all.min, 0.5);
 //! assert_eq!(all.max, 2.0);
 //!
-//! // Shard-and-merge is exact: same chunk shape, same bits.
+//! // Split-and-merge is exact: same chunk shape, same bits.
 //! let mut left = Moments::new();
 //! left.push(0.5);
 //! left.push(2.0);

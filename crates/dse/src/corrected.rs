@@ -4,9 +4,9 @@
 //!
 //! Correction deliberately never participates in the accumulators: the
 //! frontier, top-K and moments are folded from analytical predictions
-//! only, so a sweep's bytes — and with them the sharding, checkpoint
-//! and CLI/daemon byte-identity contracts — are the same whether or not
-//! a corrector is loaded. What the corrector changes is the *reading*
+//! only, so a sweep's bytes — and with them the serial ≡ parallel and
+//! CLI/daemon byte-identity contracts — are the same whether or not a
+//! corrector is loaded. What the corrector changes is the *reading*
 //! of the survivors: each frontier/top-K entry's design id is decoded
 //! back into its machine configuration and the learned residual is
 //! applied to that entry's carried CPI/power. The handful of survivors

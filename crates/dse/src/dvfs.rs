@@ -33,15 +33,21 @@ pub struct DvfsOutcome {
 /// and the memory-subsystem latencies expressed in core cycles.
 pub fn machine_at(base: &MachineConfig, point: OperatingPoint) -> MachineConfig {
     let mut m = base.clone();
-    let scale = point.frequency_ghz / base.core.frequency_ghz;
-    m.core.frequency_ghz = point.frequency_ghz;
+    set_clock(&mut m, point.frequency_ghz);
     m.core.vdd = point.vdd;
-    m.mem.dram_latency = ((base.mem.dram_latency as f64) * scale).round().max(1.0) as u32;
-    m.mem.bus_transfer_cycles = ((base.mem.bus_transfer_cycles as f64) * scale)
-        .round()
-        .max(1.0) as u32;
     m.name = format!("{}@{:.2}GHz", base.name, point.frequency_ghz);
     m
+}
+
+/// Move `machine`'s clock to `ghz` at its current voltage, rescaling the
+/// memory latencies expressed in core cycles by the clock ratio (rounded,
+/// at least one cycle) — the one rescale every frequency change shares.
+pub(crate) fn set_clock(machine: &mut MachineConfig, ghz: f64) {
+    let scale = ghz / machine.core.frequency_ghz;
+    let rescale = |cycles: u32| ((cycles as f64) * scale).round().max(1.0) as u32;
+    machine.core.frequency_ghz = ghz;
+    machine.mem.dram_latency = rescale(machine.mem.dram_latency);
+    machine.mem.bus_transfer_cycles = rescale(machine.mem.bus_transfer_cycles);
 }
 
 /// Evaluate a profile across operating points (prepared once; every

@@ -79,8 +79,7 @@ pub use empirical::EmpiricalModel;
 pub use pareto::{FrontEntry, ParetoAccumulator, ParetoFront, PruningQuality};
 pub use space::{Axis, LazyDesignSpace, LazyPoints, ProductSpace};
 pub use streaming::{
-    chunk_count, merge_shards, shard_chunk_range, Objective, RankedEntry, ShardAccumulators,
-    StreamPoint, StreamingSummary, StreamingSweep, TopK, DEFAULT_CHUNK,
+    Objective, RankedEntry, StreamPoint, StreamingSummary, StreamingSweep, TopK, DEFAULT_CHUNK,
 };
 pub use sweep::{
     sim_cache_key, BatchEvaluation, PointOutcome, SpaceEvaluation, SweepBuilder, SweepConfig,

@@ -10,7 +10,7 @@
 //!   the surviving set is exactly the global non-dominated subset no
 //!   matter the push or [`merge`](ParetoAccumulator::merge) order;
 //!   [`into_sorted`](ParetoAccumulator::into_sorted) then fixes the
-//!   output order by id, making sharded and serial folds bit-identical.
+//!   output order by id, making parallel and serial folds bit-identical.
 //!
 //! [`ParetoFront::of`] is itself built on the accumulator, so the two can
 //! never disagree.
@@ -75,7 +75,7 @@ impl<T: Deserialize> Deserialize for FrontEntry<T> {
 }
 
 /// An online Pareto frontier over (delay, power) points, both minimized:
-/// push one point at a time, merge shards, read the surviving
+/// push one point at a time, merge partial folds, read the surviving
 /// non-dominated subset. Memory is bounded by the frontier size, not the
 /// stream length.
 ///
@@ -115,8 +115,8 @@ impl<T> ParetoAccumulator<T> {
     }
 
     /// Merge another frontier in (set-union semantics: dominance is
-    /// re-checked both ways, so shard-local survivors that a sibling
-    /// shard dominates are evicted here).
+    /// re-checked both ways, so one fold's survivors that the other
+    /// fold dominates are evicted here).
     pub fn merge(&mut self, other: ParetoAccumulator<T>) {
         for e in other.entries {
             self.push(e.id, e.coords, e.item);
@@ -151,17 +151,6 @@ impl<T> ParetoAccumulator<T> {
     pub fn into_sorted(mut self) -> Vec<FrontEntry<T>> {
         self.entries.sort_by_key(|e| e.id);
         self.entries
-    }
-}
-
-impl<T: Clone> ParetoAccumulator<T> {
-    /// Borrowing form of [`into_sorted`](Self::into_sorted): the frontier
-    /// sorted by id, with the accumulator left intact. This is the
-    /// canonical snapshot order of the sharded sweeps.
-    pub fn sorted_entries(&self) -> Vec<FrontEntry<T>> {
-        let mut entries = self.entries.clone();
-        entries.sort_by_key(|e| e.id);
-        entries
     }
 }
 
@@ -380,7 +369,7 @@ mod tests {
         for (i, &p) in pts.iter().enumerate() {
             whole.push(i, p, ());
         }
-        // Shard in two, fold independently, merge in either order.
+        // Split in two, fold independently, merge in either order.
         for (a_range, b_range) in [((0..3), (3..6)), ((3..6), (0..3))] {
             let mut a = ParetoAccumulator::new();
             for i in a_range {

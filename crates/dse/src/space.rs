@@ -4,8 +4,8 @@
 //! model exists to sweep *huge* spaces. Materializing a `Vec<DesignPoint>`
 //! caps the space at what fits in memory; [`LazyDesignSpace`] removes the
 //! cap by describing a space as `len` + `point_at(index)` — a mixed-radix
-//! decode — so a streaming sweep touches one point at a time and a shard
-//! is just an index range.
+//! decode — so a streaming sweep touches one point at a time and a fold
+//! chunk is just an index range.
 //!
 //! Two implementations ship:
 //!
@@ -43,12 +43,11 @@ use std::sync::Arc;
 type AxisApply = Arc<dyn Fn(&mut MachineConfig, f64) + Send + Sync>;
 
 /// A design space whose points are materialized on demand by dense
-/// index. `len`/`point_at` are the whole contract: iteration, sharding
-/// and chunking all derive from them.
+/// index. `len`/`point_at` are the whole contract: iteration and
+/// chunking both derive from them.
 ///
 /// Implementations must make `point_at` a pure function of `index` so a
-/// sharded or parallel sweep sees exactly the points a serial sweep
-/// does.
+/// parallel sweep sees exactly the points a serial sweep does.
 pub trait LazyDesignSpace: Sync {
     /// Number of points in the space.
     fn len(&self) -> usize;
@@ -72,7 +71,7 @@ pub trait LazyDesignSpace: Sync {
     }
 
     /// Lazily iterate every point in index order; `nth` is O(1), so
-    /// `skip`/`take`/`step_by` shard without materializing.
+    /// `skip`/`take`/`step_by` slice without materializing.
     ///
     /// (Named `iter_points` rather than `iter` so bringing the trait
     /// into scope never changes what `Vec<DesignPoint>::iter()` means.)
@@ -305,14 +304,7 @@ impl ProductSpace {
     /// [`operating_points`](Self::operating_points), which moves both
     /// like a real DVFS table.
     pub fn frequency_ghz(self, ghz: &[f64]) -> ProductSpace {
-        self.axis("f", ghz.iter().copied(), |m, f| {
-            let scale = f / m.core.frequency_ghz;
-            m.core.frequency_ghz = f;
-            m.mem.dram_latency = ((m.mem.dram_latency as f64) * scale).round().max(1.0) as u32;
-            m.mem.bus_transfer_cycles = ((m.mem.bus_transfer_cycles as f64) * scale)
-                .round()
-                .max(1.0) as u32;
-        })
+        self.axis("f", ghz.iter().copied(), crate::dvfs::set_clock)
     }
 
     /// Canned axis: voltage/frequency operating points. Clock, supply
@@ -328,13 +320,8 @@ impl ProductSpace {
                 .find(|(freq, _)| *freq == f)
                 .expect("axis value comes from the pair list")
                 .1;
-            let scale = f / m.core.frequency_ghz;
-            m.core.frequency_ghz = f;
+            crate::dvfs::set_clock(m, f);
             m.core.vdd = vdd;
-            m.mem.dram_latency = ((m.mem.dram_latency as f64) * scale).round().max(1.0) as u32;
-            m.mem.bus_transfer_cycles = ((m.mem.bus_transfer_cycles as f64) * scale)
-                .round()
-                .max(1.0) as u32;
         })
     }
 
@@ -367,7 +354,7 @@ impl ProductSpace {
 impl LazyDesignSpace for ProductSpace {
     fn len(&self) -> usize {
         // An unchecked `.product()` wraps silently in release builds,
-        // which would make sharded chunk math quietly wrong for spaces
+        // which would make the chunk math quietly wrong for spaces
         // past usize::MAX points — fail loudly instead.
         self.axes.iter().fold(1usize, |acc, a| {
             acc.checked_mul(a.values.len()).unwrap_or_else(|| {

@@ -65,10 +65,10 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Default points per fold chunk. Part of the determinism contract: a
-/// sharded sweep only merges bit-identically with a single-process run
-/// when both used the same chunk size, so snapshots record it and
-/// [`merge_shards`] validates it.
+/// Default points per fold chunk. Part of the determinism contract:
+/// chunk moments merge in chunk order, so the serial and parallel folds
+/// are bit-identical at any one chunk size, but different chunk sizes
+/// may round the moment sums differently.
 pub const DEFAULT_CHUNK: usize = 1024;
 
 /// One streamed model evaluation: the per-point record the accumulators
@@ -224,7 +224,7 @@ impl<T> RankedEntry<T> {
 
 /// A bounded min-set: keeps the K smallest entries of a stream under the
 /// strict total order (key, id), in a max-heap so each offer costs
-/// O(log K). The kept *set* is order-independent, so sharded folds
+/// O(log K). The kept *set* is order-independent, so chunk folds
 /// [`merge`](TopK::merge) exactly;
 /// [`into_sorted`](TopK::into_sorted) reports ascending.
 ///
@@ -300,7 +300,7 @@ impl<T> TopK<T> {
     ///
     /// Panics if the two folds keep different `k`s — merging a top-3 into
     /// a top-5 would silently report a set that is neither, so mismatched
-    /// shards fail loudly instead.
+    /// folds fail loudly instead.
     pub fn merge(&mut self, other: TopK<T>) {
         assert_eq!(
             self.k, other.k,
@@ -330,19 +330,6 @@ impl<T> TopK<T> {
     /// Consume into the kept entries, best (smallest key) first.
     pub fn into_sorted(self) -> Vec<RankedEntry<T>> {
         let mut entries: Vec<RankedEntry<T>> = self.heap.into_iter().map(|s| s.0).collect();
-        entries.sort_by(|a, b| a.cmp_rank(b));
-        entries
-    }
-}
-
-impl<T: Clone> TopK<T> {
-    /// Borrowing form of [`into_sorted`](Self::into_sorted): the kept
-    /// entries sorted ascending on (key, id), with the heap left intact.
-    /// Sorting before encoding is what makes shard snapshots canonical —
-    /// the heap's internal layout depends on push order, the sorted set
-    /// does not.
-    pub fn sorted_entries(&self) -> Vec<RankedEntry<T>> {
-        let mut entries: Vec<RankedEntry<T>> = self.heap.iter().map(|s| s.0.clone()).collect();
         entries.sort_by(|a, b| a.cmp_rank(b));
         entries
     }
@@ -548,15 +535,11 @@ impl<'a> StreamingSweep<'a> {
         prepared: &PreparedProfile<'_>,
         space: &S,
     ) -> StreamingSummary {
-        let n = space.len();
-        let mut serial_predictor = self.serial.then(|| self.worker_predictor(prepared));
-        let chunks = 0..chunk_count(n, self.chunk);
-        let folded = self.fold_chunks(serial_predictor.as_mut(), prepared, space, chunks);
         let mut total = ChunkFold::new(self.top_k);
-        for chunk in folded {
+        for chunk in self.fold_chunks(prepared, space) {
             total.merge(chunk);
         }
-        total.into_summary(n)
+        total.into_summary(space.len())
     }
 
     /// The predictor one sweep worker keeps across all of its chunks:
@@ -570,39 +553,37 @@ impl<'a> StreamingSweep<'a> {
         BatchPredictor::bounded(prepared, &self.model, self.chunk)
     }
 
-    /// Fold global chunks `chunks`, in chunk order — on `serial`'s one
-    /// predictor, or in parallel with one predictor per rayon worker. The
-    /// identical chunk tree either way: callers merge the returned
+    /// Fold every chunk of `space`, returned in chunk order — on one
+    /// predictor when [`serial`](Self::serial), otherwise in parallel with
+    /// one predictor per rayon worker. The identical chunk tree either
+    /// way: [`run_prepared`](Self::run_prepared) merges the returned
     /// chunk folds in order, so serial and parallel runs are
     /// bit-identical.
     fn fold_chunks<S: LazyDesignSpace + ?Sized>(
         &self,
-        serial: Option<&mut BatchPredictor<'_, '_>>,
         prepared: &PreparedProfile<'_>,
         space: &S,
-        chunks: std::ops::Range<usize>,
     ) -> Vec<ChunkFold> {
-        match serial {
-            Some(predictor) => chunks
-                .map(|c| self.fold_chunk(predictor, space, c))
-                .collect(),
-            None => chunks
+        let chunks = 0..chunk_count(space.len(), self.chunk);
+        if self.serial {
+            let mut predictor = self.worker_predictor(prepared);
+            chunks
+                .map(|c| self.fold_chunk(&mut predictor, space, c))
+                .collect()
+        } else {
+            chunks
                 .into_par_iter()
                 .map_init(
                     || self.worker_predictor(prepared),
                     |predictor, c| self.fold_chunk(predictor, space, c),
                 )
-                .collect(),
+                .collect()
         }
     }
 
-    /// Fold global chunk `c`, the points `[c·chunk, (c+1)·chunk) ∩
-    /// [0, n)` — the shared unit of work of
-    /// [`run_prepared`](Self::run_prepared) and
-    /// [`run_shard_prepared`](Self::run_shard_prepared), so a sharded run
-    /// computes the exact same per-chunk accumulators a single-process
-    /// run does. `predictor` is the folding worker's own; which chunks it
-    /// saw before never changes the bytes.
+    /// Fold chunk `c`, the points `[c·chunk, (c+1)·chunk) ∩ [0, n)`, in
+    /// index order. `predictor` is the folding worker's own; which chunks
+    /// it saw before never changes the bytes.
     fn fold_chunk<S: LazyDesignSpace + ?Sized>(
         &self,
         predictor: &mut BatchPredictor<'_, '_>,
@@ -651,322 +632,17 @@ impl<'a> StreamingSweep<'a> {
         acc.pareto.push(p.design_id, p.coords(), p);
         acc.top.push(self.objective.key(&p), p.design_id, p);
     }
-
-    /// Fold only shard `shard_index` of `shard_count`'s contiguous range
-    /// of the **global** chunk list, optionally resuming from a prior
-    /// [`ShardAccumulators`] checkpoint.
-    ///
-    /// The global chunk list is the one [`run_prepared`](Self::run_prepared)
-    /// folds — `(0..space.len()).step_by(chunk)` — and shard `i` owns
-    /// chunks `[i·C/s, (i+1)·C/s)` of its `C` chunks, so concatenating
-    /// the shards in shard order replays the single-process fold exactly.
-    ///
-    /// `on_checkpoint` is invoked with the running snapshot after every
-    /// `checkpoint_every` completed chunks (`0` disables intermediate
-    /// checkpoints); the final, complete snapshot is returned. Chunks
-    /// within a checkpoint batch fold in parallel (unless
-    /// [`serial`](Self::serial)), merged in chunk order as always.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_index >= shard_count`, `shard_count == 0`, or a
-    /// `resume` snapshot's geometry (space size, chunk size, chunk range,
-    /// top-k) does not match this sweep and shard.
-    // Each argument is an independent caller decision (what to fold,
-    // where, from which checkpoint, how often); bundling them into a
-    // one-use options struct would only move the list.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_shard_prepared<S: LazyDesignSpace + ?Sized>(
-        &self,
-        prepared: &PreparedProfile<'_>,
-        space: &S,
-        shard_index: usize,
-        shard_count: usize,
-        resume: Option<&ShardAccumulators>,
-        checkpoint_every: usize,
-        mut on_checkpoint: impl FnMut(&ShardAccumulators),
-    ) -> ShardAccumulators {
-        assert!(shard_count > 0, "shard_count must be positive");
-        assert!(
-            shard_index < shard_count,
-            "shard index {shard_index} out of range for {shard_count} shards"
-        );
-        let n = space.len();
-        let total = chunk_count(n, self.chunk);
-        let (lo, hi) = shard_chunk_range(total, shard_index, shard_count);
-        let mut acc = match resume {
-            Some(r) => {
-                assert_eq!(
-                    (r.space_points, r.chunk, r.chunk_lo, r.chunk_hi, r.top_k),
-                    (n, self.chunk, lo, hi, self.top_k),
-                    "resume snapshot geometry does not match this sweep/shard"
-                );
-                r.clone()
-            }
-            None => ShardAccumulators::empty(n, self.chunk, lo, hi, self.top_k),
-        };
-        // Rebuild the running set accumulators from the snapshot's
-        // canonical (sorted) entries. Both are order-independent sets, so
-        // a resumed fold converges on the same survivors as an
-        // uninterrupted one.
-        let mut pareto: ParetoAccumulator<StreamPoint> = ParetoAccumulator::new();
-        for e in &acc.frontier {
-            pareto.push(e.id, e.coords, e.item);
-        }
-        let mut top: TopK<StreamPoint> = TopK::new(self.top_k);
-        for e in &acc.top {
-            top.push(e.key, e.id, e.item);
-        }
-
-        let batch = if checkpoint_every == 0 {
-            usize::MAX
-        } else {
-            checkpoint_every
-        };
-        let mut serial_predictor = self.serial.then(|| self.worker_predictor(prepared));
-        while acc.chunks_done < hi - lo {
-            let next = lo + acc.chunks_done;
-            let end = next.saturating_add(batch).min(hi);
-            let folds = self.fold_chunks(serial_predictor.as_mut(), prepared, space, next..end);
-            for f in folds {
-                // Keep the per-chunk moments instead of a running total:
-                // f64 addition is not associative, so only replaying the
-                // global chunk-order fold at merge time can be
-                // bit-identical to the single-process run.
-                acc.cpi_chunks.push(f.cpi);
-                acc.power_chunks.push(f.power);
-                acc.seconds_chunks.push(f.seconds);
-                acc.evaluated += f.evaluated;
-                acc.rejected += f.rejected;
-                acc.over_budget += f.over_budget;
-                pareto.merge(f.pareto);
-                top.merge(f.top);
-                acc.chunks_done += 1;
-            }
-            acc.frontier = pareto.sorted_entries();
-            acc.top = top.sorted_entries();
-            on_checkpoint(&acc);
-        }
-        acc
-    }
 }
 
-/// Number of chunks `run_prepared`'s start list covers `points` with:
+/// Number of chunks `run_prepared` covers `points` with:
 /// `⌈points / chunk⌉`.
-pub fn chunk_count(points: usize, chunk: usize) -> usize {
+fn chunk_count(points: usize, chunk: usize) -> usize {
     assert!(chunk > 0, "chunk size must be positive");
     if points == 0 {
         0
     } else {
         1 + (points - 1) / chunk
     }
-}
-
-/// The contiguous global-chunk range `[lo, hi)` shard `index` of `count`
-/// owns: `lo = ⌊index·total/count⌋`, `hi = ⌊(index+1)·total/count⌋`.
-/// Computed in 128-bit so `index·total` cannot overflow; the ranges of
-/// shards `0..count` tile `[0, total)` exactly.
-pub fn shard_chunk_range(total_chunks: usize, index: usize, count: usize) -> (usize, usize) {
-    assert!(count > 0, "shard count must be positive");
-    assert!(
-        index < count,
-        "shard index {index} out of range for {count} shards"
-    );
-    let lo = (index as u128 * total_chunks as u128 / count as u128) as usize;
-    let hi = ((index + 1) as u128 * total_chunks as u128 / count as u128) as usize;
-    (lo, hi)
-}
-
-/// The canonical, deterministic byte form of one shard's accumulator
-/// state — what `pmt explore --shard i/n --snapshot-out` writes and
-/// [`merge_shards`] folds back together.
-///
-/// # Canonical form
-///
-/// Two runs that completed the same chunks hold the same snapshot, byte
-/// for byte, regardless of push order, parallelism, or how many times
-/// the shard was killed and resumed:
-///
-/// * `frontier` is the shard-local Pareto set sorted by design id,
-/// * `top` is the shard-local top-K set sorted on (key, id) — the heap is
-///   never encoded directly, its layout depends on push order,
-/// * `*_chunks` hold one [`Moments`] **per completed chunk, in global
-///   chunk order** — kept unmerged because f64 addition is not
-///   associative: [`merge_shards`] replays the exact single-process
-///   chunk-order fold from them,
-/// * the geometry fields pin everything the determinism contract depends
-///   on (space size, chunk size, owned chunk range, top-k).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ShardAccumulators {
-    /// Size of the full (unsharded) space this shard is a slice of.
-    pub space_points: usize,
-    /// Fold chunk size — part of the determinism contract.
-    pub chunk: usize,
-    /// First global chunk index this shard owns.
-    pub chunk_lo: usize,
-    /// One past the last global chunk index this shard owns.
-    pub chunk_hi: usize,
-    /// Chunks completed so far: global chunks `[chunk_lo, chunk_lo +
-    /// chunks_done)` are folded in. Equal to `chunk_hi - chunk_lo` when
-    /// the shard is complete; a resumed run continues here.
-    pub chunks_done: usize,
-    /// The top-K budget every shard must share.
-    pub top_k: usize,
-    /// Points predicted so far (within completed chunks).
-    pub evaluated: usize,
-    /// Points rejected by the pre-filter so far.
-    pub rejected: usize,
-    /// Predicted points excluded by the post-filter budgets so far.
-    pub over_budget: usize,
-    /// Shard-local Pareto survivors, sorted by design id.
-    pub frontier: Vec<FrontEntry<StreamPoint>>,
-    /// Shard-local top-K survivors, sorted on (key, id).
-    pub top: Vec<RankedEntry<StreamPoint>>,
-    /// CPI moments of each completed chunk, in global chunk order.
-    pub cpi_chunks: Vec<Moments>,
-    /// Power moments of each completed chunk, in global chunk order.
-    pub power_chunks: Vec<Moments>,
-    /// Execution-time moments of each completed chunk, in global chunk
-    /// order.
-    pub seconds_chunks: Vec<Moments>,
-}
-
-impl ShardAccumulators {
-    /// A fresh shard over global chunks `[lo, hi)` with nothing folded.
-    pub fn empty(
-        space_points: usize,
-        chunk: usize,
-        chunk_lo: usize,
-        chunk_hi: usize,
-        top_k: usize,
-    ) -> ShardAccumulators {
-        ShardAccumulators {
-            space_points,
-            chunk,
-            chunk_lo,
-            chunk_hi,
-            chunks_done: 0,
-            top_k,
-            evaluated: 0,
-            rejected: 0,
-            over_budget: 0,
-            frontier: Vec::new(),
-            top: Vec::new(),
-            cpi_chunks: Vec::new(),
-            power_chunks: Vec::new(),
-            seconds_chunks: Vec::new(),
-        }
-    }
-
-    /// Whether every owned chunk has been folded.
-    pub fn is_complete(&self) -> bool {
-        self.chunks_done == self.chunk_hi.saturating_sub(self.chunk_lo)
-    }
-}
-
-/// Fold complete shard snapshots back into the [`StreamingSummary`] a
-/// single-process [`StreamingSweep::run_prepared`] over the same space
-/// produces — bit-identically.
-///
-/// The shards are sorted by `chunk_lo` and validated to tile the global
-/// chunk range `[0, ⌈space_points/chunk⌉)` exactly with matching
-/// geometry; the moments are then replayed through
-/// [`Moments::merge`] in global chunk order (the same left fold
-/// `run_prepared` performs) while frontier and top-K merge as the
-/// order-independent sets they are.
-pub fn merge_shards(mut shards: Vec<ShardAccumulators>) -> Result<StreamingSummary, String> {
-    let Some(first) = shards.first() else {
-        return Err("no shard snapshots to merge".to_string());
-    };
-    let (space_points, chunk, top_k) = (first.space_points, first.chunk, first.top_k);
-    if chunk == 0 {
-        return Err("shard snapshot declares a zero chunk size".to_string());
-    }
-    let total = chunk_count(space_points, chunk);
-    // `chunk_hi` breaks ties so an empty shard `[x, x)` (more shards
-    // than chunks) sorts before the non-empty `[x, y)` and still
-    // satisfies the tiling walk below.
-    shards.sort_by_key(|s| (s.chunk_lo, s.chunk_hi));
-    let mut expect_lo = 0usize;
-    for s in &shards {
-        if (s.space_points, s.chunk, s.top_k) != (space_points, chunk, top_k) {
-            return Err(format!(
-                "shard geometry mismatch: expected (space_points, chunk, top_k) = \
-                 ({space_points}, {chunk}, {top_k}), found ({}, {}, {})",
-                s.space_points, s.chunk, s.top_k
-            ));
-        }
-        if !s.is_complete() {
-            return Err(format!(
-                "shard covering chunks {}..{} is incomplete ({} of {} chunks done) — \
-                 resume it before merging",
-                s.chunk_lo,
-                s.chunk_hi,
-                s.chunks_done,
-                s.chunk_hi.saturating_sub(s.chunk_lo)
-            ));
-        }
-        if s.chunk_lo != expect_lo {
-            return Err(format!(
-                "shards do not tile the chunk range: expected a shard starting at \
-                 chunk {expect_lo}, found chunk {}",
-                s.chunk_lo
-            ));
-        }
-        if s.chunk_hi < s.chunk_lo || s.chunk_hi > total {
-            return Err(format!(
-                "shard chunk range {}..{} is invalid for {total} total chunks",
-                s.chunk_lo, s.chunk_hi
-            ));
-        }
-        let owned = s.chunk_hi - s.chunk_lo;
-        if s.cpi_chunks.len() != owned
-            || s.power_chunks.len() != owned
-            || s.seconds_chunks.len() != owned
-        {
-            return Err(format!(
-                "shard covering chunks {}..{} carries {}/{}/{} per-chunk moments, \
-                 expected {owned} of each",
-                s.chunk_lo,
-                s.chunk_hi,
-                s.cpi_chunks.len(),
-                s.power_chunks.len(),
-                s.seconds_chunks.len()
-            ));
-        }
-        expect_lo = s.chunk_hi;
-    }
-    if expect_lo != total {
-        return Err(format!(
-            "shards cover chunks 0..{expect_lo} of {total} — the partition is incomplete"
-        ));
-    }
-
-    // Replay the single-process fold: sets merge order-independently,
-    // moments merge in global chunk order (shards are sorted, and each
-    // shard's per-chunk lists are already in chunk order).
-    let mut total = ChunkFold::new(top_k);
-    for s in shards {
-        for e in &s.frontier {
-            total.pareto.push(e.id, e.coords, e.item);
-        }
-        for e in &s.top {
-            total.top.push(e.key, e.id, e.item);
-        }
-        for m in &s.cpi_chunks {
-            total.cpi.merge(m);
-        }
-        for m in &s.power_chunks {
-            total.power.merge(m);
-        }
-        for m in &s.seconds_chunks {
-            total.seconds.merge(m);
-        }
-        total.evaluated += s.evaluated;
-        total.rejected += s.rejected;
-        total.over_budget += s.over_budget;
-    }
-    Ok(total.into_summary(space_points))
 }
 
 /// The streamed record of `point`'s prediction `summary`: its CPI,
@@ -1248,6 +924,26 @@ mod tests {
         let whole_ids: Vec<usize> = whole.into_sorted().iter().map(|e| e.id).collect();
         let merged_ids: Vec<usize> = b.into_sorted().iter().map(|e| e.id).collect();
         assert_eq!(whole_ids, merged_ids);
+    }
+
+    #[test]
+    #[should_panic(expected = "TopK::merge requires equal k")]
+    fn topk_merge_with_mismatched_k_panics() {
+        // Silently keeping the smaller k would report a set that is
+        // neither top-3 nor top-4; every chunk fold of one sweep shares
+        // its k, and this assert keeps a mismatch loud if it ever isn't.
+        let mut a: TopK<u32> = TopK::new(3);
+        let b: TopK<u32> = TopK::new(4);
+        a.merge(b);
+    }
+
+    #[test]
+    fn chunk_count_is_the_ceiling_of_points_over_chunk() {
+        assert_eq!(chunk_count(0, 1024), 0);
+        assert_eq!(chunk_count(1, 1024), 1);
+        assert_eq!(chunk_count(1024, 1024), 1);
+        assert_eq!(chunk_count(1025, 1024), 2);
+        assert_eq!(chunk_count(usize::MAX, 1), usize::MAX);
     }
 
     #[test]

@@ -74,8 +74,8 @@ proptest! {
     // ---------------------------------------------------------------
 
     /// The online frontier equals the materialized classification no
-    /// matter how the stream is cut into shards or which order the
-    /// shards merge back.
+    /// matter how the stream is cut in two or which order the halves
+    /// merge back.
     #[test]
     fn streamed_pareto_equals_materialized(
         pts in arb_points(),
@@ -91,7 +91,7 @@ proptest! {
         }
         prop_assert_eq!(whole.ids(), expect.clone());
 
-        // Two shards, merged in either order.
+        // Two halves, merged in either order.
         let at = ((pts.len() as f64) * cut) as usize;
         let mut a = ParetoAccumulator::new();
         let mut b = ParetoAccumulator::new();
@@ -113,7 +113,7 @@ proptest! {
 
     /// The bounded heap keeps exactly the K smallest under the strict
     /// (key, id) order — i.e. sorting the materialized list and
-    /// truncating — regardless of sharding.
+    /// truncating — regardless of how the stream is split.
     #[test]
     fn streamed_top_k_equals_materialized_sort(
         keys in prop::collection::vec(0.0f64..10.0, 1..60),
@@ -133,7 +133,7 @@ proptest! {
             whole.into_sorted().iter().map(|e| (e.key, e.id)).collect();
         prop_assert_eq!(&got, &expect);
 
-        // Sharded fold merges to the same set.
+        // A split fold merges to the same set.
         let at = ((keys.len() as f64) * cut) as usize;
         let mut a = TopK::new(k);
         let mut b = TopK::new(k);
@@ -147,7 +147,7 @@ proptest! {
     }
 
     /// A single-chunk streaming fold of the moments is bitwise the naive
-    /// sequential fold, and a chunked shard-merge (same chunk shape) is
+    /// sequential fold, and a chunked merge (same chunk shape) is
     /// bitwise identical whether the chunk summaries are folded inline
     /// or merged afterwards — the serial/parallel contract.
     #[test]
@@ -231,7 +231,6 @@ mod streaming_engine {
             mask in 1u32..(1 << 5),
             chunk in 1usize..40,
             k in 1usize..8,
-            shards in 1usize..6,
         ) {
             // A random axis-subset of the 32-point test grid.
             let full = DesignSpace::small();
@@ -276,25 +275,6 @@ mod streaming_engine {
             let par_top: Vec<(u64, usize)> =
                 par.top.iter().map(|e| (e.key.to_bits(), e.id)).collect();
             prop_assert_eq!(ser_top, par_top);
-
-            // Sharded + merged == unsharded, bit for bit, whatever the
-            // shard count and chunk size (shards may even outnumber
-            // chunks, leaving some empty).
-            let prepared = pmt_core::PreparedProfile::new(profile());
-            let snaps: Vec<_> = (0..shards)
-                .map(|i| {
-                    StreamingSweep::new(profile())
-                        .chunk(chunk)
-                        .top_k(k)
-                        .run_shard_prepared(&prepared, &space, i, shards, None, 2, |_| {})
-                })
-                .collect();
-            let merged = pmt_dse::merge_shards(snaps).unwrap();
-            let mut merged_json = String::new();
-            serde::Serialize::to_json(&merged, &mut merged_json);
-            let mut serial_json = String::new();
-            serde::Serialize::to_json(&ser, &mut serial_json);
-            prop_assert_eq!(merged_json, serial_json);
 
             // Sanity: the space the engine saw is the one we enumerated.
             prop_assert_eq!(LazyDesignSpace::len(&space), points.len());

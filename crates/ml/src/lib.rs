@@ -25,8 +25,8 @@
 //! byte-reproducibility gates exist.
 //!
 //! Correction never touches the sweep accumulators: `StreamingSweep`
-//! folds analytical predictions exactly as before (preserving every
-//! serial==parallel / sharded==merged byte-identity contract), and the
+//! folds analytical predictions exactly as before (preserving the
+//! serial==parallel byte-identity contract), and the
 //! corrector is applied **post-fold** to the handful of surviving
 //! entries (see `pmt_dse::corrected`). A zero-weight model corrects to
 //! the analytical value *bit-exactly* (`x * 1.0 == x`), so "corrector
@@ -38,8 +38,8 @@
 //! [`ML_SCHEMA_VERSION`] and the profile fingerprints it was trained
 //! over; appliers refuse wrong versions (`bad_corrector_version`) and
 //! mismatched profiles (`corrector_profile_mismatch`) with structured
-//! errors, mirroring the `ValidationReport`/`AccumulatorSnapshot`
-//! schema-version discipline.
+//! errors, mirroring the `ValidationReport` schema-version
+//! discipline.
 
 mod features;
 mod model;
@@ -57,10 +57,10 @@ use pmt_profiler::ApplicationProfile;
 /// workspace-wide construction) over the profile's canonical JSON,
 /// rendered as 16 lowercase hex digits.
 ///
-/// This is *the* definition — `pmt_api::profile_fingerprint` re-exports
-/// it, and the serve registry's `content_hash` is the same hash before
-/// hex rendering — so a corrector trained from `pmt validate` outputs
-/// matches the fingerprints every other subsystem computes.
+/// This is *the* definition — the serve registry's `content_hash` is
+/// the same hash before hex rendering — so a corrector trained from
+/// `pmt validate` outputs matches the fingerprints every other subsystem
+/// computes.
 pub fn profile_fingerprint(profile: &ApplicationProfile) -> String {
     let mut json = String::new();
     serde::Serialize::to_json(profile, &mut json);

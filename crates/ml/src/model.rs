@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// Version of the [`ResidualModel`] JSON artifact. Bump on any breaking
 /// change (field rename/removal/semantic change); appliers refuse
 /// mismatches with a structured `bad_corrector_version` error, exactly
-/// like `ValidationReport`/`AccumulatorSnapshot` consumers.
+/// like `ValidationReport` consumers.
 pub const ML_SCHEMA_VERSION: u32 = 1;
 
 /// Rows processed per accumulation chunk: feature standardization and

@@ -7,11 +7,11 @@
 //! contract the serve-smoke CI job asserts.
 
 use pmt_api::{
-    profile_fingerprint, AccumulatorSnapshot, ApiError, ExploreRequest, ExploreResponse,
-    PredictRequest, PredictResponse, StackEntry, WIRE_SCHEMA_VERSION,
+    ApiError, ExploreRequest, ExploreResponse, PredictRequest, PredictResponse, StackEntry,
+    WIRE_SCHEMA_VERSION,
 };
 use pmt_core::{IntervalModel, PredictionSummary, PreparedProfile};
-use pmt_dse::{merge_shards, Objective, StreamingSweep};
+use pmt_dse::{Objective, StreamingSweep};
 use pmt_power::PowerModel;
 use pmt_uarch::MachineConfig;
 
@@ -98,25 +98,15 @@ pub fn apply_corrector(
 /// the batched kernels (the [`StreamingSweep`] default, bit-identical to
 /// per-point prediction), so explore responses stay byte-stable while
 /// the single-point [`predict_response`] path above keeps the simple
-/// one-machine `predict_prepared` call.
+/// one-machine `predict_prepared` call. Survivors are named through the
+/// (lazy) space; the workload field is the request's profile name — the
+/// registry key, which equals the profile's own name.
 pub fn explore_response(
     prepared: &PreparedProfile<'_>,
     req: &ExploreRequest,
 ) -> Result<ExploreResponse, ApiError> {
     req.check_version()?;
     let space = req.space.resolve()?;
-    let sweep = sweep_for(prepared, req)?;
-    let summary = sweep.run_prepared(prepared, space.as_ref());
-    Ok(assemble_response(req, space.as_ref(), summary))
-}
-
-/// Build the [`StreamingSweep`] an [`ExploreRequest`] describes —
-/// shared by the single-process and sharded paths so both fold the
-/// identical computation.
-fn sweep_for<'p>(
-    prepared: &'p PreparedProfile<'_>,
-    req: &ExploreRequest,
-) -> Result<StreamingSweep<'p>, ApiError> {
     let objective = Objective::from_name(&req.objective).ok_or_else(|| {
         ApiError::bad_request(
             "unknown_objective",
@@ -140,17 +130,7 @@ fn sweep_for<'p>(
     if let Some(seconds) = req.max_seconds {
         sweep = sweep.max_seconds(seconds);
     }
-    Ok(sweep)
-}
-
-/// Wrap a finished summary into the wire response, resolving machine
-/// names through the (lazy) space. The workload field is the request's
-/// profile name — the registry key, which equals the profile's own name.
-fn assemble_response(
-    req: &ExploreRequest,
-    space: &(dyn pmt_dse::LazyDesignSpace + Send + Sync),
-    summary: pmt_dse::StreamingSummary,
-) -> ExploreResponse {
+    let summary = sweep.run_prepared(prepared, space.as_ref());
     let frontier_machines = summary
         .frontier
         .iter()
@@ -161,7 +141,7 @@ fn assemble_response(
         .iter()
         .map(|e| space.point_at(e.id).machine.name)
         .collect();
-    ExploreResponse {
+    Ok(ExploreResponse {
         schema_version: WIRE_SCHEMA_VERSION,
         workload: req.profile.clone(),
         space: req.space.label(),
@@ -169,170 +149,7 @@ fn assemble_response(
         summary,
         frontier_machines,
         top_machines,
-    }
-}
-
-/// Fold shard `shard_index` of `shard_count` of an explore request,
-/// optionally resuming from a checkpoint snapshot, and return the
-/// complete shard snapshot. `on_checkpoint` sees the running snapshot
-/// after every `checkpoint_every` chunks (`0` disables intermediate
-/// checkpoints).
-///
-/// A `resume` snapshot must carry the identical request, the same
-/// profile fingerprint, and the same shard coordinates — resuming
-/// against a different sweep is refused with a structured 400
-/// (`snapshot_mismatch`), not silently folded.
-pub fn explore_shard(
-    prepared: &PreparedProfile<'_>,
-    req: &ExploreRequest,
-    shard_index: usize,
-    shard_count: usize,
-    resume: Option<&AccumulatorSnapshot>,
-    checkpoint_every: usize,
-    mut on_checkpoint: impl FnMut(&AccumulatorSnapshot),
-) -> Result<AccumulatorSnapshot, ApiError> {
-    req.check_version()?;
-    if shard_count == 0 || shard_index >= shard_count {
-        return Err(ApiError::bad_request(
-            "bad_shard",
-            format!("shard index {shard_index} is out of range for {shard_count} shards"),
-        ));
-    }
-    let fingerprint = profile_fingerprint(prepared.profile());
-    if let Some(snap) = resume {
-        snap.check_version()?;
-        if snap.request != *req {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                "resume snapshot was taken for a different explore request",
-            ));
-        }
-        if snap.profile_fingerprint != fingerprint {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                format!(
-                    "resume snapshot was taken over profile {} but this profile is {}",
-                    snap.profile_fingerprint, fingerprint
-                ),
-            ));
-        }
-        if (snap.shard_index, snap.shard_count) != (shard_index, shard_count) {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                format!(
-                    "resume snapshot is shard {}/{} but this run is shard {}/{}",
-                    snap.shard_index, snap.shard_count, shard_index, shard_count
-                ),
-            ));
-        }
-    }
-    let space = req.space.resolve()?;
-    let sweep = sweep_for(prepared, req)?;
-    let shard = sweep.run_shard_prepared(
-        prepared,
-        space.as_ref(),
-        shard_index,
-        shard_count,
-        resume.map(|s| &s.shard),
-        checkpoint_every,
-        |acc| {
-            on_checkpoint(&AccumulatorSnapshot::new(
-                req.clone(),
-                fingerprint.clone(),
-                shard_index,
-                shard_count,
-                acc.clone(),
-            ));
-        },
-    );
-    Ok(AccumulatorSnapshot::new(
-        req.clone(),
-        fingerprint,
-        shard_index,
-        shard_count,
-        shard,
-    ))
-}
-
-/// Fold N complete shard snapshots into the [`ExploreResponse`] the
-/// equivalent single-process run produces — byte for byte.
-///
-/// The snapshots must agree on request, profile fingerprint and shard
-/// count, cover shard indices `0..shard_count` exactly once each, and
-/// each be complete; anything else is a structured 400.
-pub fn merge_response(snapshots: &[AccumulatorSnapshot]) -> Result<ExploreResponse, ApiError> {
-    let Some(first) = snapshots.first() else {
-        return Err(ApiError::bad_request(
-            "snapshot_mismatch",
-            "no snapshots to merge",
-        ));
-    };
-    for snap in snapshots {
-        snap.check_version()?;
-        if snap.request != first.request {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                "snapshots were taken for different explore requests",
-            ));
-        }
-        if snap.profile_fingerprint != first.profile_fingerprint {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                format!(
-                    "snapshots cover different profiles ({} vs {})",
-                    snap.profile_fingerprint, first.profile_fingerprint
-                ),
-            ));
-        }
-        if snap.shard_count != first.shard_count {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                format!(
-                    "snapshots disagree on the shard count ({} vs {})",
-                    snap.shard_count, first.shard_count
-                ),
-            ));
-        }
-        if !snap.is_complete() {
-            return Err(ApiError::bad_request(
-                "snapshot_incomplete",
-                format!(
-                    "shard {}/{} is incomplete ({} of {} chunks done) — resume it with \
-                     `pmt explore --resume` before merging",
-                    snap.shard_index,
-                    snap.shard_count,
-                    snap.shard.chunks_done,
-                    snap.shard.chunk_hi.saturating_sub(snap.shard.chunk_lo)
-                ),
-            ));
-        }
-    }
-    let mut seen = vec![false; first.shard_count];
-    for snap in snapshots {
-        if snap.shard_index >= first.shard_count || seen[snap.shard_index] {
-            return Err(ApiError::bad_request(
-                "snapshot_mismatch",
-                format!(
-                    "shard indices must cover 0..{} exactly once (index {} is invalid or \
-                     duplicated)",
-                    first.shard_count, snap.shard_index
-                ),
-            ));
-        }
-        seen[snap.shard_index] = true;
-    }
-    if let Some(missing) = seen.iter().position(|&s| !s) {
-        return Err(ApiError::bad_request(
-            "snapshot_mismatch",
-            format!("shard {missing}/{} is missing", first.shard_count),
-        ));
-    }
-    let req = first.request.clone();
-    req.check_version()?;
-    let summary = merge_shards(snapshots.iter().map(|s| s.shard.clone()).collect())
-        .map_err(|msg| ApiError::bad_request("snapshot_mismatch", msg))?;
-    let space = req.space.resolve()?;
-    Ok(assemble_response(&req, space.as_ref(), summary))
+    })
 }
 
 #[cfg(test)]

@@ -135,7 +135,7 @@ impl DesignSpace {
     /// Lazily iterate every design point in enumeration order. Unlike
     /// [`enumerate`](Self::enumerate) nothing is materialized up front,
     /// and `nth`/`skip`/`step_by` jump by index arithmetic instead of
-    /// building the skipped points — sharding a space across workers is
+    /// building the skipped points — splitting a space across workers is
     /// `space.iter().skip(a).take(b - a)`.
     pub fn iter(&self) -> DesignSpaceIter<'_> {
         DesignSpaceIter {
@@ -168,7 +168,7 @@ pub fn l3_latency_for_kb(kb: u32) -> u32 {
 
 /// Lazy iterator over a [`DesignSpace`], yielding points by mixed-radix
 /// index ([`DesignSpace::point_at`]). Double-ended and exact-size, with
-/// an O(1) `nth` so `skip`/`step_by` shard without materializing.
+/// an O(1) `nth` so `skip`/`step_by` slice without materializing.
 #[derive(Clone, Debug)]
 pub struct DesignSpaceIter<'a> {
     space: &'a DesignSpace,
@@ -278,10 +278,10 @@ mod tests {
         assert_eq!(space.iter().len(), 243);
         // nth jumps straight to the target index.
         assert_eq!(space.iter().nth(200).unwrap().id, 200);
-        // A skip/take shard equals the same slice of the eager list.
+        // A skip/take slice equals the same slice of the eager list.
         let eager = space.enumerate();
-        let shard: Vec<_> = space.iter().skip(100).take(17).collect();
-        assert_eq!(shard.as_slice(), &eager[100..117]);
+        let slice: Vec<_> = space.iter().skip(100).take(17).collect();
+        assert_eq!(slice.as_slice(), &eager[100..117]);
         // Strided subsampling visits the same ids as step_by over the list.
         let strided: Vec<usize> = space.iter().step_by(31).map(|p| p.id).collect();
         assert_eq!(strided, vec![0, 31, 62, 93, 124, 155, 186, 217]);

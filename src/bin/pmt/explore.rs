@@ -9,23 +9,9 @@
 //! byte-identical to the body a running `pmt serve` returns for the same
 //! request (CI's serve-smoke job asserts exactly this, using
 //! `--emit-request` to capture the request it replays over HTTP).
-//!
-//! # Sharded sweeps
-//!
-//! `--shard I/N` folds only shard I's contiguous slice of the global
-//! chunk list and writes an
-//! [`AccumulatorSnapshot`](pmt::api::AccumulatorSnapshot) to
-//! `--snapshot-out` instead of a response; `pmt merge` folds N such
-//! snapshots into the byte-identical `ExploreResponse` a single-process
-//! run writes. `--checkpoint FILE` additionally persists the running
-//! snapshot every `--checkpoint-every` chunks (atomically, via
-//! temp-file rename), and `--resume FILE` continues a killed shard from
-//! its last completed chunk. See "Sharded sweeps" in
-//! `docs/ARCHITECTURE.md` for the determinism contract.
 
 use crate::args::{CliError, Command, Flag};
 use crate::commands::api_err;
-use pmt::api::AccumulatorSnapshot;
 use pmt::dse::{DesignConstraints, Objective};
 use pmt::prelude::*;
 
@@ -74,31 +60,6 @@ pub const EXPLORE: Command = Command {
             "FILE",
             "also write the ExploreRequest this run answers",
         ),
-        Flag::value(
-            "--shard",
-            "I/N",
-            "fold only shard I of N (writes a snapshot; see `pmt merge`)",
-        ),
-        Flag::value(
-            "--snapshot-out",
-            "FILE",
-            "write the shard's AccumulatorSnapshot here",
-        ),
-        Flag::value(
-            "--checkpoint",
-            "FILE",
-            "persist the running snapshot here (atomic rename)",
-        ),
-        Flag::value(
-            "--checkpoint-every",
-            "N",
-            "chunks between checkpoints (default 8)",
-        ),
-        Flag::value(
-            "--resume",
-            "FILE",
-            "resume a killed shard from this checkpoint/snapshot",
-        ),
     ],
 };
 
@@ -137,17 +98,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         eprintln!("wire request -> {path}");
     }
 
-    let sharded = parsed.value("--shard").is_some()
-        || parsed.value("--resume").is_some()
-        || parsed.value("--snapshot-out").is_some();
-    if sharded && parsed.value("--corrector").is_some() {
-        return Err(CliError::Usage(
-            "`--corrector` applies to a full run's survivors — shard runs write raw \
-             snapshots; pass it to the plain `pmt explore` over the merged space instead"
-                .to_string(),
-        ));
-    }
-
     // Load (and sanity-check) the corrector *before* the sweep: a wrong
     // schema version or a profile the model was never trained over must
     // fail fast, not after minutes of folding. The sweep itself never
@@ -168,21 +118,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         None => None,
     };
 
-    if sharded {
-        return run_shard(&parsed, &profile, &req);
-    }
-    for flag in ["--checkpoint", "--checkpoint-every"] {
-        if parsed.value(flag).is_some() {
-            return Err(CliError::Usage(format!(
-                "`{flag}` only applies to sharded runs (add `--shard I/N --snapshot-out FILE`)"
-            )));
-        }
-    }
-
     eprintln!("streaming space `{space_name}` for {}...", profile.name);
     let prepared = PreparedProfile::new(&profile);
     let resp = pmt::serve::engine::explore_response(&prepared, &req).map_err(api_err)?;
-    print_response(&resp, space_name);
+    print_response(&resp);
 
     if let Some(model) = &corrector {
         let space = req.space.resolve().map_err(api_err)?;
@@ -211,149 +150,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The sharded path: fold one shard's chunk range, checkpoint along the
-/// way, write the final snapshot for `pmt merge`.
-fn run_shard(
-    parsed: &crate::args::Parsed,
-    profile: &pmt::profiler::ApplicationProfile,
-    req: &ExploreRequest,
-) -> Result<(), CliError> {
-    if parsed.value("--out").is_some() {
-        return Err(CliError::Usage(
-            "a shard run writes a snapshot, not a response — drop `--out` here and use \
-             `pmt merge ... --out FILE` on the shard snapshots instead"
-                .to_string(),
-        ));
-    }
-    let Some(snapshot_out) = parsed.value("--snapshot-out") else {
-        return Err(CliError::Usage(
-            "sharded runs need `--snapshot-out FILE` (the file `pmt merge` folds)".to_string(),
-        ));
-    };
-
-    let resume: Option<AccumulatorSnapshot> = match parsed.value("--resume") {
-        Some(path) => {
-            let json = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
-            let snap: AccumulatorSnapshot = serde_json::from_str(&json)
-                .map_err(|e| CliError::Runtime(format!("parsing {path}: {e}")))?;
-            Some(snap)
-        }
-        None => None,
-    };
-    // Shard coordinates come from --shard I/N, or from the checkpoint
-    // being resumed; given both, the engine validates they agree.
-    let (shard_index, shard_count) = match (parsed.value("--shard"), &resume) {
-        (Some(s), _) => parse_shard(s)?,
-        (None, Some(snap)) => (snap.shard_index, snap.shard_count),
-        (None, None) => {
-            return Err(CliError::Usage(
-                "`--snapshot-out` needs `--shard I/N` (or `--resume FILE` to infer it)".to_string(),
-            ));
-        }
-    };
-
-    let checkpoint = parsed.value("--checkpoint");
-    let checkpoint_every: usize = parsed.parsed_or("--checkpoint-every", "a chunk count", 8)?;
-    // Without a checkpoint file there is nowhere to persist intermediate
-    // state, so fold the whole shard in one batch.
-    let every = if checkpoint.is_some() {
-        checkpoint_every.max(1)
-    } else {
-        0
-    };
-
-    eprintln!(
-        "streaming shard {shard_index}/{shard_count} of space `{}` for {}...",
-        req.space.label(),
-        profile.name
-    );
-    let prepared = PreparedProfile::new(profile);
-    let mut checkpoint_error: Option<CliError> = None;
-    let snap = pmt::serve::engine::explore_shard(
-        &prepared,
-        req,
-        shard_index,
-        shard_count,
-        resume.as_ref(),
-        every,
-        |running| {
-            if let (Some(path), None) = (checkpoint, &checkpoint_error) {
-                match serde_json::to_string(running) {
-                    Ok(json) => {
-                        if let Err(e) = write_atomic(path, &json) {
-                            checkpoint_error = Some(e);
-                        }
-                    }
-                    Err(e) => checkpoint_error = Some(CliError::Runtime(e.to_string())),
-                }
-            }
-        },
-    )
-    .map_err(api_err)?;
-    if let Some(e) = checkpoint_error {
-        return Err(e);
-    }
-
-    let json = serde_json::to_string(&snap).map_err(|e| e.to_string())?;
-    write_atomic(snapshot_out, &json)?;
-    let shard = &snap.shard;
-    println!(
-        "shard {shard_index}/{shard_count}: chunks {}..{} of {} points \
-         (evaluated {}, pre-filtered {}, over budget {})",
-        shard.chunk_lo,
-        shard.chunk_hi,
-        shard.space_points,
-        shard.evaluated,
-        shard.rejected,
-        shard.over_budget
-    );
-    println!(
-        "kept        : {} frontier candidates, {} top-{} candidates",
-        shard.frontier.len(),
-        shard.top.len(),
-        shard.top_k
-    );
-    eprintln!("shard snapshot -> {snapshot_out}");
-    eprintln!("merge with  : pmt merge {} ... --out FILE", snapshot_out);
-    Ok(())
-}
-
-/// Parse `--shard I/N`.
-fn parse_shard(s: &str) -> Result<(usize, usize), CliError> {
-    let err = || {
-        CliError::Usage(format!(
-            "`--shard` wants I/N with I < N (e.g. 0/3), got `{s}`"
-        ))
-    };
-    let (i, n) = s.split_once('/').ok_or_else(err)?;
-    let i: usize = i.trim().parse().map_err(|_| err())?;
-    let n: usize = n.trim().parse().map_err(|_| err())?;
-    if n == 0 || i >= n {
-        return Err(err());
-    }
-    Ok((i, n))
-}
-
-/// Write `contents` to `path` atomically: a temp file in the same
-/// directory, then rename. A reader (or a resume after SIGKILL) sees
-/// either the previous complete file or the new complete file, never a
-/// torn write.
-pub fn write_atomic(path: &str, contents: &str) -> Result<(), CliError> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).map_err(|e| CliError::Runtime(format!("writing {tmp}: {e}")))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| CliError::Runtime(format!("renaming {tmp} -> {path}: {e}")))
-}
-
-/// The human-readable report of an [`ExploreResponse`] — shared by
-/// `pmt explore` and `pmt merge`.
-pub fn print_response(resp: &ExploreResponse, space_name: &str) {
+/// The human-readable report of an [`ExploreResponse`].
+fn print_response(resp: &ExploreResponse) {
     let summary = &resp.summary;
     println!("workload    : {}", resp.workload);
     println!(
-        "space       : {space_name} ({} points)",
-        summary.space_points
+        "space       : {} ({} points)",
+        resp.space, summary.space_points
     );
     println!(
         "evaluated   : {}  (pre-filtered {}, over budget {})",

@@ -24,7 +24,6 @@
 mod args;
 mod commands;
 mod explore;
-mod merge;
 mod serve;
 mod train;
 
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
         "simulate" => commands::simulate(rest),
         "sweep" => commands::sweep(rest),
         "explore" => explore::run(rest),
-        "merge" => merge::run(rest),
         "validate" => commands::validate(rest),
         "train" => train::run(rest),
         "report" => commands::report(rest),
@@ -97,7 +95,6 @@ fn all_commands() -> Vec<&'static args::Command> {
         &commands::SIMULATE,
         &commands::SWEEP,
         &explore::EXPLORE,
-        &merge::MERGE,
         &commands::VALIDATE,
         &train::TRAIN,
         &commands::REPORT,

@@ -109,9 +109,8 @@ fn deep_inputs() -> [String; 2] {
 }
 
 /// Every file the toolkit reads back — a profile (`pmt profile --out`,
-/// read by `--profile`), a shard snapshot (`--snapshot-out`, read by
-/// `pmt merge` and `--resume`), a corrector artifact (`--corrector`) and
-/// a simulation cache (`--cache`) — must answer pathologically nested
+/// read by `--profile`), a corrector artifact (`--corrector`) and a
+/// simulation cache (`--cache`) — must answer pathologically nested
 /// JSON with an ordinary error, not abort the process on a stack
 /// overflow.
 #[test]
@@ -119,8 +118,6 @@ fn deep_input_gets_a_structured_error_from_every_file_loader() {
     for (i, deep) in deep_inputs().iter().enumerate() {
         let err = serde_json::from_str::<ApplicationProfile>(deep).unwrap_err();
         assert!(!err.to_string().is_empty(), "profile, input {i}");
-        let err = serde_json::from_str::<pmt::api::AccumulatorSnapshot>(deep).unwrap_err();
-        assert!(!err.to_string().is_empty(), "snapshot, input {i}");
         let err = pmt::ml::ResidualModel::from_json(deep).unwrap_err();
         assert_eq!(err.code, "bad_corrector", "corrector, input {i}");
 

@@ -63,9 +63,9 @@ pub use error::{ApiError, ErrorBody};
 pub use machine::{machine_by_name, MachineSpec, MACHINE_NAMES};
 pub use space::{AxisSpec, SpaceSpec, AXIS_NAMES, SPACE_NAMES};
 pub use wire::{
-    CorrectorMetrics, ExploreRequest, ExploreResponse, HealthResponse, MemoMetrics,
-    MetricsResponse, PredictRequest, PredictResponse, ProfileInfo, ProfilesResponse,
-    RegisterProfileRequest, RegisterProfileResponse, StackEntry,
+    CorrectorMetrics, ExploreRequest, ExploreResponse, HealthResponse, MetricsResponse,
+    PredictRequest, PredictResponse, ProfileInfo, ProfilesResponse, RegisterProfileRequest,
+    RegisterProfileResponse, StackEntry,
 };
 
 // `pmt validate --out` output is part of the wire family; see the

@@ -4,6 +4,7 @@
 use crate::machine::MachineSpec;
 use crate::space::SpaceSpec;
 use crate::{check_schema_version, ApiError, WIRE_SCHEMA_VERSION};
+use pmt_core::MemoStats;
 use pmt_dse::{DesignConstraints, StreamingSummary};
 use pmt_profiler::ApplicationProfile;
 use serde::{Deserialize, Serialize};
@@ -224,7 +225,7 @@ pub struct HealthResponse {
 /// `GET /metrics`: service counters since start. Counts are cumulative;
 /// rates are derived (`points_per_s` = `points_predicted` /
 /// `predict_seconds`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsResponse {
     /// Echoes [`WIRE_SCHEMA_VERSION`].
     pub schema_version: u32,
@@ -283,44 +284,13 @@ pub struct MetricsResponse {
     pub queue_depth: u64,
     /// Worker threads serving requests.
     pub worker_threads: u64,
-    /// Cumulative `BatchPredictor` memo efficacy across every batch
-    /// flight since daemon start.
-    pub memo: MemoMetrics,
+    /// Cumulative `BatchPredictor` memo efficacy: every batch flight's
+    /// `memo_stats()` snapshot since daemon start, summed. Entries equal
+    /// misses by construction (every miss inserts exactly one entry);
+    /// both are reported so the invariant is checkable over the wire.
+    pub memo: MemoStats,
     /// Learned-residual-corrector activity since daemon start.
     pub corrector: CorrectorMetrics,
-}
-
-/// Cumulative [`BatchPredictor`](../pmt_core/struct.BatchPredictor.html)
-/// memo counters, summed over every batch flight's `memo_stats()`
-/// snapshot. Entries equal misses by construction (every miss inserts
-/// exactly one entry); both are reported so the invariant is checkable
-/// over the wire.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MemoMetrics {
-    /// Cache-query memo entries created.
-    pub cache_entries: u64,
-    /// Cache queries answered from the memo.
-    pub cache_hits: u64,
-    /// Cache queries computed.
-    pub cache_misses: u64,
-    /// Stride-walk memo entries created.
-    pub stride_entries: u64,
-    /// Stride walks replayed from the memo.
-    pub stride_hits: u64,
-    /// Stride walks computed.
-    pub stride_misses: u64,
-    /// CP(ROB) memo entries created.
-    pub cp_entries: u64,
-    /// Critical-path lookups replayed from the memo.
-    pub cp_hits: u64,
-    /// Critical-path lookups computed.
-    pub cp_misses: u64,
-    /// Branch-penalty memo entries created.
-    pub branch_entries: u64,
-    /// Branch penalties replayed from the memo.
-    pub branch_hits: u64,
-    /// Branch penalties computed.
-    pub branch_misses: u64,
 }
 
 /// Corrector counters of a [`MetricsResponse`]: whether a

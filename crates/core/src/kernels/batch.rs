@@ -103,8 +103,10 @@ use crate::model::{CoreStage, Evaluator, PredictionSummary};
 use crate::prepared::PreparedProfile;
 use pmt_trace::FastHashMap;
 use pmt_uarch::{CacheHierarchy, ExecConfig, MachineConfig, PredictorKind};
+use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
+use std::ops::AddAssign;
 
 /// Complete machine-dependent input set of one window's stride walk
 /// (before its MSHR cap, which runs after the lookup).
@@ -172,8 +174,10 @@ type StageLookups = [u64; 3];
 /// [bounded](BatchPredictor::bounded) predictor starts its memo over
 /// (after that, entries ≤ misses) — the snapshot reports both so the
 /// invariant is checkable from the outside (the serve `/metrics`
-/// endpoint and the `speedup` binary both surface these numbers).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// endpoint and the `speedup` binary both surface these numbers). The
+/// `/metrics` `memo` block is this struct, summed over every batch
+/// flight with `+=`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoStats {
     /// Cache-query memo (curve × level × that level's line count)
     /// entries.
@@ -212,6 +216,38 @@ impl MemoStats {
     /// Total lookups that had to compute.
     pub fn misses(&self) -> u64 {
         self.cache_misses + self.stride_misses + self.cp_misses + self.branch_misses
+    }
+}
+
+impl AddAssign for MemoStats {
+    /// Field-wise sum: the tallies of two memos taken together.
+    fn add_assign(&mut self, other: MemoStats) {
+        let MemoStats {
+            cache_entries,
+            cache_hits,
+            cache_misses,
+            stride_entries,
+            stride_hits,
+            stride_misses,
+            cp_entries,
+            cp_hits,
+            cp_misses,
+            branch_entries,
+            branch_hits,
+            branch_misses,
+        } = other;
+        self.cache_entries += cache_entries;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.stride_entries += stride_entries;
+        self.stride_hits += stride_hits;
+        self.stride_misses += stride_misses;
+        self.cp_entries += cp_entries;
+        self.cp_hits += cp_hits;
+        self.cp_misses += cp_misses;
+        self.branch_entries += branch_entries;
+        self.branch_hits += branch_hits;
+        self.branch_misses += branch_misses;
     }
 }
 

@@ -3,9 +3,9 @@
 //! No kernel dispatches on the level today: the batched kernels run the
 //! same scalar IEEE-754 arithmetic as the single-point model. The level
 //! is probed once and recorded with pmtbench's perf records, so a record
-//! names the vector width its host offered. Setting
-//! `PMT_FORCE_SCALAR=1` in the environment reports
-//! [`SimdLevel::Scalar`].
+//! names the vector width its host offered. A kernel that dispatches on
+//! the level again should bring back a way to force the scalar path, so
+//! CI can pin both.
 
 use std::sync::OnceLock;
 
@@ -16,7 +16,7 @@ pub const LANES: usize = 4;
 /// The widest vector unit the host offers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// No vector unit (also what `PMT_FORCE_SCALAR=1` reports).
+    /// No vector unit.
     Scalar,
     /// 128-bit SSE2 lanes (the x86-64 baseline).
     Sse2,
@@ -35,8 +35,7 @@ impl SimdLevel {
     }
 }
 
-/// The host's SIMD level, probed once: `PMT_FORCE_SCALAR=1` reports
-/// [`SimdLevel::Scalar`]; otherwise the best supported x86-64 level
+/// The host's SIMD level, probed once: the best supported x86-64 level
 /// (other architectures report scalar).
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
@@ -44,9 +43,6 @@ pub fn simd_level() -> SimdLevel {
 }
 
 fn detect() -> SimdLevel {
-    if std::env::var_os("PMT_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0") {
-        return SimdLevel::Scalar;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx2") {

@@ -47,6 +47,7 @@ use crate::kernels::arena::CurveArena;
 use crate::mlp::VirtualStream;
 use pmt_profiler::{ApplicationProfile, StaticLoadProfile};
 use pmt_trace::UopClass;
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Machine-independent precomputation for one micro-trace window.
@@ -61,22 +62,21 @@ pub(crate) struct PreparedWindow {
 
 /// A one-time, machine-independent compilation of an
 /// [`ApplicationProfile`]: every per-window scalar precomputed, and every
-/// StatStack model fitted into the curve arena on first use. Borrow it
-/// wherever the profile lives; it is `Sync`, so one instance serves a
-/// whole rayon-parallel sweep.
+/// StatStack model fitted into the curve arena on first use. It borrows
+/// the profile ([`PreparedProfile::new`]) or owns it
+/// ([`PreparedProfile::owned`], for a holder such as the daemon's
+/// registry that outlives the caller's copy); it is `Sync`, so one
+/// instance serves a whole rayon-parallel sweep.
 pub struct PreparedProfile<'a> {
-    profile: &'a ApplicationProfile,
+    /// The profile, borrowed or owned.
+    profile: Cow<'a, ApplicationProfile>,
     /// Per-micro-trace precomputation, parallel to `profile.micro_traces`.
     windows: Vec<PreparedWindow>,
     /// Combined-mode μop class counts.
     combined_class_counts: [f64; UopClass::COUNT],
-    /// Combined-mode stride sample (the first micro-trace's static loads)
-    /// and its stream length — snapshotted here so the skeleton below and
-    /// the slice its `owner` indices point into can never diverge.
-    combined_static: &'a [StaticLoadProfile],
-    combined_uops: u64,
-    /// Combined-mode virtual-stream skeleton (`combined_static` with the
-    /// *global* dependence distribution).
+    /// Combined-mode virtual-stream skeleton: the first micro-trace's
+    /// static loads (the stride sample) with the *global* dependence
+    /// distribution.
     combined_stream: VirtualStream,
     /// Every fitted StatStack curve, built on the first prediction and
     /// shared by all later ones.
@@ -84,9 +84,13 @@ pub struct PreparedProfile<'a> {
 }
 
 impl<'a> PreparedProfile<'a> {
-    /// Precompute the machine-independent per-window state of `profile`;
-    /// the StatStack fits wait for the first prediction.
+    /// Precompute the machine-independent per-window state of `profile`,
+    /// borrowing it; the StatStack fits wait for the first prediction.
     pub fn new(profile: &'a ApplicationProfile) -> PreparedProfile<'a> {
+        PreparedProfile::prepare(Cow::Borrowed(profile))
+    }
+
+    fn prepare(profile: Cow<'a, ApplicationProfile>) -> PreparedProfile<'a> {
         let windows = profile
             .micro_traces
             .iter()
@@ -123,34 +127,26 @@ impl<'a> PreparedProfile<'a> {
         }
         // Combined mode samples strides from the first micro-trace but
         // draws dependence depths from the global distribution.
-        let (combined_static, combined_uops) = profile
-            .micro_traces
-            .first()
-            .map(|t| (t.static_loads.as_slice(), t.uops))
-            .unwrap_or((&[], 0));
+        let (combined_static, combined_uops) = combined_sample(&profile);
+        let combined_stream =
+            VirtualStream::build(combined_static, &profile.load_deps, combined_uops);
         PreparedProfile {
             windows,
             combined_class_counts,
-            combined_static,
-            combined_uops,
-            combined_stream: VirtualStream::build(
-                combined_static,
-                &profile.load_deps,
-                combined_uops,
-            ),
+            combined_stream,
             arena: OnceLock::new(),
             profile,
         }
     }
 
     /// The profile this preparation was compiled from.
-    pub fn profile(&self) -> &'a ApplicationProfile {
-        self.profile
+    pub fn profile(&self) -> &ApplicationProfile {
+        &self.profile
     }
 
     /// The curve arena every prediction queries, built on first use.
     pub(crate) fn arena(&self) -> &CurveArena {
-        self.arena.get_or_init(|| CurveArena::new(self.profile))
+        self.arena.get_or_init(|| CurveArena::new(&self.profile))
     }
 
     /// Per-micro-trace precomputations, parallel to
@@ -167,13 +163,28 @@ impl<'a> PreparedProfile<'a> {
     /// Combined-mode stride sample, stream length and skeleton, as one
     /// unit: `combined_stream`'s `owner` indices index into exactly this
     /// slice.
-    pub(crate) fn combined_stride_inputs(&self) -> (&'a [StaticLoadProfile], u64, &VirtualStream) {
-        (
-            self.combined_static,
-            self.combined_uops,
-            &self.combined_stream,
-        )
+    pub(crate) fn combined_stride_inputs(&self) -> (&[StaticLoadProfile], u64, &VirtualStream) {
+        let (static_loads, uops) = combined_sample(&self.profile);
+        (static_loads, uops, &self.combined_stream)
     }
+}
+
+impl PreparedProfile<'static> {
+    /// [`PreparedProfile::new`], owning `profile`: the preparation lives
+    /// as long as its holder wants, and dropping it frees the profile.
+    pub fn owned(profile: ApplicationProfile) -> PreparedProfile<'static> {
+        PreparedProfile::prepare(Cow::Owned(profile))
+    }
+}
+
+/// The combined-mode stride sample: the first micro-trace's static loads
+/// and its stream length (none for a profile without micro-traces).
+fn combined_sample(profile: &ApplicationProfile) -> (&[StaticLoadProfile], u64) {
+    profile
+        .micro_traces
+        .first()
+        .map(|t| (t.static_loads.as_slice(), t.uops))
+        .unwrap_or((&[], 0))
 }
 
 // Registries and parallel sweeps share one preparation across threads.

@@ -8,9 +8,8 @@
 //! `search_differential.rs`, and the bytes by the `prepared_identity`
 //! golden.)
 //!
-//! CI runs this suite twice: once as-is (the host's SIMD level) and once
-//! with `PMT_FORCE_SCALAR=1`, so both runtime-dispatch paths are pinned
-//! on every push.
+//! No kernel dispatches on the host's SIMD level, so CI runs this suite
+//! once per push, in its `kernel-conformance` job.
 
 use pmt_core::kernels::lanes::LANES;
 use pmt_core::{BatchPredictor, IntervalModel, MlpModelKind, ModelConfig, PreparedProfile};

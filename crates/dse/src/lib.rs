@@ -22,8 +22,9 @@
 //! * [`ParetoFront`] — non-dominated (delay, power) extraction plus the
 //!   pruning-quality metrics of §7.4: sensitivity, specificity, accuracy
 //!   and the hypervolume ratio (HVR, Fig 7.8),
-//! * [`dvfs`] — voltage/frequency sweeps and ED²P optimization (§7.3),
-//!   including the lazy [`dvfs::explore_iter`] path,
+//! * [`dvfs`] — voltage/frequency sweeps and ED²P optimization (§7.3);
+//!   a dense DVFS sweep is a [`ProductSpace`] frequency or
+//!   operating-point axis,
 //! * [`constrain`] — cheap pre-prediction machine filters
 //!   ([`constrain::DesignConstraints`]) and optimal-design selection
 //!   under power or performance budgets (§7.2, Table 7.1),

@@ -140,9 +140,17 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     };
     let content_length = match request.header("content-length") {
         None => 0,
-        Some(v) => v.parse::<usize>().map_err(|_| {
-            ApiError::bad_request("bad_header", format!("unparsable Content-Length `{v}`"))
-        })?,
+        // `1*DIGIT` (RFC 9110 §8.6): `usize::from_str` alone would also
+        // take a leading `+`, framing the body differently from a proxy.
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => {
+                return Err(ApiError::bad_request(
+                    "bad_header",
+                    format!("unparsable Content-Length `{v}`"),
+                ))
+            }
+        },
     };
     if content_length > max_body {
         return Err(ApiError::too_large(
@@ -305,6 +313,16 @@ mod tests {
         let raw = b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n";
         let err = read_request(&mut Cursor::new(raw.to_vec()), 1024).unwrap_err();
         assert_eq!(err.body.code, "bad_header");
+    }
+
+    #[test]
+    fn a_content_length_is_digits_only() {
+        for length in ["+5", "-5", " 5x", "0x5", "5 5"] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\nhello");
+            let err = read_request(&mut Cursor::new(raw.into_bytes()), 1024).unwrap_err();
+            assert_eq!(err.status, 400, "Content-Length {length:?}");
+            assert_eq!(err.body.code, "bad_header", "Content-Length {length:?}");
+        }
     }
 
     /// A client that sends `sent`, then stalls until the read timeout.

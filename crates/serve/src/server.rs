@@ -63,7 +63,8 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Completed responses kept for the warm-repeat fast path.
     pub response_cache_entries: usize,
-    /// Most profiles the registry admits (bounds the deliberate leak).
+    /// Most profile names the registry holds at once (replacing a live
+    /// name always fits).
     pub max_profiles: usize,
     /// Micro-batching collection window for `/v1/predict`, in
     /// milliseconds. Concurrent predicts against the same profile that

@@ -18,10 +18,9 @@ use pmt_workloads::{suite, WorkloadSpec};
 
 /// The sweep configuration shared by the chapter's space figures, with
 /// the process-wide `PMT_SIM_CACHE` memoization threaded through.
-fn sweep(cfg: &HarnessConfig, with_simulation: bool, sim_n: u64) -> SweepConfig {
+fn sweep(cfg: &HarnessConfig, sim_n: u64) -> SweepConfig {
     SweepConfig {
         model: cfg.model.clone(),
-        with_simulation,
         sim_instructions: sim_n,
         sim_cache: shared_sim_cache(),
     }
@@ -30,7 +29,7 @@ fn sweep(cfg: &HarnessConfig, with_simulation: bool, sim_n: u64) -> SweepConfig 
 /// Table 7.1: optimizing performance under a power budget.
 pub fn tbl7_1_power_constraint(cfg: &HarnessConfig) -> Vec<Figure> {
     let points = DesignSpace::thesis_table_6_3().enumerate();
-    let sweep = sweep(cfg, false, 0);
+    let sweep = sweep(cfg, 0);
     let rows = parallel_map(suite(), |spec| {
         let profile = Profiler::new(cfg.profiler.clone())
             .profile_named(&spec.name, &mut spec.trace(cfg.instructions.min(300_000)));
@@ -143,7 +142,7 @@ pub fn fig7_4_pareto(cfg: &HarnessConfig) -> Vec<Figure> {
         let spec = WorkloadSpec::by_name(name).unwrap();
         let profile =
             Profiler::new(cfg.profiler.clone()).profile_named(name, &mut spec.trace(sim_n));
-        let sweep = sweep(cfg, false, sim_n);
+        let sweep = sweep(cfg, sim_n);
         let eval = SpaceEvaluation::run(&points, &profile, None, &sweep);
         let model_pts = eval.model_points();
         let front = ParetoFront::of(&model_pts);
@@ -291,7 +290,7 @@ pub fn fig7_7_pareto_metrics(cfg: &HarnessConfig) -> Vec<Figure> {
         .into_iter()
         .step_by(stride)
         .collect();
-    let sweep = sweep(cfg, true, sim_n);
+    let sweep = sweep(cfg, sim_n);
     let rows = parallel_map(suite(), |spec| {
         let profile =
             Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(sim_n));
@@ -381,7 +380,7 @@ pub fn fig7_10_empirical(cfg: &HarnessConfig) -> Vec<Figure> {
         .into_iter()
         .step_by(stride)
         .collect();
-    let sweep = sweep(cfg, true, sim_n);
+    let sweep = sweep(cfg, sim_n);
     let rows = parallel_map(suite(), |spec| {
         let profile =
             Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(sim_n));

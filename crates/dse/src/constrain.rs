@@ -20,11 +20,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use pmt_dse::constrain::DesignConstraints;
+/// use pmt_dse::LazyDesignSpace;
 /// use pmt_uarch::DesignSpace;
 ///
 /// let c = DesignConstraints::new().max_dispatch_width(4).max_rob(128);
 /// let admitted = DesignSpace::thesis_table_6_3()
-///     .iter()
+///     .iter_points()
 ///     .filter(|p| c.admits(p))
 ///     .count();
 /// assert_eq!(admitted, 108); // 2 of 3 widths × 2 of 3 ROBs × 27 cache combos
@@ -150,6 +151,7 @@ pub fn min_energy(outcomes: &[PointOutcome]) -> Option<&PointOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LazyDesignSpace;
 
     fn outcome(id: usize, seconds: f64, power: f64) -> PointOutcome {
         PointOutcome {
@@ -200,7 +202,7 @@ mod tests {
     fn unset_constraints_admit_everything() {
         let c = DesignConstraints::new();
         assert!(c.is_unconstrained());
-        for p in pmt_uarch::DesignSpace::small().iter() {
+        for p in pmt_uarch::DesignSpace::small().iter_points() {
             assert!(c.admits(&p));
         }
     }
@@ -208,7 +210,7 @@ mod tests {
     #[test]
     fn each_bound_rejects_exactly_its_axis() {
         let space = pmt_uarch::DesignSpace::small();
-        let points: Vec<_> = space.iter().collect();
+        let points: Vec<_> = space.iter_points().collect();
         let widths = |c: &DesignConstraints| points.iter().filter(|p| c.admits(p)).count();
         assert_eq!(widths(&DesignConstraints::new().max_dispatch_width(2)), 16);
         assert_eq!(widths(&DesignConstraints::new().max_rob(64)), 16);

@@ -3,12 +3,11 @@
 //! The point of a micro-architecture independent model is sweeping large
 //! design spaces from one profile. This crate provides:
 //!
-//! * [`SpaceEvaluation`] — evaluate the interval model (and optionally the
-//!   reference simulator) over a [`DesignSpace`](pmt_uarch::DesignSpace) ×
-//!   workload grid, rayon-parallel with deterministic, serially
-//!   bit-identical results,
-//! * [`SweepBuilder`] — the batch front-end: several profiled workloads ×
-//!   one design space as a single load-balanced parallel job,
+//! * [`SpaceEvaluation`] — the one materializing sweep: evaluate the
+//!   interval model (and, given the workload's spec, the reference
+//!   simulator) for one profiled workload over a list of design points,
+//!   one [`PointOutcome`] per point, rayon-parallel with deterministic,
+//!   serially bit-identical results,
 //! * [`StreamingSweep`] — the large-scale path: points come lazily from
 //!   any [`LazyDesignSpace`] (the thesis grid, or a [`ProductSpace`] of
 //!   user-defined axes, easily 10⁶+ points) and fold into **online
@@ -82,6 +81,4 @@ pub use space::{Axis, LazyDesignSpace, LazyPoints, ProductSpace};
 pub use streaming::{
     Objective, RankedEntry, StreamPoint, StreamingSummary, StreamingSweep, TopK, DEFAULT_CHUNK,
 };
-pub use sweep::{
-    sim_cache_key, BatchEvaluation, PointOutcome, SpaceEvaluation, SweepBuilder, SweepConfig,
-};
+pub use sweep::{sim_cache_key, PointOutcome, SpaceEvaluation, SweepConfig};

@@ -464,6 +464,24 @@ mod tests {
         assert_eq!(lazy, eager);
     }
 
+    /// `nth` jumps by index arithmetic, so `skip`/`take`/`step_by` shard a
+    /// space without building the skipped points.
+    #[test]
+    fn iter_points_shards_by_index_arithmetic() {
+        let space = DesignSpace::thesis_table_6_3();
+        assert_eq!(space.iter_points().len(), 243);
+        assert_eq!(space.iter_points().nth(200).unwrap().id, 200);
+        // A skip/take slice equals the same slice of the eager list.
+        let eager = space.enumerate();
+        let slice: Vec<_> = space.iter_points().skip(100).take(17).collect();
+        assert_eq!(slice.as_slice(), &eager[100..117]);
+        // Strided subsampling visits the same ids as step_by over the list.
+        let strided: Vec<usize> = space.iter_points().step_by(31).map(|p| p.id).collect();
+        assert_eq!(strided, vec![0, 31, 62, 93, 124, 155, 186, 217]);
+        // Double-ended: the back is the last point.
+        assert_eq!(space.iter_points().next_back().unwrap().id, 242);
+    }
+
     #[test]
     fn slice_of_points_is_a_lazy_space() {
         let points = DesignSpace::small().enumerate();

@@ -429,8 +429,8 @@ impl ChunkFold {
 
 /// A memory-bounded design-space sweep: lazy points in, online
 /// accumulators out. Model-only by construction (simulated ground truth
-/// belongs to the materializing [`SweepBuilder`](crate::SweepBuilder) /
-/// validation paths, which need every outcome anyway).
+/// belongs to the materializing [`SpaceEvaluation`](crate::SpaceEvaluation)
+/// and validation paths, which need every outcome anyway).
 pub struct StreamingSweep<'a> {
     profile: &'a ApplicationProfile,
     model: ModelConfig,

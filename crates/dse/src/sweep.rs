@@ -4,7 +4,7 @@ use pmt_core::{BatchPredictor, ModelConfig, PreparedProfile};
 use pmt_power::PowerModel;
 use pmt_profiler::ApplicationProfile;
 use pmt_sim::{CacheKey, OooSimulator, SimCache, SimConfig, SimResult};
-use pmt_uarch::{DesignPoint, DesignSpace, MachineConfig};
+use pmt_uarch::{DesignPoint, MachineConfig};
 use pmt_workloads::WorkloadSpec;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -109,10 +109,8 @@ pub fn sim_cache_key(
 pub struct SweepConfig {
     /// Model configuration (entropy model etc.).
     pub model: ModelConfig,
-    /// Also run the cycle-level simulator for ground truth.
-    pub with_simulation: bool,
-    /// Instructions per simulation (ignored for the model, which uses the
-    /// profile).
+    /// Instructions per reference simulation. A sweep simulates exactly
+    /// when it is given the workload's spec; the model uses the profile.
     pub sim_instructions: u64,
     /// Optional shared memoization cache for simulation results, keyed by
     /// [`sim_cache_key`]. Repeated sweeps over overlapping (workload,
@@ -126,23 +124,23 @@ impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
             model: ModelConfig::default(),
-            with_simulation: false,
             sim_instructions: 200_000,
             sim_cache: None,
         }
     }
 }
 
-/// A design-space × workload evaluation.
+/// One workload's evaluation over a design space.
 #[derive(Clone, Debug, Default)]
 pub struct SpaceEvaluation {
-    /// All outcomes, grouped by workload-major order.
+    /// All outcomes, in design-point order.
     pub outcomes: Vec<PointOutcome>,
 }
 
 impl SpaceEvaluation {
     /// Evaluate the model for one profiled workload over all design
-    /// points; optionally simulate for truth.
+    /// points; given the workload's `spec`, also simulate every point for
+    /// truth (memoized through [`SweepConfig::sim_cache`]).
     ///
     /// Profile once, **prepare once**, predict many: the machine-independent
     /// StatStack fits are compiled once ([`PreparedProfile`]), shared
@@ -187,10 +185,6 @@ impl SpaceEvaluation {
         cfg: &SweepConfig,
         parallel: bool,
     ) -> SpaceEvaluation {
-        assert!(
-            !cfg.with_simulation || spec.is_some(),
-            "simulation needs the workload spec"
-        );
         let prepared = PreparedProfile::new(profile);
         let model = Self::predict_model_points(points, &prepared, cfg, parallel);
         let eval = |i: usize| Self::finish_point(&points[i], model[i], &prepared, spec, cfg);
@@ -230,7 +224,7 @@ impl SpaceEvaluation {
     }
 
     /// Finish one design point: attach the precomputed model prediction
-    /// and (optionally) the memoized reference simulation.
+    /// and, given a spec, the memoized reference simulation.
     fn finish_point(
         point: &DesignPoint,
         p: crate::streaming::StreamPoint,
@@ -239,8 +233,7 @@ impl SpaceEvaluation {
         cfg: &SweepConfig,
     ) -> PointOutcome {
         let machine = &point.machine;
-        let (sim_cpi, sim_power, sim_seconds) = if cfg.with_simulation {
-            let spec = spec.expect("checked in run()");
+        let (sim_cpi, sim_power, sim_seconds) = if let Some(spec) = spec {
             let simulate = || {
                 OooSimulator::new(SimConfig::new(machine.clone()))
                     .run(&mut spec.trace(cfg.sim_instructions))
@@ -288,218 +281,6 @@ impl SpaceEvaluation {
     }
 }
 
-/// A batch design-space sweep: many profiled workloads × one design space,
-/// evaluated as a single rayon-parallel job.
-///
-/// This is the facade-level entry point for the paper's headline workflow
-/// (profile once per workload, then predict the whole space "in seconds"):
-///
-/// ```
-/// use pmt_dse::SweepBuilder;
-/// use pmt_profiler::{Profiler, ProfilerConfig};
-/// use pmt_uarch::DesignSpace;
-/// use pmt_workloads::WorkloadSpec;
-///
-/// let spec = WorkloadSpec::by_name("astar").unwrap();
-/// let profile =
-///     Profiler::new(ProfilerConfig::fast_test()).profile_named("astar", &mut spec.trace(20_000));
-/// let batch = SweepBuilder::new()
-///     .space(DesignSpace::small())
-///     .profile(&profile)
-///     .run();
-/// assert_eq!(batch.evaluations.len(), 1);
-/// assert_eq!(batch.evaluations[0].outcomes.len(), 32);
-/// ```
-#[derive(Default)]
-pub struct SweepBuilder<'a> {
-    points: Vec<DesignPoint>,
-    /// Which setter provided `points` — [`space`](Self::space) and
-    /// [`points`](Self::points) are mutually exclusive, and mixing them
-    /// is a hard error rather than a silent last-call-wins.
-    points_source: Option<&'static str>,
-    jobs: Vec<(&'a ApplicationProfile, Option<&'a WorkloadSpec>)>,
-    config: SweepConfig,
-    serial: bool,
-}
-
-impl<'a> SweepBuilder<'a> {
-    /// An empty sweep over no points and no workloads.
-    pub fn new() -> SweepBuilder<'a> {
-        SweepBuilder::default()
-    }
-
-    fn set_points(&mut self, source: &'static str, points: Vec<DesignPoint>) {
-        if let Some(prev) = self.points_source {
-            if prev != source {
-                panic!(
-                    "SweepBuilder::{source}(...) conflicts with the earlier \
-                     ::{prev}(...) call: a sweep takes its points from either \
-                     a DesignSpace or an explicit list, never both"
-                );
-            }
-        }
-        self.points_source = Some(source);
-        self.points = points;
-    }
-
-    /// Sweep every point of `space`.
-    ///
-    /// Mutually exclusive with [`points`](Self::points): calling both on
-    /// one builder panics (repeating the *same* setter replaces the
-    /// previous value). A silent last-call-wins here used to discard a
-    /// carefully constructed point list without a trace.
-    pub fn space(mut self, space: DesignSpace) -> Self {
-        self.set_points("space", space.enumerate());
-        self
-    }
-
-    /// Sweep an explicit list of design points.
-    ///
-    /// Mutually exclusive with [`space`](Self::space) — see there.
-    pub fn points(mut self, points: Vec<DesignPoint>) -> Self {
-        self.set_points("points", points);
-        self
-    }
-
-    /// Add a profiled workload (model-only evaluation).
-    pub fn profile(mut self, profile: &'a ApplicationProfile) -> Self {
-        self.jobs.push((profile, None));
-        self
-    }
-
-    /// Add a profiled workload together with its generator spec so the
-    /// sweep can also run the cycle-level simulator for ground truth.
-    pub fn profile_with_spec(
-        mut self,
-        profile: &'a ApplicationProfile,
-        spec: &'a WorkloadSpec,
-    ) -> Self {
-        self.jobs.push((profile, Some(spec)));
-        self
-    }
-
-    /// Replace the sweep configuration.
-    pub fn config(mut self, config: SweepConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Also simulate every point (requires specs via
-    /// [`profile_with_spec`](Self::profile_with_spec)).
-    pub fn with_simulation(mut self, sim_instructions: u64) -> Self {
-        self.config.with_simulation = true;
-        self.config.sim_instructions = sim_instructions;
-        self
-    }
-
-    /// Memoize simulation results in `cache` (shared; see
-    /// [`SweepConfig::sim_cache`]).
-    pub fn sim_cache(mut self, cache: Arc<SimCache>) -> Self {
-        self.config.sim_cache = Some(cache);
-        self
-    }
-
-    /// Force the sequential path (for measurement and debugging).
-    pub fn serial(mut self) -> Self {
-        self.serial = true;
-        self
-    }
-
-    /// Evaluate all (workload × design point) pairs.
-    ///
-    /// Each workload is **prepared once** ([`PreparedProfile`]) and shared
-    /// read-only across the whole grid. The model half runs through the
-    /// batched kernels per (workload, chunk); the finishing half runs the
-    /// identical flat (job, point) grid through the identical per-pair
-    /// closure. The serial and parallel paths differ only in the driving
-    /// iterators, so a parallel batch is structurally bit-identical to a
-    /// serial one; outcomes are regrouped per workload in input order.
-    pub fn run(&self) -> BatchEvaluation {
-        assert!(
-            !self.config.with_simulation || self.jobs.iter().all(|(_, s)| s.is_some()),
-            "simulation sweeps need every workload added via profile_with_spec"
-        );
-        let n_points = self.points.len();
-        // The machine-independent compilation, hoisted out of the grid:
-        // one preparation per workload, not one per (workload, point) —
-        // rayon-parallel (order-preserving collect) since each workload's
-        // fits are independent; the `serial` flag only pins the point
-        // evaluation order, which preparation does not touch.
-        let prepared: Vec<PreparedProfile<'_>> = self
-            .jobs
-            .par_iter()
-            .map(|(profile, _)| PreparedProfile::new(profile))
-            .collect();
-        // The batched model half, one prediction list per workload (the
-        // inner call parallelizes over chunks unless `serial`).
-        let model: Vec<Vec<crate::streaming::StreamPoint>> = prepared
-            .iter()
-            .map(|prep| {
-                SpaceEvaluation::predict_model_points(
-                    &self.points,
-                    prep,
-                    &self.config,
-                    !self.serial,
-                )
-            })
-            .collect();
-        let grid: Vec<(usize, usize)> = (0..self.jobs.len())
-            .flat_map(|j| (0..n_points).map(move |p| (j, p)))
-            .collect();
-        let eval = |&(j, p): &(usize, usize)| {
-            let (_, spec) = self.jobs[j];
-            SpaceEvaluation::finish_point(
-                &self.points[p],
-                model[j][p],
-                &prepared[j],
-                spec,
-                &self.config,
-            )
-        };
-        let mut outcomes: Vec<PointOutcome> = if self.serial {
-            grid.iter().map(eval).collect()
-        } else {
-            grid.par_iter().map(eval).collect()
-        };
-        let mut evals = Vec::with_capacity(self.jobs.len());
-        for _ in 0..self.jobs.len() {
-            let rest = outcomes.split_off(n_points.min(outcomes.len()));
-            evals.push(SpaceEvaluation { outcomes });
-            outcomes = rest;
-        }
-        BatchEvaluation {
-            workloads: self.jobs.iter().map(|(p, _)| p.name.clone()).collect(),
-            evaluations: evals,
-        }
-    }
-}
-
-/// The result of a [`SweepBuilder`] run: one [`SpaceEvaluation`] per added
-/// workload, in insertion order.
-#[derive(Clone, Debug, Default)]
-pub struct BatchEvaluation {
-    /// Workload names, parallel to `evaluations` (recorded at build time so
-    /// lookups work even for empty point sets).
-    pub workloads: Vec<String>,
-    /// Per-workload space evaluations.
-    pub evaluations: Vec<SpaceEvaluation>,
-}
-
-impl BatchEvaluation {
-    /// The evaluation for the first workload added as `workload`.
-    pub fn for_workload(&self, workload: &str) -> Option<&SpaceEvaluation> {
-        self.workloads
-            .iter()
-            .position(|w| w == workload)
-            .map(|i| &self.evaluations[i])
-    }
-
-    /// All outcomes across workloads, workload-major.
-    pub fn outcomes(&self) -> impl Iterator<Item = &PointOutcome> {
-        self.evaluations.iter().flat_map(|e| e.outcomes.iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +319,6 @@ mod tests {
         let spec = WorkloadSpec::by_name("astar").unwrap();
         let points = DesignSpace::small().enumerate()[..4].to_vec();
         let cfg = SweepConfig {
-            with_simulation: true,
             sim_instructions: 10_000,
             ..Default::default()
         };
@@ -642,7 +422,6 @@ mod tests {
         let points = DesignSpace::small().enumerate()[..4].to_vec();
         let profile = profile();
         let cold_cfg = SweepConfig {
-            with_simulation: true,
             sim_instructions: 5_000,
             ..Default::default()
         };
@@ -676,75 +455,5 @@ mod tests {
                 w.sim_power.unwrap().to_bits()
             );
         }
-    }
-
-    #[test]
-    fn builder_batches_workloads_in_order() {
-        let spec_a = WorkloadSpec::by_name("astar").unwrap();
-        let spec_b = WorkloadSpec::by_name("gcc").unwrap();
-        let prof = Profiler::new(ProfilerConfig::fast_test());
-        let pa = prof.profile_named("astar", &mut spec_a.trace(20_000));
-        let pb = prof.profile_named("gcc", &mut spec_b.trace(20_000));
-        let batch = SweepBuilder::new()
-            .space(DesignSpace::small())
-            .profile(&pa)
-            .profile(&pb)
-            .run();
-        assert_eq!(batch.evaluations.len(), 2);
-        assert!(batch.evaluations.iter().all(|e| e.outcomes.len() == 32));
-        assert_eq!(batch.evaluations[0].outcomes[0].workload, "astar");
-        assert_eq!(batch.evaluations[1].outcomes[0].workload, "gcc");
-        assert!(batch.for_workload("gcc").is_some());
-        assert!(batch.for_workload("milc").is_none());
-        assert_eq!(batch.outcomes().count(), 64);
-
-        // Lookup works even when the point set is empty (names are
-        // recorded at build time, not inferred from outcome rows).
-        let empty = SweepBuilder::new().points(Vec::new()).profile(&pa).run();
-        assert!(empty.for_workload("astar").is_some());
-        assert_eq!(empty.for_workload("astar").unwrap().outcomes.len(), 0);
-
-        // Batch = per-workload sweeps, bit for bit.
-        let lone = SpaceEvaluation::run_serial(
-            &DesignSpace::small().enumerate(),
-            &pb,
-            None,
-            &SweepConfig::default(),
-        );
-        for (a, b) in batch.evaluations[1].outcomes.iter().zip(&lone.outcomes) {
-            assert_eq!(a.model_cpi.to_bits(), b.model_cpi.to_bits());
-        }
-    }
-
-    /// `.space(...)` and `.points(...)` used to overwrite each other
-    /// silently (last-call-wins); the combination is now a hard error in
-    /// both orders, while repeating one setter still replaces.
-    #[test]
-    #[should_panic(expected = "conflicts with the earlier")]
-    fn points_then_space_is_an_error() {
-        let _ = SweepBuilder::new()
-            .points(DesignSpace::small().enumerate()[..2].to_vec())
-            .space(DesignSpace::small());
-    }
-
-    #[test]
-    #[should_panic(expected = "conflicts with the earlier")]
-    fn space_then_points_is_an_error() {
-        let _ = SweepBuilder::new()
-            .space(DesignSpace::small())
-            .points(Vec::new());
-    }
-
-    #[test]
-    fn repeating_the_same_points_setter_replaces() {
-        let points = DesignSpace::small().enumerate();
-        let b = SweepBuilder::new()
-            .points(points[..4].to_vec())
-            .points(points[..2].to_vec());
-        assert_eq!(b.points.len(), 2);
-        let b = SweepBuilder::new()
-            .space(DesignSpace::small())
-            .space(DesignSpace::validation_subspace());
-        assert_eq!(b.points.len(), 27);
     }
 }

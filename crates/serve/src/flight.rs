@@ -13,8 +13,10 @@
 //!   response.
 //!
 //! Identity strings, not 64-bit hashes, decide whether two explores
-//! coalesce. The first request to miss the response cache publishes a
-//! fresh flight with itself already inside as member 0, its **leader**;
+//! coalesce. Admission ([`FlightGuard::admit`]) looks the response cache
+//! up under the flights lock, so a request sees the cache and the open
+//! flights as one state. The first request to miss the cache publishes
+//! a fresh flight with itself already inside as member 0, its **leader**;
 //! a request that finds an open flight joins it by **handing its
 //! `TcpStream` to the flight** and returning at once, so its worker goes
 //! straight back to the accept queue — no thread ever parks waiting for
@@ -25,10 +27,17 @@
 //! is published already closed — a flight of one, through the same code.
 //!
 //! The leader computes once, inline on its own worker. An explore
-//! flight stays open while its sweep runs and closes when it ends; a
-//! predict flight first holds a bounded collection window
-//! ([`FlightGuard::collect`]), then closes and evaluates every admitted
-//! point in one pass.
+//! flight stays open while its sweep runs and ends through
+//! [`FlightGuard::deliver_to_all`], which caches the response *before*
+//! releasing the key: an identical explore admitted at any moment
+//! either joins the flight or hits the cache, so it never leads a
+//! second sweep. A predict flight first holds a bounded collection
+//! window ([`FlightGuard::collect`]), then closes — releasing its key,
+//! so the next distinct predicts on the profile form the next batch
+//! while this one computes — and evaluates every admitted point in one
+//! pass. This is deliberate: an identical predict admitted between that
+//! release and delivery recomputes one point in a fresh flight, where
+//! holding the key would stall the next batch behind this one.
 //!
 //! # Accounting and failure isolation
 //!
@@ -46,7 +55,7 @@
 
 use crate::http::Response;
 use crate::metrics::{Kind, Outcome};
-use crate::server::{cache_insert, respond, Shared};
+use crate::server::{cache_insert, cache_lookup, respond, Shared};
 use pmt_api::ApiError;
 use pmt_uarch::MachineConfig;
 use std::collections::HashMap;
@@ -117,6 +126,16 @@ pub(crate) struct Flight {
 /// The open flights, at most one per key.
 pub(crate) type Flights = Mutex<HashMap<FlightKey, Arc<Flight>>>;
 
+/// How [`FlightGuard::admit`] placed a request.
+pub(crate) enum Admission<'a> {
+    /// The response cache answered it; it joins no flight.
+    Hit(Response),
+    /// It joined an open flight, which now owns its connection.
+    Joined,
+    /// It published a fresh flight and leads it.
+    Lead(FlightGuard<'a>),
+}
+
 /// Owns a flight's members from the leader's admission to delivery; see
 /// the module docs.
 pub(crate) struct FlightGuard<'a> {
@@ -127,19 +146,26 @@ pub(crate) struct FlightGuard<'a> {
 }
 
 impl<'a> FlightGuard<'a> {
-    /// Join the open flight under `key` — moving `stream` into it, so the
-    /// caller must write nothing and gets `None` — or publish a fresh
-    /// flight of at most `capacity` members with `member` as its leader,
-    /// and return the guard this caller leads it with. A flight of
-    /// capacity 1 is published closed.
+    /// Answer `member` from the response cache; else join the open
+    /// flight under `key` — moving `stream` into it, so the caller must
+    /// write nothing — or publish a fresh flight of at most `capacity`
+    /// members with `member` as its leader, and return the guard this
+    /// caller leads it with. A flight of capacity 1 is published closed.
+    ///
+    /// The cache lookup runs under the flights lock, so it cannot fall
+    /// between an explore flight caching its response and releasing its
+    /// key.
     pub(crate) fn admit(
         shared: &'a Shared,
         key: FlightKey,
         mut member: Member,
         stream: &mut Option<TcpStream>,
         capacity: usize,
-    ) -> Option<FlightGuard<'a>> {
+    ) -> Admission<'a> {
         let mut flights = shared.flights.lock().expect("flights lock");
+        if let Some(hit) = cache_lookup(shared, key.kind(), member.key, &member.identity) {
+            return Admission::Hit(hit);
+        }
         if let Some(flight) = flights.get(&key) {
             let mut state = flight.state.lock().expect("flight state lock");
             if !state.closed {
@@ -149,7 +175,7 @@ impl<'a> FlightGuard<'a> {
                 // Wake the leader: the join may have filled the flight or
                 // made its idle-close condition worth re-checking.
                 flight.cv.notify_all();
-                return None;
+                return Admission::Joined;
             }
         }
         // No flight, or a closed one still computing: publish a fresh
@@ -164,7 +190,7 @@ impl<'a> FlightGuard<'a> {
             cv: Condvar::new(),
         });
         flights.insert(key, Arc::clone(&flight));
-        Some(FlightGuard {
+        Admission::Lead(FlightGuard {
             shared,
             flight,
             members: Vec::new(),
@@ -265,6 +291,22 @@ impl<'a> FlightGuard<'a> {
             .next()
             .expect("the leader is member 0")
     }
+
+    /// An explore flight's end: every member gets the leader's
+    /// `response`. A successful response is cached before [`close`]
+    /// releases the key, so no identical request can miss both the
+    /// flight and the cache.
+    ///
+    /// [`close`]: Self::close
+    pub(crate) fn deliver_to_all(mut self, response: Response, leader: Outcome) -> Response {
+        if !response.is_error() {
+            let state = self.flight.state.lock().expect("flight state lock");
+            let first = &state.members[0];
+            cache_insert(self.shared, first.key, &first.identity, &response);
+        }
+        let members = self.close().len();
+        self.deliver(vec![response; members], leader)
+    }
 }
 
 impl Drop for FlightGuard<'_> {
@@ -299,9 +341,23 @@ mod tests {
         Shared::new(ServeConfig::default(), Arc::new(Registry::new(1)))
     }
 
-    fn admit<'a>(shared: &'a Shared, identity: &str, capacity: usize) -> Option<FlightGuard<'a>> {
+    fn admit_to<'a>(
+        shared: &'a Shared,
+        key: FlightKey,
+        identity: &str,
+        capacity: usize,
+    ) -> Admission<'a> {
         let member = Member::new(fnv(identity), identity.to_string(), None);
-        FlightGuard::admit(shared, FlightKey::Predict(7), member, &mut None, capacity)
+        FlightGuard::admit(shared, key, member, &mut None, capacity)
+    }
+
+    /// Admit a predict: the guard if it leads, `None` if it joined.
+    fn admit<'a>(shared: &'a Shared, identity: &str, capacity: usize) -> Option<FlightGuard<'a>> {
+        match admit_to(shared, FlightKey::Predict(7), identity, capacity) {
+            Admission::Lead(guard) => Some(guard),
+            Admission::Joined => None,
+            Admission::Hit(_) => panic!("`{identity}` hit the response cache"),
+        }
     }
 
     fn fnv(identity: &str) -> u64 {
@@ -366,6 +422,29 @@ mod tests {
         solo.deliver(vec![Response::json("a".into())], Outcome::Led);
         next.deliver(vec![Response::json("b".into())], Outcome::Led);
         assert_eq!(shared.metrics.snapshot(0, 0, 0, false).flight_leaders, 2);
+    }
+
+    /// Once an explore leader has delivered and released its key, an
+    /// identical explore is answered from the cache and leads nothing:
+    /// no second sweep.
+    #[test]
+    fn an_explore_after_delivery_hits_the_cache_and_leads_nothing() {
+        let shared = shared();
+        let key = || FlightKey::Explore("explore".to_string());
+        let Admission::Lead(guard) = admit_to(&shared, key(), "explore", usize::MAX) else {
+            panic!("no flight was open");
+        };
+        guard.deliver_to_all(Response::json("sweep".into()), Outcome::Led);
+        assert!(shared.flights.lock().unwrap().is_empty(), "key released");
+
+        match admit_to(&shared, key(), "explore", usize::MAX) {
+            Admission::Hit(hit) => assert_eq!(hit.body, "sweep"),
+            Admission::Joined => panic!("joined a flight after delivery"),
+            Admission::Lead(_) => panic!("led a second sweep"),
+        }
+        assert!(shared.flights.lock().unwrap().is_empty(), "no flight");
+        let m = shared.metrics.snapshot(0, 0, 0, false);
+        assert_eq!((m.flight_leaders, m.response_cache_hits), (1, 1));
     }
 
     #[test]

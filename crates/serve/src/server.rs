@@ -10,7 +10,8 @@
 //!
 //! 1. **Response cache**: a bounded FIFO of completed responses keyed by
 //!    (profile content, canonical request JSON). A warm repeat performs
-//!    zero new predictions.
+//!    zero new predictions. It is looked up at flight admission, under
+//!    the flights lock, so gates 1 and 2 are one decision.
 //! 2. **Flights** ([`crate::flight`]): concurrent requests that can
 //!    share work join one flight — identical explores coalesce onto one
 //!    sweep, distinct predicts on one profile batch into one
@@ -27,7 +28,7 @@
 //! the serve-smoke CI job asserts via `/metrics`.
 
 use crate::engine;
-use crate::flight::{FlightGuard, FlightKey, Flights, Member};
+use crate::flight::{Admission, FlightGuard, FlightKey, Flights, Member};
 use crate::http::{read_request, Request, Response, READ_TIMEOUT, WRITE_TIMEOUT};
 use crate::metrics::{Kind, Metrics, Outcome};
 use crate::registry::{RegisteredProfile, Registry};
@@ -484,17 +485,16 @@ fn handle_predict(
     let machine = req.machine.resolve()?;
     let (key, identity) = request_identity(profile.content_hash, &req);
     let _inflight = GaugeGuard::hold(&shared.metrics.predict_inflight);
-    if let Some(hit) = cache_lookup(shared, Kind::Predict, key, &identity) {
-        return Ok(hit);
-    }
     let capacity = match shared.config.batch_window_ms {
         0 => 1,
         _ => shared.config.batch_max_points.max(1),
     };
     let member = Member::new(key, identity, Some(machine));
     let flight_key = FlightKey::Predict(profile.content_hash);
-    let Some(mut guard) = FlightGuard::admit(shared, flight_key, member, stream, capacity) else {
-        return Ok(HANDED_OFF);
+    let mut guard = match FlightGuard::admit(shared, flight_key, member, stream, capacity) {
+        Admission::Hit(hit) => return Ok(hit),
+        Admission::Joined => return Ok(HANDED_OFF),
+        Admission::Lead(guard) => guard,
     };
     guard.collect();
     let responses = predict_flight(shared, &profile, guard.close());
@@ -551,13 +551,12 @@ fn handle_explore(
     req.check_version()?;
     let profile = shared.registry.get(&req.profile)?;
     let (key, identity) = request_identity(profile.content_hash, &req);
-    if let Some(hit) = cache_lookup(shared, Kind::Explore, key, &identity) {
-        return Ok(hit);
-    }
     let member = Member::new(key, identity.clone(), None);
     let flight_key = FlightKey::Explore(identity);
-    let Some(mut guard) = FlightGuard::admit(shared, flight_key, member, stream, usize::MAX) else {
-        return Ok(HANDED_OFF);
+    let guard = match FlightGuard::admit(shared, flight_key, member, stream, usize::MAX) {
+        Admission::Hit(hit) => return Ok(hit),
+        Admission::Joined => return Ok(HANDED_OFF),
+        Admission::Lead(guard) => guard,
     };
     // The flight stays open to identical requests while the sweep runs;
     // every member then gets the leader's bytes, including a 429 or a
@@ -568,8 +567,7 @@ fn handle_explore(
     } else {
         Outcome::Led
     };
-    let members = guard.close().len();
-    Ok(guard.deliver(vec![response; members], leader))
+    Ok(guard.deliver_to_all(response, leader))
 }
 
 /// Releases an in-flight sweep slot on scope exit — including unwind, so
@@ -671,7 +669,12 @@ fn request_identity<T: serde::Serialize>(content_hash: u64, req: &T) -> (u64, St
 /// Gate-1 lookup: a verified hit returns the cached response (the
 /// request's outcome); a verified collision counts toward
 /// `response_cache_collisions` and misses.
-fn cache_lookup(shared: &Shared, kind: Kind, key: u64, identity: &str) -> Option<Response> {
+pub(crate) fn cache_lookup(
+    shared: &Shared,
+    kind: Kind,
+    key: u64,
+    identity: &str,
+) -> Option<Response> {
     match shared.cache.lock().expect("cache lock").get(key, identity) {
         CacheLookup::Hit(hit) => {
             shared.metrics.record(kind, Outcome::CacheHit);

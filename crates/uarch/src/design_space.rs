@@ -132,25 +132,13 @@ impl DesignSpace {
         }
     }
 
-    /// Lazily iterate every design point in enumeration order. Unlike
-    /// [`enumerate`](Self::enumerate) nothing is materialized up front,
-    /// and `nth`/`skip`/`step_by` jump by index arithmetic instead of
-    /// building the skipped points — splitting a space across workers is
-    /// `space.iter().skip(a).take(b - a)`.
-    pub fn iter(&self) -> DesignSpaceIter<'_> {
-        DesignSpaceIter {
-            space: self,
-            next: 0,
-            end: self.len(),
-        }
-    }
-
     /// Enumerate every design point, derived from the reference machine.
     ///
-    /// This materializes the whole space; prefer [`iter`](Self::iter)
-    /// (or the streaming sweeps built on it) when the space is large.
+    /// This materializes the whole space; prefer decoding points on
+    /// demand with [`point_at`](Self::point_at) (as `pmt_dse`'s lazy
+    /// iteration and streaming sweeps do) when the space is large.
     pub fn enumerate(&self) -> Vec<DesignPoint> {
-        self.iter().collect()
+        (0..self.len()).map(|i| self.point_at(i)).collect()
     }
 }
 
@@ -163,54 +151,6 @@ pub fn l3_latency_for_kb(kb: u32) -> u32 {
         0..=2048 => 26,
         2049..=4096 => 28,
         _ => 30,
-    }
-}
-
-/// Lazy iterator over a [`DesignSpace`], yielding points by mixed-radix
-/// index ([`DesignSpace::point_at`]). Double-ended and exact-size, with
-/// an O(1) `nth` so `skip`/`step_by` slice without materializing.
-#[derive(Clone, Debug)]
-pub struct DesignSpaceIter<'a> {
-    space: &'a DesignSpace,
-    next: usize,
-    end: usize,
-}
-
-impl Iterator for DesignSpaceIter<'_> {
-    type Item = DesignPoint;
-
-    fn next(&mut self) -> Option<DesignPoint> {
-        if self.next >= self.end {
-            return None;
-        }
-        let p = self.space.point_at(self.next);
-        self.next += 1;
-        Some(p)
-    }
-
-    fn nth(&mut self, n: usize) -> Option<DesignPoint> {
-        // Clamp to `end` so an overshooting nth/skip can never leave
-        // `next > end` (which would make size_hint subtract with
-        // overflow).
-        self.next = self.next.saturating_add(n).min(self.end);
-        self.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = self.end - self.next;
-        (rest, Some(rest))
-    }
-}
-
-impl ExactSizeIterator for DesignSpaceIter<'_> {}
-
-impl DoubleEndedIterator for DesignSpaceIter<'_> {
-    fn next_back(&mut self) -> Option<DesignPoint> {
-        if self.next >= self.end {
-            return None;
-        }
-        self.end -= 1;
-        Some(self.space.point_at(self.end))
     }
 }
 
@@ -270,29 +210,6 @@ mod tests {
                 assert_eq!(&space.point_at(i), p, "index {i} diverged");
             }
         }
-    }
-
-    #[test]
-    fn iter_shards_by_index_arithmetic() {
-        let space = DesignSpace::thesis_table_6_3();
-        assert_eq!(space.iter().len(), 243);
-        // nth jumps straight to the target index.
-        assert_eq!(space.iter().nth(200).unwrap().id, 200);
-        // A skip/take slice equals the same slice of the eager list.
-        let eager = space.enumerate();
-        let slice: Vec<_> = space.iter().skip(100).take(17).collect();
-        assert_eq!(slice.as_slice(), &eager[100..117]);
-        // Strided subsampling visits the same ids as step_by over the list.
-        let strided: Vec<usize> = space.iter().step_by(31).map(|p| p.id).collect();
-        assert_eq!(strided, vec![0, 31, 62, 93, 124, 155, 186, 217]);
-        // Double-ended: the back is the last point.
-        assert_eq!(space.iter().next_back().unwrap().id, 242);
-        // Overshooting nth clamps: the iterator stays usable (and its
-        // size_hint must not underflow).
-        let mut it = space.iter();
-        assert!(it.nth(10_000).is_none());
-        assert_eq!(it.len(), 0);
-        assert!(it.next().is_none());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use bp::{PredictorConfig, PredictorKind};
 pub use cache::{CacheConfig, CacheHierarchy, DataLevel};
 pub use core_cfg::CoreConfig;
 pub use cpi::{CpiComponent, CpiStack};
-pub use design_space::{l3_latency_for_kb, DesignPoint, DesignSpace, DesignSpaceIter};
+pub use design_space::{l3_latency_for_kb, DesignPoint, DesignSpace};
 pub use dvfs::{nehalem_dvfs_points, OperatingPoint};
 pub use exec::{ExecConfig, OpResources, PortMap, PortRoute, MAX_PORTS};
 pub use machine::MachineConfig;

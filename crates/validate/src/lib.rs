@@ -8,8 +8,8 @@
 //!
 //! * [`Validator`] fans a set of profiled workloads across a
 //!   [`DesignSpace`](pmt_uarch::DesignSpace), evaluating the interval
-//!   model *and* the reference simulator at every point (reusing
-//!   [`SweepBuilder`](pmt_dse::SweepBuilder)),
+//!   model *and* the reference simulator at every point (one
+//!   [`SpaceEvaluation`](pmt_dse::SpaceEvaluation) per workload),
 //! * [`ErrorStats`] reports error as a **distribution** — signed bias,
 //!   mean/p95/max magnitude — not a single flattering average, and
 //!   [`spearman`] checks that the model *orders* design points the way

@@ -6,7 +6,7 @@ use crate::report::{
 };
 use crate::stats::{series_agreement, ErrorStats};
 use pmt_core::ModelConfig;
-use pmt_dse::{BatchEvaluation, LazyDesignSpace, PointOutcome, SweepBuilder, SweepConfig};
+use pmt_dse::{LazyDesignSpace, PointOutcome, SpaceEvaluation, SweepConfig};
 use pmt_ml::{MlError, ResidualModel, TrainingRow};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
 use pmt_sim::SimCache;
@@ -214,22 +214,21 @@ impl Validator {
         corrector: Option<&ResidualModel>,
     ) -> Result<ValidationReport, MlError> {
         let before = self.cache.stats();
-        let (profiles, batch) = self.evaluate();
+        let (profiles, evaluations) = self.evaluate();
         let after = self.cache.stats();
 
         let fused = match corrector {
-            Some(model) => Some(self.fuse(model, &profiles, &batch)?),
+            Some(model) => Some(self.fuse(model, &profiles, &evaluations)?),
             None => None,
         };
 
-        let workloads: Vec<WorkloadValidation> = batch
-            .evaluations
+        let workloads: Vec<WorkloadValidation> = evaluations
             .iter()
-            .zip(&batch.workloads)
-            .map(|(eval, name)| Self::summarize_workload(name, &eval.outcomes))
+            .zip(&profiles)
+            .map(|(eval, profile)| Self::summarize_workload(&profile.name, &eval.outcomes))
             .collect();
 
-        let all: Vec<&PointOutcome> = batch.outcomes().collect();
+        let all: Vec<&PointOutcome> = evaluations.iter().flat_map(|e| &e.outcomes).collect();
         let pooled = |f: fn(&PointOutcome) -> Option<f64>| {
             ErrorStats::of_signed(&all.iter().filter_map(|o| f(o)).collect::<Vec<f64>>())
         };
@@ -261,16 +260,16 @@ impl Validator {
     /// in deterministic workload-major, point-order traversal, so a
     /// fixed grid always yields the byte-identical training set.
     pub fn training_data(&self) -> TrainingData {
-        let (profiles, batch) = self.evaluate();
+        let (profiles, evaluations) = self.evaluate();
         let mut rows = Vec::new();
-        for (eval, name) in batch.evaluations.iter().zip(&batch.workloads) {
+        for (eval, profile) in evaluations.iter().zip(&profiles) {
             debug_assert_eq!(eval.outcomes.len(), self.points.len());
             for (outcome, point) in eval.outcomes.iter().zip(&self.points) {
                 let (Some(sim_cpi), Some(sim_power)) = (outcome.sim_cpi, outcome.sim_power) else {
                     continue;
                 };
                 rows.push(TrainingRow {
-                    workload: name.clone(),
+                    workload: profile.name.clone(),
                     machine: point.machine.clone(),
                     model_cpi: outcome.model_cpi,
                     sim_cpi,
@@ -284,7 +283,7 @@ impl Validator {
 
     /// The shared grid evaluation behind [`run_corrected`](Self::run_corrected)
     /// and [`training_data`](Self::training_data).
-    fn evaluate(&self) -> (Vec<ApplicationProfile>, BatchEvaluation) {
+    fn evaluate(&self) -> (Vec<ApplicationProfile>, Vec<SpaceEvaluation>) {
         assert!(!self.specs.is_empty(), "add at least one workload");
 
         // The micro-architecture independent step: one profile per
@@ -304,21 +303,23 @@ impl Validator {
 
         let sweep_config = SweepConfig {
             model: self.config.model.clone(),
-            with_simulation: true,
             sim_instructions: self.config.sim_instructions,
             sim_cache: Some(self.cache.clone()),
         };
-        // The builder's model half runs through the batched prediction
-        // kernels (bit-identical to per-point prediction); only the
-        // reference simulations run one (workload, point) at a time.
-        let mut builder = SweepBuilder::new()
-            .points(self.points.clone())
-            .config(sweep_config);
-        for (profile, spec) in profiles.iter().zip(&self.specs) {
-            builder = builder.profile_with_spec(profile, spec);
-        }
-        let batch = builder.run();
-        (profiles, batch)
+        // One simulated sweep per workload, in one order-preserving
+        // parallel map: rayon balances the reference simulations across
+        // workloads as well as across each sweep's points. Each sweep's
+        // model half runs through the batched prediction kernels
+        // (bit-identical to per-point prediction).
+        let jobs: Vec<(&ApplicationProfile, &WorkloadSpec)> =
+            profiles.iter().zip(&self.specs).collect();
+        let evaluations = jobs
+            .par_iter()
+            .map(|(profile, spec)| {
+                SpaceEvaluation::run(&self.points, profile, Some(spec), &sweep_config)
+            })
+            .collect();
+        (profiles, evaluations)
     }
 
     /// Apply `model` on top of every simulated outcome and summarize the
@@ -327,7 +328,7 @@ impl Validator {
         &self,
         model: &ResidualModel,
         profiles: &[ApplicationProfile],
-        batch: &BatchEvaluation,
+        evaluations: &[SpaceEvaluation],
     ) -> Result<FusedValidation, MlError> {
         model.check_version()?;
         for profile in profiles {
@@ -339,8 +340,7 @@ impl Validator {
         let mut pooled_sim_cpi = Vec::new();
         let mut pooled_fused_power = Vec::new();
         let mut pooled_sim_power = Vec::new();
-        for ((eval, name), profile) in batch.evaluations.iter().zip(&batch.workloads).zip(profiles)
-        {
+        for (eval, profile) in evaluations.iter().zip(profiles) {
             debug_assert_eq!(eval.outcomes.len(), self.points.len());
             let mut fused_cpi = Vec::new();
             let mut sim_cpi = Vec::new();
@@ -367,7 +367,7 @@ impl Validator {
             let power = series_agreement(&fused_power, &sim_power);
             let analytical = series_agreement(&analytical_cpi, &sim_cpi);
             workloads.push(FusedWorkload {
-                workload: name.clone(),
+                workload: profile.name.clone(),
                 cpi: cpi.errors,
                 power: power.errors,
                 cpi_rank_correlation: cpi.rank_correlation,

@@ -76,7 +76,6 @@ fn parallel_cold_run_equals_serial_cold_run() {
         &profile,
         Some(&spec),
         &SweepConfig {
-            with_simulation: true,
             sim_instructions: 5_000,
             sim_cache: Some(serial_cache.clone()),
             ..Default::default()
@@ -89,7 +88,6 @@ fn parallel_cold_run_equals_serial_cold_run() {
         &profile,
         Some(&spec),
         &SweepConfig {
-            with_simulation: true,
             sim_instructions: 5_000,
             sim_cache: Some(parallel_cache.clone()),
             ..Default::default()

@@ -7,10 +7,10 @@
 //! [`pmt::serve::engine`] functions the daemon answers with.
 
 use crate::args::{CliError, Command, Flag, Parsed};
-use pmt::dse::{ParetoFront, SpaceEvaluation, SweepConfig};
 use pmt::model::{MulticoreModel, SmtModel};
 use pmt::prelude::*;
 use pmt::profiler::ApplicationProfile;
+use pmt::validate::{ValidationConfig, Validator};
 
 /// Map a structured wire error onto the CLI's exit-code split: client
 /// mistakes (4xx) are usage errors (exit 2), everything else is runtime
@@ -236,42 +236,6 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-// --------------------------------------------------------------- sweep
-
-pub const SWEEP: Command = Command {
-    name: "sweep",
-    about: "243-point thesis-grid Pareto sweep",
-    positionals: "",
-    flags: &[Flag::value(
-        "--profile",
-        "FILE",
-        "application profile JSON (from `pmt profile`)",
-    )],
-};
-
-pub fn sweep(args: &[String]) -> Result<(), CliError> {
-    let parsed = parse_or_return!(SWEEP, args);
-    let profile = crate::load_profile(&parsed, "sweep")?;
-    let points = DesignSpace::thesis_table_6_3().enumerate();
-    let eval = SpaceEvaluation::run(&points, &profile, None, &SweepConfig::default());
-    let front = ParetoFront::of(&eval.model_points());
-    println!(
-        "{} of {} designs are Pareto-optimal for {}:",
-        front.indices().len(),
-        points.len(),
-        profile.name
-    );
-    println!("{:>26} {:>9} {:>9}", "design", "CPI", "watts");
-    for i in front.indices() {
-        let o = &eval.outcomes[i];
-        println!(
-            "{:>26} {:>9.3} {:>9.2}",
-            points[i].machine.name, o.model_cpi, o.model_power
-        );
-    }
-    Ok(())
-}
-
 // ------------------------------------------------------------ validate
 
 pub const VALIDATE: Command = Command {
@@ -307,59 +271,108 @@ pub const VALIDATE: Command = Command {
     ],
 };
 
+/// The (workload × design point) grid `pmt validate` and `pmt train`
+/// both run, parsed from the flags they share: `--smoke`,
+/// `--instructions`, `--sim-instructions`, `--space`, `--workloads` and
+/// `--cache`. One parser, so a corrector is always trained on the rows
+/// validation grades it on.
+pub struct Grid<'a> {
+    config: ValidationConfig,
+    space: DesignSpace,
+    /// Workload names, `all` expanded to the suite.
+    names: Vec<&'a str>,
+    cache_path: Option<&'a str>,
+}
+
+impl<'a> Grid<'a> {
+    pub fn parse(parsed: &'a Parsed) -> Result<Grid<'a>, CliError> {
+        let smoke = parsed.switch("--smoke");
+        let mut config = if smoke {
+            ValidationConfig::smoke()
+        } else {
+            ValidationConfig::default_scale()
+        };
+        if let Some(n) = parsed.parsed("--instructions", "an instruction count")? {
+            config.profile_instructions = n;
+        }
+        if let Some(n) = parsed.parsed("--sim-instructions", "an instruction count")? {
+            config.sim_instructions = n;
+        }
+
+        let space_name =
+            parsed
+                .value("--space")
+                .unwrap_or(if smoke { "validation" } else { "full" });
+        let space = match space_name {
+            "full" => DesignSpace::thesis_table_6_3(),
+            "validation" => DesignSpace::validation_subspace(),
+            "small" => DesignSpace::small(),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unknown space `{other}` for `--space` (full|validation|small)"
+                )))
+            }
+        };
+
+        let default_workloads = if smoke {
+            "astar,mcf"
+        } else {
+            "astar,gcc,mcf,milc"
+        };
+        let workloads = parsed.value("--workloads").unwrap_or(default_workloads);
+        let names = if workloads == "all" {
+            SUITE.to_vec()
+        } else {
+            workloads.split(',').map(str::trim).collect()
+        };
+        Ok(Grid {
+            config,
+            space,
+            names,
+            cache_path: parsed.value("--cache"),
+        })
+    }
+
+    /// A validator over the grid, with every workload resolved by name
+    /// and the `--cache` file loaded when it exists.
+    pub fn validator(&self) -> Result<Validator, CliError> {
+        let mut validator = Validator::new(self.config.clone()).space(&self.space);
+        for name in &self.names {
+            validator = validator.workload_named(name)?;
+        }
+        if let Some(path) = self.cache_path {
+            if std::path::Path::new(path).exists() {
+                validator = validator.cache(std::sync::Arc::new(SimCache::load(path)?));
+            }
+        }
+        Ok(validator)
+    }
+
+    /// "N workloads x M points (K sim instructions each)", for progress
+    /// lines.
+    pub fn describe(&self) -> String {
+        format!(
+            "{} workloads x {} points ({} sim instructions each)",
+            self.names.len(),
+            self.space.len(),
+            self.config.sim_instructions
+        )
+    }
+
+    /// Write `validator`'s simulation cache back to `--cache`, if given.
+    pub fn save_cache(&self, validator: &Validator) -> Result<(), CliError> {
+        if let Some(path) = self.cache_path {
+            validator.shared_cache().save(path)?;
+            eprintln!("simulation cache -> {path}");
+        }
+        Ok(())
+    }
+}
+
 pub fn validate(args: &[String]) -> Result<(), CliError> {
-    use pmt::validate::{ValidationConfig, Validator};
     let parsed = parse_or_return!(VALIDATE, args);
-    let smoke = parsed.switch("--smoke");
-
-    let mut config = if smoke {
-        ValidationConfig::smoke()
-    } else {
-        ValidationConfig::default_scale()
-    };
-    if let Some(n) = parsed.parsed("--instructions", "an instruction count")? {
-        config.profile_instructions = n;
-    }
-    if let Some(n) = parsed.parsed("--sim-instructions", "an instruction count")? {
-        config.sim_instructions = n;
-    }
-
-    let space_name = parsed
-        .value("--space")
-        .unwrap_or(if smoke { "validation" } else { "full" });
-    let space = match space_name {
-        "full" => DesignSpace::thesis_table_6_3(),
-        "validation" => DesignSpace::validation_subspace(),
-        "small" => DesignSpace::small(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown space `{other}` for `--space` (full|validation|small)"
-            )))
-        }
-    };
-
-    let default_workloads = if smoke {
-        "astar,mcf"
-    } else {
-        "astar,gcc,mcf,milc"
-    };
-    let workloads = parsed.value("--workloads").unwrap_or(default_workloads);
-    let names: Vec<&str> = if workloads == "all" {
-        SUITE.to_vec()
-    } else {
-        workloads.split(',').map(str::trim).collect()
-    };
-
-    let mut validator = Validator::new(config.clone()).space(&space);
-    for name in &names {
-        validator = validator.workload_named(name)?;
-    }
-    let cache_path = parsed.value("--cache");
-    if let Some(path) = cache_path {
-        if std::path::Path::new(path).exists() {
-            validator = validator.cache(std::sync::Arc::new(SimCache::load(path)?));
-        }
-    }
+    let grid = Grid::parse(&parsed)?;
+    let validator = grid.validator()?;
     let corrector = match parsed.value("--corrector") {
         Some(path) => {
             let json = std::fs::read_to_string(path)
@@ -372,12 +385,7 @@ pub fn validate(args: &[String]) -> Result<(), CliError> {
         None => None,
     };
 
-    eprintln!(
-        "validating {} workloads x {} points ({} sim instructions each)...",
-        names.len(),
-        space.len(),
-        config.sim_instructions
-    );
+    eprintln!("validating {}...", grid.describe());
     // A fingerprint mismatch (corrector trained on different profiles)
     // is a structured runtime error, not a silently self-graded report.
     let report = validator
@@ -385,10 +393,7 @@ pub fn validate(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(e.to_string()))?;
     print!("{}", report.render_table());
 
-    if let Some(path) = cache_path {
-        validator.shared_cache().save(path)?;
-        eprintln!("simulation cache -> {path}");
-    }
+    grid.save_cache(&validator)?;
     if let Some(path) = parsed.value("--out") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("validation report -> {path}");

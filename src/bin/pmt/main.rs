@@ -6,7 +6,6 @@
 //! $ pmt profile mcf --instructions 1000000 --out mcf.profile.json
 //! $ pmt predict --profile mcf.profile.json --machine nehalem
 //! $ pmt simulate mcf --instructions 200000
-//! $ pmt sweep --profile mcf.profile.json
 //! $ pmt explore --profile mcf.profile.json --space big --out summary.json
 //! $ pmt corun milc mcf --instructions 200000
 //! $ pmt validate --workloads astar,mcf --smoke
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
         "profile" => commands::profile(rest),
         "predict" => commands::predict(rest),
         "simulate" => commands::simulate(rest),
-        "sweep" => commands::sweep(rest),
         "explore" => explore::run(rest),
         "validate" => commands::validate(rest),
         "train" => train::run(rest),
@@ -93,7 +91,6 @@ fn all_commands() -> Vec<&'static args::Command> {
         &commands::PROFILE,
         &commands::PREDICT,
         &commands::SIMULATE,
-        &commands::SWEEP,
         &explore::EXPLORE,
         &commands::VALIDATE,
         &train::TRAIN,

@@ -17,8 +17,8 @@
 //! fusion-smoke job asserts exactly this).
 
 use crate::args::{CliError, Command, Flag};
+use crate::commands::Grid;
 use pmt::ml::TrainOptions;
-use pmt::prelude::*;
 
 pub const TRAIN: Command = Command {
     name: "train",
@@ -51,7 +51,6 @@ pub const TRAIN: Command = Command {
 };
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
-    use pmt::validate::{ValidationConfig, Validator};
     let parsed = match TRAIN.parse(args)? {
         Some(parsed) => parsed,
         None => return Ok(()),
@@ -62,47 +61,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 .to_string(),
         ));
     };
-    let smoke = parsed.switch("--smoke");
-
-    // The grid is parsed exactly like `pmt validate`'s: a corrector must
-    // be trained on the same rows validation grades it on.
-    let mut config = if smoke {
-        ValidationConfig::smoke()
-    } else {
-        ValidationConfig::default_scale()
-    };
-    if let Some(n) = parsed.parsed("--instructions", "an instruction count")? {
-        config.profile_instructions = n;
-    }
-    if let Some(n) = parsed.parsed("--sim-instructions", "an instruction count")? {
-        config.sim_instructions = n;
-    }
-
-    let space_name = parsed
-        .value("--space")
-        .unwrap_or(if smoke { "validation" } else { "full" });
-    let space = match space_name {
-        "full" => DesignSpace::thesis_table_6_3(),
-        "validation" => DesignSpace::validation_subspace(),
-        "small" => DesignSpace::small(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown space `{other}` for `--space` (full|validation|small)"
-            )))
-        }
-    };
-
-    let default_workloads = if smoke {
-        "astar,mcf"
-    } else {
-        "astar,gcc,mcf,milc"
-    };
-    let workloads = parsed.value("--workloads").unwrap_or(default_workloads);
-    let names: Vec<&str> = if workloads == "all" {
-        SUITE.to_vec()
-    } else {
-        workloads.split(',').map(str::trim).collect()
-    };
+    // The grid is parsed by `pmt validate`'s own parser: a corrector
+    // must be trained on the same rows validation grades it on.
+    let grid = Grid::parse(&parsed)?;
 
     let defaults = TrainOptions::default();
     let options = TrainOptions {
@@ -115,23 +76,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         )?,
     };
 
-    let mut validator = Validator::new(config.clone()).space(&space);
-    for name in &names {
-        validator = validator.workload_named(name)?;
-    }
-    let cache_path = parsed.value("--cache");
-    if let Some(path) = cache_path {
-        if std::path::Path::new(path).exists() {
-            validator = validator.cache(std::sync::Arc::new(SimCache::load(path)?));
-        }
-    }
-
-    eprintln!(
-        "training rows: {} workloads x {} points ({} sim instructions each)...",
-        names.len(),
-        space.len(),
-        config.sim_instructions
-    );
+    let validator = grid.validator()?;
+    eprintln!("training rows: {}...", grid.describe());
     let data = validator.training_data();
     let model = pmt::ml::train(&data.rows, &data.profiles, &options)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -153,10 +99,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if let Some(path) = cache_path {
-        validator.shared_cache().save(path)?;
-        eprintln!("simulation cache -> {path}");
-    }
+    grid.save_cache(&validator)?;
     std::fs::write(out, model.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("corrector artifact -> {out}");
     Ok(())

@@ -51,11 +51,9 @@
 //! assert!(prediction.cpi() > 0.0);
 //!
 //! // Or sweep a whole design space, rayon-parallel, from the same profile.
-//! let batch = SweepBuilder::new()
-//!     .space(DesignSpace::small())
-//!     .profile(&profile)
-//!     .run();
-//! let front = ParetoFront::of(&batch.evaluations[0].model_points());
+//! let points = DesignSpace::small().enumerate();
+//! let eval = SpaceEvaluation::run(&points, &profile, None, &SweepConfig::default());
+//! let front = ParetoFront::of(&eval.model_points());
 //! assert!(!front.indices().is_empty());
 //! ```
 //!
@@ -120,9 +118,8 @@ pub mod prelude {
         IntervalModel, ModelConfig, Moments, Prediction, PredictionSummary, PreparedProfile,
     };
     pub use pmt_dse::{
-        BatchEvaluation, DesignConstraints, LazyDesignSpace, Objective, ParetoAccumulator,
-        ParetoFront, ProductSpace, SpaceEvaluation, StreamingSummary, StreamingSweep, SweepBuilder,
-        SweepConfig, TopK,
+        DesignConstraints, LazyDesignSpace, Objective, ParetoAccumulator, ParetoFront,
+        ProductSpace, SpaceEvaluation, StreamingSummary, StreamingSweep, SweepConfig, TopK,
     };
     pub use pmt_power::{PowerBreakdown, PowerModel};
     pub use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};

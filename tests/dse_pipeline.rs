@@ -10,7 +10,6 @@ fn pruning_quality_on_a_small_space() {
         Profiler::new(ProfilerConfig::fast_test()).profile_named("bzip2", &mut spec.trace(60_000));
     let points = DesignSpace::small().enumerate();
     let cfg = SweepConfig {
-        with_simulation: true,
         sim_instructions: 60_000,
         ..Default::default()
     };

@@ -49,7 +49,6 @@ fn sweep_outcomes_round_trip_bit_exactly() {
         Profiler::new(ProfilerConfig::fast_test()).profile_named("astar", &mut spec.trace(20_000));
     let points = DesignSpace::small().enumerate()[..4].to_vec();
     let cfg = SweepConfig {
-        with_simulation: true,
         sim_instructions: 5_000,
         ..Default::default()
     };

@@ -127,7 +127,9 @@ impl SpaceSpec {
     }
 
     /// Materialize the lazy space, rejecting unknown names/axes with a
-    /// structured error.
+    /// structured error, and a product space whose point count overflows
+    /// `usize` with `413 space_too_large` (so [`LazyDesignSpace::len`]
+    /// on the result cannot overflow).
     pub fn resolve(&self) -> Result<Box<dyn LazyDesignSpace + Send + Sync>, ApiError> {
         match (&self.name, &self.axes) {
             (Some(_), Some(_)) => Err(ApiError::bad_request(
@@ -168,6 +170,22 @@ impl SpaceSpec {
                     return Err(ApiError::bad_request(
                         "empty_space",
                         "product space declares no axes",
+                    ));
+                }
+                let points = axes
+                    .iter()
+                    .try_fold(1usize, |n, axis| n.checked_mul(axis.values.len()));
+                if points.is_none() {
+                    let sizes: Vec<String> = axes
+                        .iter()
+                        .map(|a| format!("{}×{}", a.name, a.values.len()))
+                        .collect();
+                    return Err(ApiError::too_large(
+                        "space_too_large",
+                        format!(
+                            "space point count overflows usize: axes {}",
+                            sizes.join(" · ")
+                        ),
                     ));
                 }
                 let mut space = ProductSpace::new(base);
@@ -257,6 +275,21 @@ mod tests {
         // Fractional clocks are fine: `f` is continuous.
         let f = SpaceSpec::product(Some("low-power"), vec![AxisSpec::new("f", &[1.33, 2.66])]);
         assert_eq!(f.resolve().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn an_overflowing_point_count_is_a_413_not_a_panic() {
+        let values: Vec<f64> = (0..256).map(f64::from).collect();
+        let axes = (0..8).map(|_| AxisSpec::new("f", &values)).collect();
+        let err = resolve_err(&SpaceSpec::product(None, axes));
+        assert_eq!(err.status, 413);
+        assert_eq!(err.body.code, "space_too_large");
+        assert!(err.body.message.contains("f×256"), "{}", err.body.message);
+
+        // One axis fewer fits: 256⁷ points resolve (lazily) without panicking.
+        let axes = (0..7).map(|_| AxisSpec::new("f", &values)).collect();
+        let space = SpaceSpec::product(None, axes).resolve().unwrap();
+        assert_eq!(space.len(), 1usize << 56);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The shared figure output path.
 //!
-//! Every `fig*`/`tbl*` binary builds [`Figure`] values (see
-//! [`crate::figures`]) and hands them to [`emit`] instead of free-form
+//! Every experiment builds [`Figure`] values (see [`crate::figures`])
+//! and `pmt figure` hands them to [`emit`] instead of free-form
 //! `println!`. The default render target is the aligned-text form on
 //! stdout — what `--smoke` CI greps — and setting `PMT_REPORT_DIR`
 //! additionally drops the deterministic SVG (charts) and Markdown forms

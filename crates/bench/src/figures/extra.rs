@@ -61,231 +61,8 @@ pub fn validation_report(cfg: &HarnessConfig) -> Vec<Figure> {
         .note("(thesis: 9.3% mean CPI error across the design space; a few percent for power)")]
 }
 
-/// Served predict throughput over real sockets: concurrent distinct
-/// DVFS-style points against two in-process daemons, micro-batching on
-/// vs off. Printed for comparison only; the shared work a flight pays
-/// for is pinned without a clock by `pmt-core`'s `batch_identity` tests.
-struct ServeRates {
-    /// Concurrent callers per round (each a distinct design point).
-    concurrent_callers: usize,
-    rounds: u32,
-    worker_threads: usize,
-    /// Served points/s with `batch_window_ms: 0` (every predict solo).
-    solo_points_per_s: f64,
-    /// Served points/s with micro-batching on (identical bytes).
-    batched_points_per_s: f64,
-    /// Median over rounds of the per-round solo/batched wall-time
-    /// ratio (robust to one-off steal-time spikes).
-    speedup_vs_solo: f64,
-    /// Flights the batching daemon evaluated.
-    batch_flights: u64,
-    /// Mean admitted points per flight.
-    batch_mean_size: f64,
-    /// Requests answered from another caller's flight.
-    batched_requests: u64,
-    /// Cross-request cache-curve memo hits inside batch flights.
-    memo_cache_hits: u64,
-}
-
-/// One raw-socket predict exchange; panics on any non-200 so a bench
-/// regression fails loudly instead of skewing the rates.
-fn post_predict(addr: std::net::SocketAddr, body: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to bench daemon");
-    write!(
-        stream,
-        "POST /v1/predict HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send bench request");
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .expect("read bench response");
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("complete response");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "bench predict failed: {head}"
-    );
-    payload.to_string()
-}
-
-/// Boot one daemon per config, then drive every round against each
-/// daemon in **interleaved** order (solo round 0, batched round 0, solo
-/// round 1, …) with one persistent client thread per caller and a
-/// barrier between segments. Interleaving matters as much as the
-/// persistent threads: the two daemons' rates are compared as a ratio,
-/// so slow machine drift must hit both alike, and per-round thread
-/// spawns must not become the bottleneck the bench is measuring past.
-/// Returns each daemon's accumulated wall time, its replies in
-/// `[round][caller]` order, and its final metrics snapshot.
-fn measure_pair(
-    configs: [pmt_serve::ServeConfig; 2],
-    profile: &pmt_profiler::ApplicationProfile,
-    bodies: &[Vec<String>],
-) -> [(Vec<Duration>, Vec<Vec<String>>, pmt_api::MetricsResponse); 2] {
-    let threads = configs[0].threads;
-    let servers = configs.map(|config| {
-        let registry = std::sync::Arc::new(pmt_serve::Registry::new(4));
-        registry
-            .register(profile.clone())
-            .expect("register bench profile");
-        pmt_serve::Server::start(config, registry).expect("start bench daemon")
-    });
-    let addrs = [servers[0].addr(), servers[1].addr()];
-    let rounds = bodies.len();
-    let callers = bodies.first().map_or(0, Vec::len);
-    // Segment k of the schedule runs between barrier k and barrier k+1,
-    // so the coordinator's inter-barrier deltas time each segment.
-    let schedule: Vec<(usize, usize)> = (0..rounds).flat_map(|r| [(0, r), (1, r)]).collect();
-    let barrier = std::sync::Barrier::new(callers + 1);
-    let mut elapsed = [vec![Duration::ZERO; rounds], vec![Duration::ZERO; rounds]];
-    let per_caller: Vec<Vec<String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..callers)
-            .map(|i| {
-                let (barrier, schedule) = (&barrier, &schedule);
-                scope.spawn(move || {
-                    let mut mine = Vec::with_capacity(schedule.len());
-                    for &(daemon, round) in schedule {
-                        barrier.wait();
-                        mine.push(post_predict(addrs[daemon], &bodies[round][i]));
-                    }
-                    barrier.wait();
-                    mine
-                })
-            })
-            .collect();
-        barrier.wait();
-        let mut last = Instant::now();
-        for &(daemon, round) in &schedule {
-            barrier.wait();
-            let now = Instant::now();
-            elapsed[daemon][round] = now - last;
-            last = now;
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bench client thread"))
-            .collect()
-    });
-    servers.map(|server| {
-        let daemon = if server.addr() == addrs[0] { 0 } else { 1 };
-        let replies = (0..rounds)
-            .map(|r| {
-                per_caller
-                    .iter()
-                    .map(|mine| mine[2 * r + daemon].clone())
-                    .collect()
-            })
-            .collect();
-        let metrics = server.metrics().snapshot(1, 2, threads as u64, false);
-        server.stop();
-        (std::mem::take(&mut elapsed[daemon]), replies, metrics)
-    })
-}
-
-/// Measure the serve arm: N concurrent distinct-frequency predicts per
-/// round against a batching daemon and a `batch_window_ms: 0` control.
-/// Frequency is in no kernel memo key, so batched flights replay every
-/// memoized curve — and the two daemons' response bytes must be equal.
-///
-/// The profile is always full scale (1M instructions, the full-run
-/// default), smoke or not: the arm compares how two daemons schedule
-/// the *same* prediction work, so the per-point predict cost must
-/// dominate the fixed per-request cost (connect, parse, identity) both
-/// daemons pay alike — and the printed rates stay comparable across
-/// smoke and full runs.
-fn serve_rates(cfg: &HarnessConfig) -> ServeRates {
-    let spec = WorkloadSpec::by_name("astar").unwrap();
-    let profile =
-        Profiler::new(cfg.profiler.clone()).profile_named("astar", &mut spec.trace(1_000_000));
-    let profile = &profile;
-    let callers = 32usize;
-    let rounds: u32 = if HarnessConfig::smoke_requested() {
-        5
-    } else {
-        8
-    };
-    let threads = 4usize;
-    let mut machine = MachineConfig::nehalem();
-    let bodies: Vec<Vec<String>> = (0..rounds)
-        .map(|r| {
-            (0..callers)
-                .map(|i| {
-                    // Distinct per request across all rounds, so neither
-                    // daemon's response cache can answer anything.
-                    machine.core.frequency_ghz = 1.0 + 0.001 * (r as usize * callers + i) as f64;
-                    serde_json::to_string(&pmt_api::PredictRequest::new(
-                        &profile.name,
-                        pmt_api::MachineSpec::inline(machine.clone()),
-                    ))
-                    .expect("bench request serializes")
-                })
-                .collect()
-        })
-        .collect();
-
-    let base = pmt_serve::ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads,
-        ..pmt_serve::ServeConfig::default()
-    };
-    let [(t_solo, solo_replies, _), (t_batched, batched_replies, m)] = measure_pair(
-        [
-            pmt_serve::ServeConfig {
-                batch_window_ms: 0,
-                ..base.clone()
-            },
-            pmt_serve::ServeConfig {
-                batch_window_ms: 20,
-                batch_max_points: callers,
-                ..base
-            },
-        ],
-        profile,
-        &bodies,
-    );
-    assert_eq!(
-        solo_replies, batched_replies,
-        "batched served bytes drifted from solo"
-    );
-
-    let requests = (callers as u64) * rounds as u64;
-    let rate = |per_round: &[Duration]| {
-        requests as f64
-            / per_round
-                .iter()
-                .map(Duration::as_secs_f64)
-                .sum::<f64>()
-                .max(1e-12)
-    };
-    // Speedup is the median of per-round ratios, not the ratio of
-    // totals: on shared runners a steal-time spike inside one ~20ms
-    // segment would otherwise dominate the whole measurement.
-    let mut ratios: Vec<f64> = t_solo
-        .iter()
-        .zip(&t_batched)
-        .map(|(s, b)| s.as_secs_f64() / b.as_secs_f64().max(1e-12))
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let speedup = ratios[ratios.len() / 2];
-    ServeRates {
-        concurrent_callers: callers,
-        rounds,
-        worker_threads: threads,
-        solo_points_per_s: rate(&t_solo),
-        batched_points_per_s: rate(&t_batched),
-        speedup_vs_solo: speedup,
-        batch_flights: m.batch_flights,
-        batch_mean_size: m.batch_mean_size,
-        batched_requests: m.batched_requests,
-        memo_cache_hits: m.memo.cache_hits,
-    }
-}
-
 /// §6.2 headline: design-space evaluation speedup — profile-once +
-/// model versus per-point cycle-level simulation — plus served predict
-/// throughput with micro-batching on vs off. Wall-clock timing, so
+/// model versus per-point cycle-level simulation. Wall-clock timing, so
 /// deliberately excluded from the deterministic report.
 pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     let n = cfg.instructions.min(300_000);
@@ -326,14 +103,9 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     let t_sim_full = t_sim_sample * (points.len() as u32) / (sample as u32);
     let _ = sim_acc;
 
-    // The serve arm: a full-scale profile registered with two
-    // in-process daemons, concurrent distinct predicts over real
-    // sockets.
-    let serve = serve_rates(cfg);
-
     let secs = |d: Duration| format!("{} ms", fmt::f64(d.as_secs_f64() * 1e3, 2));
     let speedup = t_sim_full.as_secs_f64() / (t_profile + t_model).as_secs_f64();
-    let sim_table = Figure::table(
+    vec![Figure::table(
         "speedup",
         "§6.2",
         format!(
@@ -357,45 +129,7 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     .note(format!(
         "speedup: {}× (thesis: 315× vs detailed simulation)",
         fmt::f64(speedup, 1)
-    ));
-
-    let serve_table = Figure::table(
-        "speedup_serve",
-        "service at scale",
-        format!(
-            "served predict throughput: {} concurrent callers × {} rounds, micro-batching on vs off",
-            serve.concurrent_callers, serve.rounds
-        )
-        .as_str(),
-        Table {
-            columns: vec!["daemon".into(), "served points/s".into()],
-            rows: vec![
-                vec![
-                    "solo flights (--batch-window-ms 0)".into(),
-                    format!("{} pts/s", fmt::f64(serve.solo_points_per_s, 0)),
-                ],
-                vec![
-                    "micro-batched (one flight per window)".into(),
-                    format!("{} pts/s", fmt::f64(serve.batched_points_per_s, 0)),
-                ],
-                vec![
-                    "speedup (median round)".into(),
-                    format!("{}×", fmt::f64(serve.speedup_vs_solo, 1)),
-                ],
-            ],
-        },
-    )
-    .note(format!(
-        "{} flights, mean size {}, {} requests answered from a shared \
-         flight, {} cross-request memo hits; response bytes asserted \
-         equal between the two daemons ({} worker threads each)",
-        serve.batch_flights,
-        fmt::f64(serve.batch_mean_size, 2),
-        serve.batched_requests,
-        serve.memo_cache_hits,
-        serve.worker_threads,
-    ));
-    vec![sim_table, serve_table]
+    ))]
 }
 
 /// Development aid: per-workload model-vs-simulator deltas on the

@@ -1,11 +1,11 @@
 //! Figure builders and the experiment registry.
 //!
-//! Each thesis figure/table binary is a thin `main` over a builder here
-//! that returns typed [`Figure`] values; [`REGISTRY`] lists them all
-//! with their paper reference, the crates they exercise and whether
-//! their output is deterministic (timing experiments are not). The
-//! registry is the single source for `all_experiments`, for the
-//! `pmt report` document, and for the generated `docs/PAPER_MAP.md`.
+//! Each thesis figure/table is an experiment: a builder here that
+//! returns typed [`Figure`] values. [`REGISTRY`] lists them all with
+//! their paper reference, the crates they exercise and whether their
+//! output is deterministic (timing experiments are not). The registry
+//! is the single source for `pmt figure` ([`select`] + [`run`]), for
+//! the `pmt report` document, and for the generated `docs/PAPER_MAP.md`.
 
 mod ch3;
 mod ch4;
@@ -17,10 +17,10 @@ mod extra;
 use crate::harness::{train_entropy_model, HarnessConfig};
 use pmt_report::Figure;
 
-/// One experiment binary: identity, thesis mapping and its builder.
-pub struct FigureBinary {
-    /// Binary name under `crates/bench/src/bin/`.
-    pub bin: &'static str,
+/// One experiment: identity, thesis mapping and its builder.
+pub struct Experiment {
+    /// The name `pmt figure` takes (`fig7_4_pareto`).
+    pub name: &'static str,
     /// The paper/thesis artifact it reproduces.
     pub paper_ref: &'static str,
     /// Condensed caption.
@@ -39,11 +39,21 @@ pub struct FigureBinary {
     pub build: fn(&HarnessConfig) -> Vec<Figure>,
 }
 
-/// Every experiment binary, in thesis order. `all_experiments`, the
-/// `pmt report` document and `docs/PAPER_MAP.md` all iterate this.
-pub const REGISTRY: &[FigureBinary] = &[
-    FigureBinary {
-        bin: "tbl6_1_reference",
+impl Experiment {
+    /// The `cargo run --release --bin` arguments that regenerate this
+    /// experiment: `pmt -- figure <name>`. Every figure it builds is
+    /// stamped with this, and `docs/PAPER_MAP.md`'s command column is
+    /// generated from it.
+    pub fn command(&self) -> String {
+        format!("pmt -- figure {}", self.name)
+    }
+}
+
+/// Every experiment, in thesis order. `pmt figure all`, the `pmt report`
+/// document and `docs/PAPER_MAP.md` all iterate this.
+pub const REGISTRY: &[Experiment] = &[
+    Experiment {
+        name: "tbl6_1_reference",
         paper_ref: "Table 6.1",
         title: "the reference architecture",
         chapter: 6,
@@ -52,8 +62,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::tbl6_1_reference,
     },
-    FigureBinary {
-        bin: "fig3_1_uops",
+    Experiment {
+        name: "fig3_1_uops",
         paper_ref: "Fig 3.1",
         title: "micro-operations per instruction across the suite",
         chapter: 3,
@@ -62,8 +72,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch3::fig3_1_uops,
     },
-    FigureBinary {
-        bin: "fig3_4_chains",
+    Experiment {
+        name: "fig3_4_chains",
         paper_ref: "Fig 3.4",
         title: "AP / ABP / CP dependence chains at ROB 128",
         chapter: 3,
@@ -72,8 +82,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch3::fig3_4_chains,
     },
-    FigureBinary {
-        bin: "fig3_6_dispatch_limits",
+    Experiment {
+        name: "fig3_6_dispatch_limits",
         paper_ref: "Fig 3.6",
         title: "effective dispatch rate limits on the reference core",
         chapter: 3,
@@ -82,8 +92,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch3::fig3_6_dispatch_limits,
     },
-    FigureBinary {
-        bin: "fig3_7_base_component",
+    Experiment {
+        name: "fig3_7_base_component",
         paper_ref: "Fig 3.7",
         title: "base-component error vs perfect simulation, refinement by refinement",
         chapter: 3,
@@ -92,8 +102,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch3::fig3_7_base_component,
     },
-    FigureBinary {
-        bin: "fig3_9_entropy_fit",
+    Experiment {
+        name: "fig3_9_entropy_fit",
         paper_ref: "Fig 3.9",
         title: "linear fit of branch entropy vs GAg miss rate",
         chapter: 3,
@@ -102,8 +112,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch3::fig3_9_entropy_fit,
     },
-    FigureBinary {
-        bin: "fig3_10_predictors",
+    Experiment {
+        name: "fig3_10_predictors",
         paper_ref: "Fig 3.10",
         title: "entropy-model MPKI error for five predictor families",
         chapter: 3,
@@ -112,8 +122,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch3::fig3_10_predictors,
     },
-    FigureBinary {
-        bin: "fig4_2_cache_mpki",
+    Experiment {
+        name: "fig4_2_cache_mpki",
         paper_ref: "Fig 4.2",
         title: "StatStack-estimated vs simulated MPKI, three-level hierarchy",
         chapter: 4,
@@ -122,8 +132,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch4::fig4_2_cache_mpki,
     },
-    FigureBinary {
-        bin: "fig4_3_no_mlp",
+    Experiment {
+        name: "fig4_3_no_mlp",
         paper_ref: "Fig 4.3",
         title: "normalized execution time with and without MLP modeling",
         chapter: 4,
@@ -132,8 +142,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch4::fig4_3_no_mlp,
     },
-    FigureBinary {
-        bin: "fig4_4_cold_capacity",
+    Experiment {
+        name: "fig4_4_cold_capacity",
         paper_ref: "Fig 4.4",
         title: "cold vs capacity LLC misses, with and without warmup",
         chapter: 4,
@@ -142,8 +152,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch4::fig4_4_cold_capacity,
     },
-    FigureBinary {
-        bin: "fig4_7_stride_classes",
+    Experiment {
+        name: "fig4_7_stride_classes",
         paper_ref: "Fig 4.7",
         title: "stride class ratios per static load occurrence",
         chapter: 4,
@@ -152,8 +162,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch4::fig4_7_stride_classes,
     },
-    FigureBinary {
-        bin: "fig4_9_llc_chaining",
+    Experiment {
+        name: "fig4_9_llc_chaining",
         paper_ref: "Fig 4.9",
         title: "gcc CPI over time with and without LLC-hit chaining",
         chapter: 4,
@@ -162,8 +172,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch4::fig4_9_llc_chaining,
     },
-    FigureBinary {
-        bin: "fig5_2_mix_sampling",
+    Experiment {
+        name: "fig5_2_mix_sampling",
         paper_ref: "Fig 5.2",
         title: "instruction-mix sampling error (Eq 5.1)",
         chapter: 5,
@@ -172,8 +182,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch5::fig5_2_mix_sampling,
     },
-    FigureBinary {
-        bin: "fig5_4_interpolation",
+    Experiment {
+        name: "fig5_4_interpolation",
         paper_ref: "Figs 5.3/5.4",
         title: "logarithmic dependence-chain interpolation error",
         chapter: 5,
@@ -182,8 +192,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch5::fig5_4_interpolation,
     },
-    FigureBinary {
-        bin: "fig5_5_dep_sampling",
+    Experiment {
+        name: "fig5_5_dep_sampling",
         paper_ref: "Fig 5.5",
         title: "micro-trace sampling error on dependence chains",
         chapter: 5,
@@ -192,8 +202,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch5::fig5_5_dep_sampling,
     },
-    FigureBinary {
-        bin: "fig5_6_branch_component",
+    Experiment {
+        name: "fig5_6_branch_component",
         paper_ref: "Fig 5.6",
         title: "branch component share of total CPI",
         chapter: 5,
@@ -202,8 +212,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch5::fig5_6_branch_component,
     },
-    FigureBinary {
-        bin: "fig6_1_cpi_stacks",
+    Experiment {
+        name: "fig6_1_cpi_stacks",
         paper_ref: "Fig 6.1",
         title: "CPI stacks, model vs simulator, reference architecture",
         chapter: 6,
@@ -212,8 +222,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_1_cpi_stacks,
     },
-    FigureBinary {
-        bin: "fig6_3_sample_budget",
+    Experiment {
+        name: "fig6_3_sample_budget",
         paper_ref: "Fig 6.3",
         title: "prediction error vs profiled instruction budget",
         chapter: 6,
@@ -222,8 +232,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_3_sample_budget,
     },
-    FigureBinary {
-        bin: "fig6_4_separate_vs_combined",
+    Experiment {
+        name: "fig6_4_separate_vs_combined",
         paper_ref: "Fig 6.4",
         title: "per-micro-trace vs combined model evaluation",
         chapter: 6,
@@ -232,8 +242,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_4_separate_vs_combined,
     },
-    FigureBinary {
-        bin: "tbl6_2_component_errors",
+    Experiment {
+        name: "tbl6_2_component_errors",
         paper_ref: "Table 6.2",
         title: "model-variant errors as refinements are toggled",
         chapter: 6,
@@ -242,8 +252,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::tbl6_2_component_errors,
     },
-    FigureBinary {
-        bin: "fig6_5_space_performance",
+    Experiment {
+        name: "fig6_5_space_performance",
         paper_ref: "Figs 6.5/6.6",
         title: "CPI error distribution across the Table 6.3 design space",
         chapter: 6,
@@ -252,8 +262,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_5_space_performance,
     },
-    FigureBinary {
-        bin: "fig6_8_space_power",
+    Experiment {
+        name: "fig6_8_space_power",
         paper_ref: "Figs 6.7–6.10",
         title: "power stacks and power accuracy across the design space",
         chapter: 6,
@@ -262,8 +272,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_8_space_power,
     },
-    FigureBinary {
-        bin: "fig6_14_phases",
+    Experiment {
+        name: "fig6_14_phases",
         paper_ref: "Fig 6.14",
         title: "phase tracking: CPI over time, model vs simulator",
         chapter: 6,
@@ -272,8 +282,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_14_phases,
     },
-    FigureBinary {
-        bin: "fig6_15_mlp_models",
+    Experiment {
+        name: "fig6_15_mlp_models",
         paper_ref: "Figs 6.15–6.18",
         title: "cold-miss vs stride MLP model on the DRAM-wait component",
         chapter: 6,
@@ -282,8 +292,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch6::fig6_15_mlp_models,
     },
-    FigureBinary {
-        bin: "validation_report",
+    Experiment {
+        name: "validation_report",
         paper_ref: "Table 6.1 claim",
         title: "differential validation: error distributions and rank agreement",
         chapter: 6,
@@ -292,8 +302,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: extra::validation_report,
     },
-    FigureBinary {
-        bin: "tbl7_1_power_constraint",
+    Experiment {
+        name: "tbl7_1_power_constraint",
         paper_ref: "Table 7.1",
         title: "fastest design under a power budget",
         chapter: 7,
@@ -302,8 +312,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch7::tbl7_1_power_constraint,
     },
-    FigureBinary {
-        bin: "fig7_3_dvfs",
+    Experiment {
+        name: "fig7_3_dvfs",
         paper_ref: "Fig 7.3 / Table 7.2",
         title: "ED²P across DVFS operating points",
         chapter: 7,
@@ -312,8 +322,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch7::fig7_3_dvfs,
     },
-    FigureBinary {
-        bin: "fig7_4_pareto",
+    Experiment {
+        name: "fig7_4_pareto",
         paper_ref: "Figs 7.4/7.5",
         title: "Pareto frontiers for four example workloads",
         chapter: 7,
@@ -322,8 +332,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch7::fig7_4_pareto,
     },
-    FigureBinary {
-        bin: "fig7_7_pareto_metrics",
+    Experiment {
+        name: "fig7_7_pareto_metrics",
         paper_ref: "Figs 7.6–7.9",
         title: "space-wide error and the four pruning-quality metrics",
         chapter: 7,
@@ -332,8 +342,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch7::fig7_7_pareto_metrics,
     },
-    FigureBinary {
-        bin: "fig7_frontier_scale",
+    Experiment {
+        name: "fig7_frontier_scale",
         paper_ref: "§7.4 at scale",
         title: "streamed Pareto frontier over a 103,680-point lazy design space",
         chapter: 7,
@@ -342,8 +352,8 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch7::fig7_frontier_scale,
     },
-    FigureBinary {
-        bin: "fig7_10_empirical",
+    Experiment {
+        name: "fig7_10_empirical",
         paper_ref: "Figs 7.10–7.13",
         title: "mechanistic vs empirical (ridge regression) Pareto pruning",
         chapter: 7,
@@ -352,18 +362,18 @@ pub const REGISTRY: &[FigureBinary] = &[
         deterministic: true,
         build: ch7::fig7_10_empirical,
     },
-    FigureBinary {
-        bin: "speedup",
+    Experiment {
+        name: "speedup",
         paper_ref: "§6.2 headline",
-        title: "profile-once + model vs per-point simulation, wall-clock; served predict throughput, micro-batching on vs off",
+        title: "profile-once + model vs per-point simulation, wall-clock",
         chapter: 6,
         crates: &["core", "dse", "profiler", "sim"],
         trained_entropy: false,
         deterministic: false,
         build: extra::speedup,
     },
-    FigureBinary {
-        bin: "accuracy_probe",
+    Experiment {
+        name: "accuracy_probe",
         paper_ref: "development aid",
         title: "model-vs-simulator accuracy probe over the whole suite",
         chapter: 6,
@@ -374,9 +384,30 @@ pub const REGISTRY: &[FigureBinary] = &[
     },
 ];
 
-/// Look up a registry entry by binary name.
-pub fn by_bin(bin: &str) -> Option<&'static FigureBinary> {
-    REGISTRY.iter().find(|e| e.bin == bin)
+/// Look up a registry entry by name.
+pub fn by_name(name: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.name == name)
+}
+
+/// Resolve the experiment names a caller asked for: `all` alone is the
+/// whole registry in order, anything else must name registry entries.
+/// An unknown name is refused with every known name listed.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    if names == ["all"] {
+        return Ok(REGISTRY.iter().collect());
+    }
+    names
+        .iter()
+        .map(|name| {
+            by_name(name).ok_or_else(|| {
+                let known: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+                format!(
+                    "unknown experiment `{name}` (known: {}; or `all` alone)",
+                    known.join(", ")
+                )
+            })
+        })
+        .collect()
 }
 
 /// Human heading for a thesis chapter (report sections, PAPER_MAP
@@ -395,9 +426,9 @@ pub fn chapter_title(chapter: u8) -> &'static str {
 /// Build one registry entry's figures at `base` scale, training the
 /// entropy model on demand (or reusing `trained` when the caller
 /// already paid that one-time cost), and stamping each figure with its
-/// regenerating binary.
+/// regenerating [`command`](Experiment::command).
 pub fn build_entry(
-    entry: &FigureBinary,
+    entry: &Experiment,
     base: &HarnessConfig,
     trained: Option<&pmt_branch::EntropyMissModel>,
 ) -> Vec<Figure> {
@@ -409,20 +440,46 @@ pub fn build_entry(
         };
         cfg.model = cfg.model.with_entropy_model(model);
     }
+    let command = entry.command();
     (entry.build)(&cfg)
         .into_iter()
-        .map(|f| f.binary(entry.bin))
+        .map(|f| f.binary(&command))
         .collect()
 }
 
-/// The whole body of a figure binary: look the entry up, build at the
-/// default scale (respecting `--smoke` / `PMT_*` env knobs) and emit
-/// every figure through the shared output path.
-pub fn run_binary(bin: &str) {
-    let entry = by_bin(bin).unwrap_or_else(|| panic!("{bin} is not in the figure registry"));
-    let figures = build_entry(entry, &HarnessConfig::default_scale(), None);
-    crate::emit::emit_all(&figures);
+/// The body of `pmt figure`: build every entry at the default scale
+/// (respecting `--smoke` / `PMT_*` env knobs), emit its figures through
+/// the shared output path, then persist the shared simulation cache.
+/// One entropy-training pass serves every entry that wants it. Each
+/// entry's panic is caught, so one failing experiment does not stop the
+/// rest; returns the names of the entries that panicked. When more than
+/// one entry runs, a banner naming each precedes its figures.
+pub fn run(entries: &[&Experiment]) -> Vec<&'static str> {
+    let base = HarnessConfig::default_scale();
+    let trained = entries
+        .iter()
+        .any(|e| e.trained_entropy)
+        .then(|| train_entropy_model((base.instructions / 4).max(100_000)));
+    let mut failures = Vec::new();
+    for entry in entries {
+        if entries.len() > 1 {
+            println!("\n================================================================");
+            println!("== {}  ({} — {})", entry.name, entry.paper_ref, entry.title);
+            println!("================================================================");
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            build_entry(entry, &base, trained.as_ref())
+        }));
+        match result {
+            Ok(figures) => crate::emit::emit_all(&figures),
+            Err(_) => {
+                eprintln!("!! {} panicked", entry.name);
+                failures.push(entry.name);
+            }
+        }
+    }
     if let Err(e) = crate::harness::save_shared_sim_cache() {
         eprintln!("warning: saving PMT_SIM_CACHE: {e}");
     }
+    failures
 }

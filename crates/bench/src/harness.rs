@@ -24,7 +24,7 @@ pub struct HarnessConfig {
 impl HarnessConfig {
     /// Whether this experiment run asked for smoke scale (`--smoke` on the
     /// command line, or `PMT_SMOKE=1` in the environment). CI uses this to
-    /// execute every figure binary end-to-end with a tiny trace budget.
+    /// run every experiment end-to-end with a tiny trace budget.
     pub fn smoke_requested() -> bool {
         std::env::args().any(|a| a == "--smoke")
             || std::env::var("PMT_SMOKE").is_ok_and(|v| v == "1" || v == "true")
@@ -33,7 +33,7 @@ impl HarnessConfig {
     /// Default experiment scale: 1M instructions, thesis sampling scaled
     /// down 10× (100/10k) so every workload yields ~100 micro-traces.
     /// In smoke mode ([`smoke_requested`](Self::smoke_requested)) the
-    /// instruction budget drops to 30k so every figure binary still
+    /// instruction budget drops to 30k so every experiment still
     /// exercises its whole pipeline, just on a toy trace.
     pub fn default_scale() -> HarnessConfig {
         let default_instructions = if Self::smoke_requested() {
@@ -69,7 +69,7 @@ impl HarnessConfig {
 /// The process-wide memoized simulation cache behind `PMT_SIM_CACHE`:
 /// when the env var names a file, every sweep/validation builder that
 /// supports memoization shares this one cache, so a warm `pmt report`
-/// (or repeated figure run) performs zero new reference simulations.
+/// (or repeated `pmt figure` run) performs zero new reference simulations.
 /// Call [`save_shared_sim_cache`] before exit to persist it.
 pub fn shared_sim_cache() -> Option<std::sync::Arc<pmt_sim::SimCache>> {
     use std::sync::{Arc, OnceLock};

@@ -1,16 +1,16 @@
-//! Experiment harness for the per-figure binaries (thesis Ch 3–7).
+//! Experiment harness for the thesis figures and tables (Ch 3–7).
 //!
-//! Every thesis table and figure has a binary under `src/bin/` — the
-//! generated `docs/PAPER_MAP.md` is the index — and each binary is a
-//! thin `main` over three layers here:
+//! Every thesis table and figure is an experiment in the registry — the
+//! generated `docs/PAPER_MAP.md` is the index — and `pmt figure NAME…`
+//! (or `pmt figure all`) runs it over three layers here:
 //!
 //! * [`harness`] — common plumbing: suite iteration, smoke/env scale
 //!   knobs, entropy-model training, error metrics, the shared
 //!   `PMT_SIM_CACHE` memoization,
 //! * [`figures`] — one builder per experiment returning typed
 //!   [`Figure`](pmt_report::Figure) values, plus the [`figures::REGISTRY`]
-//!   that maps every binary to its paper artifact and the crates it
-//!   exercises,
+//!   that maps every experiment to its paper artifact and the crates it
+//!   exercises, and [`run`], the one loop that builds and emits entries,
 //! * [`emit`](mod@emit) — the shared output path rendering figures to
 //!   stdout text (and, under `PMT_REPORT_DIR`, to SVG/Markdown files).
 //!
@@ -23,7 +23,7 @@ pub mod harness;
 pub mod report_gen;
 
 pub use emit::{emit, emit_all};
-pub use figures::{build_entry, by_bin, run_binary, FigureBinary, REGISTRY};
+pub use figures::{build_entry, by_name, run, select, Experiment, REGISTRY};
 pub use harness::{
     evaluate_suite, mean_abs_error, parallel_map, profile_one, profile_suite, simulate_suite,
     train_entropy_model, Evaluated, HarnessConfig,

@@ -11,7 +11,8 @@ pub struct FigureMeta {
     pub paper_ref: String,
     /// One-line title (the thesis caption, condensed).
     pub title: String,
-    /// The binary that regenerates this figure (`fig6_1_cpi_stacks`).
+    /// The `cargo run --release --bin` arguments that regenerate this
+    /// figure (`pmt -- figure fig6_1_cpi_stacks`).
     pub binary: String,
     /// Free-form footnotes: suite means, the thesis' reference numbers, …
     pub notes: Vec<String>,
@@ -177,7 +178,8 @@ impl Figure {
         self
     }
 
-    /// Record the binary that regenerates this figure.
+    /// Record the `cargo run --release --bin` arguments that regenerate
+    /// this figure.
     pub fn binary(mut self, name: &str) -> Figure {
         self.meta.binary = name.into();
         self

@@ -9,8 +9,8 @@
 //! This crate gives those shapes a small typed data model ([`Figure`])
 //! and three renderers that consume it:
 //!
-//! * [`Figure::render_text`] — aligned plain text, the stdout of every
-//!   `fig*`/`tbl*` binary (so `--smoke` CI output stays greppable),
+//! * [`Figure::render_text`] — aligned plain text, the stdout of
+//!   `pmt figure` (so `--smoke` CI output stays greppable),
 //! * [`Figure::render_markdown`] — a Markdown section with the data as a
 //!   pipe table, used to assemble `docs/REPRODUCTION.md`,
 //! * [`Figure::render_svg`] — hand-rolled SVG with a fixed `viewBox` and

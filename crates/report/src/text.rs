@@ -1,5 +1,4 @@
-//! Aligned plain-text rendering (the stdout form of every figure
-//! binary).
+//! Aligned plain-text rendering (the stdout form of `pmt figure`).
 
 use crate::figure::Figure;
 

@@ -228,14 +228,32 @@ fn warm_repeat_hits_the_cache_and_predicts_nothing() {
     server.stop();
 }
 
-/// A request engineered to panic inside the leader's computation: eight
-/// 256-value `f` axes make a 256⁸ = 2⁶⁴-point product space, so
-/// `ProductSpace::len` overflows `usize` and panics (by design, instead
-/// of wrapping) — *after* the leader has registered the in-flight entry.
+/// A request engineered to panic inside the leader's computation: a
+/// one-point space with a zero-entry ROB passes resolution and the size
+/// cap, then panics inside the sweep — *after* the leader has registered
+/// the in-flight entry.
 fn poison_request() -> ExploreRequest {
+    let axes = vec![AxisSpec::new("rob", &[0.0])];
+    ExploreRequest::new("astar", SpaceSpec::product(None, axes))
+}
+
+/// A space whose point count overflows `usize` (eight 256-value `f`
+/// axes: 256⁸ = 2⁶⁴ points) is a client error, answered `413
+/// space_too_large` before any sweep, never a panic.
+#[test]
+fn an_overflowing_space_is_413_space_too_large() {
+    let server = serve(ServeConfig::default());
+    let addr = server.addr();
     let values: Vec<f64> = (0..256).map(f64::from).collect();
     let axes = (0..8).map(|_| AxisSpec::new("f", &values)).collect();
-    ExploreRequest::new("astar", SpaceSpec::product(None, axes))
+    let req = ExploreRequest::new("astar", SpaceSpec::product(None, axes));
+    let reply = post(addr, "/v1/explore", &serde_json::to_string(&req).unwrap());
+    assert_eq!(reply.status, 413, "{}", reply.body);
+    let err: pmt_api::ErrorBody = serde_json::from_str(&reply.body).unwrap();
+    assert_eq!(err.code, "space_too_large");
+    assert_eq!(metrics(addr).failed_requests, 0);
+    assert_eq!(metrics(addr).points_predicted, 0);
+    server.stop();
 }
 
 #[test]

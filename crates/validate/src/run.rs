@@ -13,7 +13,6 @@ use pmt_sim::SimCache;
 use pmt_trace::SamplingConfig;
 use pmt_uarch::{DesignPoint, DesignSpace};
 use pmt_workloads::WorkloadSpec;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Budgets and model/profiler settings for one validation run.
@@ -182,7 +181,7 @@ impl Validator {
     }
 
     /// Profile every workload once, evaluate model and simulator over the
-    /// whole (workload × point) grid — rayon-parallel on cache misses —
+    /// whole (workload × point) grid — each sweep parallel over its points —
     /// and distill the error distributions into a [`ValidationReport`].
     pub fn run(&self) -> ValidationReport {
         self.run_corrected(None)
@@ -289,10 +288,12 @@ impl Validator {
         // The micro-architecture independent step: one profile per
         // workload, reused for every design point. (The sweep below also
         // *prepares* each profile once — fitting all StatStack models up
-        // front — so the per-point model cost is queries only.)
+        // front — so the per-point model cost is queries only.) One
+        // workload at a time, like the sweeps: each profile already
+        // generates and analyses its trace on two threads.
         let profiles: Vec<ApplicationProfile> = self
             .specs
-            .par_iter()
+            .iter()
             .map(|spec| {
                 Profiler::new(self.config.profiler.clone()).profile_named(
                     &spec.name,
@@ -306,15 +307,14 @@ impl Validator {
             sim_instructions: self.config.sim_instructions,
             sim_cache: Some(self.cache.clone()),
         };
-        // One simulated sweep per workload, in one order-preserving
-        // parallel map: rayon balances the reference simulations across
-        // workloads as well as across each sweep's points. Each sweep's
-        // model half runs through the batched prediction kernels
-        // (bit-identical to per-point prediction).
-        let jobs: Vec<(&ApplicationProfile, &WorkloadSpec)> =
-            profiles.iter().zip(&self.specs).collect();
-        let evaluations = jobs
-            .par_iter()
+        // One simulated sweep per workload, one workload at a time: each
+        // sweep is already parallel over its points, and nesting a
+        // parallel map around it would multiply threads, not share
+        // them. Each sweep's model half runs through the batched
+        // prediction kernels (bit-identical to per-point prediction).
+        let evaluations = profiles
+            .iter()
+            .zip(&self.specs)
             .map(|(profile, spec)| {
                 SpaceEvaluation::run(&self.points, profile, Some(spec), &sweep_config)
             })

@@ -19,7 +19,11 @@ wire API and `/metrics`:
    N concurrent *distinct* predicts (DVFS frequency ladder) ride shared
    `BatchPredictor` flights (``batched_requests`` grows), and every
    response is byte-identical to replaying the same request against a
-   ``--batch-window-ms 0`` control daemon.
+   ``--batch-window-ms 0`` control daemon. The predicts meet at a
+   rendezvous rather than racing the clock: every connection sends its
+   headers first and its body after a pause, so with fewer workers than
+   callers the first flight's leader always sees queued work and holds
+   its window open for company.
 
 After all phases the extended request partition must hold exactly on
 the batched daemon:
@@ -35,9 +39,11 @@ Usage:
 import argparse
 import concurrent.futures
 import json
+import socket
 import sys
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 
@@ -49,6 +55,38 @@ def http(url, body=None):
             return resp.status, resp.read(), dict(resp.headers)
     except urllib.error.HTTPError as e:
         return e.code, e.read(), dict(e.headers)
+
+
+def rendezvous_predicts(base, bodies, pause_s=0.15):
+    """POST every body to /v1/predict at once → [(status, bytes)].
+
+    Every connection sends its request headers first; after a pause (far
+    below the daemon's 2 s read deadline) every body follows. The workers
+    park reading bodies while the acceptor queues the remaining
+    connections, so when the bodies land the first leader sees queued
+    work and keeps its collection window open until the rest board.
+    """
+    url = urllib.parse.urlsplit(base)
+    conns = []
+    for body in bodies:
+        conn = socket.create_connection((url.hostname, url.port), timeout=300)
+        conn.sendall(
+            f"POST /v1/predict HTTP/1.1\r\nhost: {url.netloc}\r\n"
+            f"content-length: {len(body)}\r\n\r\n".encode()
+        )
+        conns.append(conn)
+    time.sleep(pause_s)
+    for conn, body in zip(conns, bodies):
+        conn.sendall(body)
+    replies = []
+    for conn in conns:
+        raw = b""
+        while chunk := conn.recv(65536):
+            raw += chunk
+        conn.close()
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        replies.append((int(head.split(b" ", 2)[1]), payload))
+    return replies
 
 
 def metrics(base):
@@ -165,12 +203,15 @@ def main():
             variants.append(json.dumps(template, separators=(",", ":")).encode())
 
         before = metrics(base)
-        with concurrent.futures.ThreadPoolExecutor(n) as pool:
-            replies = list(pool.map(lambda v: http(base + "/v1/predict", v), variants))
+        assert before["worker_threads"] < n, (
+            f"the rendezvous needs fewer workers than callers: "
+            f"{before['worker_threads']} workers for {n} predicts"
+        )
+        replies = rendezvous_predicts(base, variants)
         after = metrics(base)
-        for status, body, _ in replies:
+        for status, body in replies:
             assert status == 200, f"batched predict: {status} {body!r}"
-        assert len({body for _, body, _ in replies}) == n, \
+        assert len({body for _, body in replies}) == n, \
             "distinct design points returned duplicated response bytes"
         served += n
 
@@ -187,7 +228,7 @@ def main():
             f"predict accounting broke: {batched} batched + {leaders} leaders != {n}"
         )
 
-        for variant, (_, body, _) in zip(variants, replies):
+        for variant, (_, body) in zip(variants, replies):
             status, solo_body, _ = http(solo + "/v1/predict", variant)
             assert status == 200, f"solo replay: {status} {solo_body!r}"
             assert solo_body == body, (

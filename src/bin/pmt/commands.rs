@@ -419,6 +419,36 @@ pub fn validate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+// -------------------------------------------------------------- figure
+
+pub const FIGURE: Command = Command {
+    name: "figure",
+    about: "reproduce thesis figures/tables by experiment name (docs/PAPER_MAP.md), or all",
+    positionals: "<name>.. | all",
+    flags: &[Flag::switch("--smoke", "tiny trace budget, same pipeline")],
+};
+
+pub fn figure(args: &[String]) -> Result<(), CliError> {
+    let parsed = parse_or_return!(FIGURE, args);
+    if parsed.positionals().is_empty() {
+        return Err(CliError::Usage(
+            "`pmt figure` needs experiment names or `all` (see `pmt figure --help`)".into(),
+        ));
+    }
+    // (`--smoke` is read process-wide by `HarnessConfig::smoke_requested`.)
+    let entries = pmt::bench::select(parsed.positionals()).map_err(CliError::Usage)?;
+    let failed = pmt::bench::run(&entries);
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Runtime(format!(
+            "{} experiment(s) failed: {}",
+            failed.len(),
+            failed.join(", ")
+        )))
+    }
+}
+
 // -------------------------------------------------------------- report
 
 pub const REPORT: Command = Command {

@@ -11,6 +11,7 @@
 //! $ pmt validate --workloads astar,mcf --smoke
 //! $ pmt train --smoke --cache sim.cache.json --out corrector.json
 //! $ pmt validate --smoke --corrector corrector.json
+//! $ pmt figure fig7_4_pareto --smoke
 //! $ pmt serve --profile-file mcf.profile.json --addr 127.0.0.1:7071
 //! ```
 //!
@@ -46,6 +47,7 @@ fn main() -> ExitCode {
         "explore" => explore::run(rest),
         "validate" => commands::validate(rest),
         "train" => train::run(rest),
+        "figure" => commands::figure(rest),
         "report" => commands::report(rest),
         "corun" => commands::corun(rest),
         "smt" => commands::smt(rest),
@@ -94,6 +96,7 @@ fn all_commands() -> Vec<&'static args::Command> {
         &explore::EXPLORE,
         &commands::VALIDATE,
         &train::TRAIN,
+        &commands::FIGURE,
         &commands::REPORT,
         &commands::CORUN,
         &commands::SMT,

@@ -28,7 +28,7 @@
 //! * [`report`] — deterministic figure rendering (typed figures to
 //!   text, Markdown and hand-rolled SVG) behind `docs/REPRODUCTION.md`,
 //! * [`mod@bench`] — the experiment harness, the figure registry behind
-//!   every `fig*`/`tbl*` binary, and the `pmt report` generator,
+//!   `pmt figure`, and the `pmt report` generator,
 //! * [`api`] — the versioned wire schema (requests, responses,
 //!   structured errors) spoken by both the CLI's JSON outputs and the
 //!   daemon,

@@ -158,8 +158,7 @@ pub fn fig3_7_base_component(cfg: &HarnessConfig) -> Vec<Figure> {
         // Perfect-mode simulation = maximum achievable performance.
         let sim =
             OooSimulator::new(SimConfig::new(machine.clone()).perfect()).run(&mut spec.trace(n));
-        let profile = pmt_profiler::Profiler::new(cfg.profiler.clone())
-            .profile_named(&spec.name, &mut spec.trace(n));
+        let profile = cfg.profile(&spec, n);
         let insts = sim.instructions as f64;
         let uops = profile.total_uops;
         let d = machine.core.dispatch_width as f64;

@@ -5,7 +5,7 @@ use crate::harness::{evaluate_suite, mean_abs_error, parallel_map, profile_suite
 use pmt_cachesim::HierarchySim;
 use pmt_core::cache_model::CacheModel;
 use pmt_core::IntervalModel;
-use pmt_profiler::{Profiler, StrideCategory};
+use pmt_profiler::StrideCategory;
 use pmt_report::{fmt, BarChart, Figure, LineChart, LineSeries, Series, Table};
 use pmt_sim::{OooSimulator, SimConfig};
 use pmt_trace::{collect_trace, UopClass};
@@ -38,8 +38,7 @@ pub fn fig4_2_cache_mpki(cfg: &HarnessConfig) -> Vec<Figure> {
             s.l3.misses() as f64 / ki,
         ];
         // StatStack prediction from the profile.
-        let profile =
-            Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(n));
+        let profile = cfg.profile(&spec, n);
         let loads = CacheModel::fit(&profile.memory.loads, &caches);
         let stores = CacheModel::fit(&profile.memory.stores, &caches);
         let l = profile.memory.loads_per_uop * profile.total_uops;
@@ -97,7 +96,7 @@ pub fn fig4_2_cache_mpki(cfg: &HarnessConfig) -> Vec<Figure> {
 /// Fig 4.3: normalized execution time with and without MLP modeling.
 pub fn fig4_3_no_mlp(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
-    let results = evaluate_suite(&machine, cfg);
+    let results = evaluate_suite(&profile_suite(cfg), &machine, &cfg.model);
     let mut with_mlp = Vec::new();
     let mut without = Vec::new();
     let mut categories = Vec::new();
@@ -289,8 +288,7 @@ pub fn fig4_9_llc_chaining(cfg: &HarnessConfig) -> Vec<Figure> {
 
     let sim = OooSimulator::new(SimConfig::new(machine.clone()).with_intervals(interval))
         .run(&mut spec.trace(cfg.instructions));
-    let profile =
-        Profiler::new(cfg.profiler.clone()).profile_named("gcc", &mut spec.trace(cfg.instructions));
+    let profile = cfg.profile(&spec, cfg.instructions);
     let with = IntervalModel::with_config(&machine, cfg.model.clone()).predict(&profile);
     let mut no_chain_cfg = cfg.model.clone();
     no_chain_cfg.llc_chaining = false;

@@ -1,9 +1,8 @@
 //! Chapter 5 figures: the sampling methodology and its error bounds.
 
-use crate::harness::{parallel_map, HarnessConfig};
+use crate::harness::{parallel_map, simulate_suite, HarnessConfig};
 use pmt_profiler::{DependenceProfile, Profiler, ProfilerConfig};
 use pmt_report::{fmt, BarChart, Figure, Series, Table};
-use pmt_sim::{OooSimulator, SimConfig};
 use pmt_trace::{collect_trace, UopClass};
 use pmt_uarch::{CpiComponent, MachineConfig};
 use pmt_workloads::suite;
@@ -19,8 +18,7 @@ fn pct2(x: f64) -> String {
 /// Fig 5.2 / Eq 5.1: instruction-mix sampling error.
 pub fn fig5_2_mix_sampling(cfg: &HarnessConfig) -> Vec<Figure> {
     let rows = parallel_map(suite(), |spec| {
-        let p = Profiler::new(cfg.profiler.clone())
-            .profile_named(&spec.name, &mut spec.trace(cfg.instructions));
+        let p = cfg.profile(&spec, cfg.instructions);
         let errs = p.mix.sampling_error(&p.full_mix);
         (spec.name.clone(), errs)
     });
@@ -102,8 +100,7 @@ pub fn fig5_4_interpolation(cfg: &HarnessConfig) -> Vec<Figure> {
 pub fn fig5_5_dep_sampling(cfg: &HarnessConfig) -> Vec<Figure> {
     let n = cfg.instructions.min(300_000);
     let rows = parallel_map(suite(), |spec| {
-        let sampled =
-            Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(n));
+        let sampled = cfg.profile(&spec, n);
         let full = Profiler::new(ProfilerConfig::exhaustive(n))
             .profile_named(&spec.name, &mut spec.trace(n));
         let rob = 128;
@@ -170,22 +167,14 @@ fn chain_error_table(
 /// execution time (simulator CPI stacks).
 pub fn fig5_6_branch_component(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
-    let rows = parallel_map(suite(), |spec| {
-        let r = OooSimulator::new(SimConfig::new(machine.clone()))
-            .run(&mut spec.trace(cfg.instructions.min(400_000)));
-        (
-            spec.name.clone(),
-            r.cpi(),
-            r.cpi_stack.get(CpiComponent::Branch),
-        )
-    });
+    let sims = simulate_suite(&machine, cfg.instructions.min(400_000));
     let chart = BarChart {
-        categories: rows.iter().map(|(name, _, _)| name.clone()).collect(),
+        categories: suite().into_iter().map(|spec| spec.name).collect(),
         series: vec![Series {
             name: "branch share".into(),
-            values: rows
+            values: sims
                 .iter()
-                .map(|(_, cpi, branch)| branch / cpi * 100.0)
+                .map(|r| r.cpi_stack.get(CpiComponent::Branch) / r.cpi() * 100.0)
                 .collect(),
         }],
         stacked: false,

@@ -2,16 +2,15 @@
 //! reference architecture and across the design space.
 
 use crate::harness::{
-    evaluate_suite, mean_abs_error, parallel_map, sim_instructions, space_stride, HarnessConfig,
+    evaluate_space, evaluate_suite, mean_abs_error, profile_suite, sim_instructions, space_stride,
+    Evaluated, HarnessConfig,
 };
-use pmt_core::{EvaluationMode, IntervalModel, MlpModelKind, PreparedProfile};
+use pmt_core::{EvaluationMode, IntervalModel, MlpModelKind};
 use pmt_power::{PowerComponent, PowerModel};
-use pmt_profiler::Profiler;
 use pmt_report::{fmt, BarChart, Figure, LineChart, LineSeries, Series, Table};
 use pmt_sim::{OooSimulator, SimConfig};
 use pmt_trace::SamplingConfig;
 use pmt_uarch::{CpiComponent, DesignSpace, MachineConfig};
-use pmt_workloads::suite;
 
 /// Table 6.1: the reference architecture.
 pub fn tbl6_1_reference(_cfg: &HarnessConfig) -> Vec<Figure> {
@@ -82,7 +81,7 @@ pub fn tbl6_1_reference(_cfg: &HarnessConfig) -> Vec<Figure> {
 /// one paired stacked bar (`sim`/`model`) per workload. Also reports
 /// the §6.2.1 headline mean absolute CPI error.
 pub fn fig6_1_cpi_stacks(cfg: &HarnessConfig) -> Vec<Figure> {
-    let results = evaluate_suite(&MachineConfig::nehalem(), cfg);
+    let results = evaluate_suite(&profile_suite(cfg), &MachineConfig::nehalem(), &cfg.model);
     let mut categories = Vec::new();
     let mut series: Vec<Series> = CpiComponent::ALL
         .iter()
@@ -124,10 +123,6 @@ pub fn fig6_1_cpi_stacks(cfg: &HarnessConfig) -> Vec<Figure> {
 pub fn fig6_3_sample_budget(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
     let n = cfg.instructions;
-    // Ground truth once per workload.
-    let sims = parallel_map(suite(), |spec| {
-        OooSimulator::new(SimConfig::new(machine.clone())).run(&mut spec.trace(n))
-    });
     let mut points = Vec::new();
     let mut notes = Vec::new();
     for (micro, window) in [
@@ -137,20 +132,17 @@ pub fn fig6_3_sample_budget(cfg: &HarnessConfig) -> Vec<Figure> {
         (2_000, 8_000),
         (4_000, 8_000),
     ] {
-        let mut pcfg = cfg.profiler.clone();
-        pcfg.sampling = SamplingConfig {
+        let mut sampled = cfg.clone();
+        sampled.profiler.sampling = SamplingConfig {
             micro_trace_instructions: micro,
             window_instructions: window,
         };
-        let errs: Vec<f64> = parallel_map(suite(), |spec| {
-            let p = Profiler::new(pcfg.clone()).profile_named(&spec.name, &mut spec.trace(n));
-            let pred = IntervalModel::with_config(&machine, cfg.model.clone()).predict(&p);
-            let i = pmt_workloads::SUITE
-                .iter()
-                .position(|w| *w == spec.name)
-                .unwrap();
-            (pred.cpi() - sims[i].cpi()) / sims[i].cpi()
-        });
+        // Sampling changes only the profile: every pass after the first
+        // reads its ground truth from the shared cache.
+        let errs: Vec<f64> = evaluate_suite(&profile_suite(&sampled), &machine, &cfg.model)
+            .iter()
+            .map(Evaluated::cpi_error)
+            .collect();
         let profiled = n * micro / window;
         points.push((profiled as f64, mean_abs_error(&errs) * 100.0));
         notes.push(format!(
@@ -183,16 +175,13 @@ pub fn fig6_3_sample_budget(cfg: &HarnessConfig) -> Vec<Figure> {
 /// Fig 6.4 / §6.2.2: per-micro-trace vs combined model evaluation.
 pub fn fig6_4_separate_vs_combined(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
-
-    let mut separate_cfg = cfg.clone();
-    separate_cfg.model = separate_cfg
-        .model
-        .with_evaluation(EvaluationMode::PerMicroTrace);
-    let separate = evaluate_suite(&machine, &separate_cfg);
-
-    let mut combined_cfg = cfg.clone();
-    combined_cfg.model = combined_cfg.model.with_evaluation(EvaluationMode::Combined);
-    let combined = evaluate_suite(&machine, &combined_cfg);
+    let profiles = profile_suite(cfg);
+    let evaluate = |mode| {
+        let model = cfg.model.clone().with_evaluation(mode);
+        evaluate_suite(&profiles, &machine, &model)
+    };
+    let separate = evaluate(EvaluationMode::PerMicroTrace);
+    let combined = evaluate(EvaluationMode::Combined);
 
     let mut es = Vec::new();
     let mut ec = Vec::new();
@@ -233,26 +222,27 @@ pub fn fig6_4_separate_vs_combined(cfg: &HarnessConfig) -> Vec<Figure> {
 /// Table 6.2: error as model refinements are toggled.
 pub fn tbl6_2_component_errors(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
+    let profiles = profile_suite(cfg);
 
-    let mut variants: Vec<(&str, HarnessConfig)> = Vec::new();
-    let full = cfg.clone();
-    variants.push(("full model (stride MLP)", full));
-    let mut cold = cfg.clone();
-    cold.model = cold.model.with_mlp(MlpModelKind::ColdMiss);
-    variants.push(("cold-miss MLP", cold));
-    let mut no_chain = cfg.clone();
-    no_chain.model.llc_chaining = false;
-    variants.push(("no LLC chaining", no_chain));
-    let mut no_bus = cfg.clone();
-    no_bus.model.bus_queuing = false;
-    variants.push(("no bus queuing", no_bus));
-    let mut no_mshr = cfg.clone();
-    no_mshr.model.mshr_cap = false;
-    variants.push(("no MSHR cap", no_mshr));
+    let full = cfg.model.clone();
+    let cold = full.clone().with_mlp(MlpModelKind::ColdMiss);
+    let mut no_chain = full.clone();
+    no_chain.llc_chaining = false;
+    let mut no_bus = full.clone();
+    no_bus.bus_queuing = false;
+    let mut no_mshr = full.clone();
+    no_mshr.mshr_cap = false;
+    let variants = [
+        ("full model (stride MLP)", full),
+        ("cold-miss MLP", cold),
+        ("no LLC chaining", no_chain),
+        ("no bus queuing", no_bus),
+        ("no MSHR cap", no_mshr),
+    ];
 
     let mut rows = Vec::new();
-    for (label, variant) in variants {
-        let results = evaluate_suite(&machine, &variant);
+    for (label, model) in variants {
+        let results = evaluate_suite(&profiles, &machine, &model);
         let errs: Vec<f64> = results.iter().map(|r| r.cpi_error()).collect();
         let max = results
             .iter()
@@ -285,28 +275,10 @@ pub fn fig6_5_space_performance(cfg: &HarnessConfig) -> Vec<Figure> {
     let sim_n = sim_instructions(cfg.instructions.min(300_000));
     let space = DesignSpace::thesis_table_6_3();
     let points: Vec<_> = space.enumerate().into_iter().step_by(stride).collect();
-
-    // Profile once per workload (the micro-architecture independent step),
-    // then prepare once so every design point reuses the fitted models.
-    let profiles = parallel_map(suite(), |spec| {
-        Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(sim_n))
-    });
-    let prepared: Vec<PreparedProfile<'_>> = profiles.iter().map(PreparedProfile::new).collect();
-
-    // All (workload, point) pairs.
-    let mut pairs = Vec::new();
-    for (wi, spec) in suite().into_iter().enumerate() {
-        for p in &points {
-            pairs.push((wi, spec.clone(), p.clone()));
-        }
-    }
-    let errs = parallel_map(pairs, |(wi, spec, point)| {
-        let sim =
-            OooSimulator::new(SimConfig::new(point.machine.clone())).run(&mut spec.trace(sim_n));
-        let pred = IntervalModel::with_config(&point.machine, cfg.model.clone())
-            .predict_summary(&prepared[wi]);
-        (pred.cpi() - sim.cpi()) / sim.cpi()
-    });
+    let errs: Vec<f64> = evaluate_space(&points, cfg, sim_n)
+        .iter()
+        .flat_map(|eval| eval.outcomes.iter().filter_map(|o| o.cpi_error()))
+        .collect();
 
     // Error distribution (the box-plot numbers of Fig 6.5).
     let mut abs: Vec<f64> = errs.iter().map(|e| e.abs()).collect();
@@ -350,21 +322,16 @@ pub fn fig6_5_space_performance(cfg: &HarnessConfig) -> Vec<Figure> {
 /// accuracy across the (sub-sampled) space.
 pub fn fig6_8_space_power(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
-    let n = cfg.instructions;
 
     // --- Fig 6.7: power stacks on the reference machine -----------------
-    let rows = parallel_map(suite(), |spec| {
-        let sim = OooSimulator::new(SimConfig::new(machine.clone())).run(&mut spec.trace(n));
-        let profile =
-            Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(n));
-        let pred = IntervalModel::with_config(&machine, cfg.model.clone()).predict(&profile);
-        let pm = PowerModel::new(&machine);
-        (
-            spec.name.clone(),
-            pm.power(&sim.activity),
-            pm.power(&pred.activity),
-        )
-    });
+    let pm = PowerModel::new(&machine);
+    let rows: Vec<_> = evaluate_suite(&profile_suite(cfg), &machine, &cfg.model)
+        .into_iter()
+        .map(|r| {
+            let sim_p = pm.power(&r.sim.activity);
+            (r.name, sim_p, pm.power(&r.prediction.activity))
+        })
+        .collect();
     let mut categories = Vec::new();
     let mut series: Vec<Series> = std::iter::once("static")
         .chain(PowerComponent::ALL.iter().map(|c| c.label()))
@@ -404,32 +371,16 @@ pub fn fig6_8_space_power(cfg: &HarnessConfig) -> Vec<Figure> {
 
     // --- Figs 6.8–6.10: across the (sub-sampled) space ------------------
     let stride = space_stride(27);
-    let sim_n = n.min(200_000);
+    let sim_n = cfg.instructions.min(200_000);
     let points: Vec<_> = DesignSpace::thesis_table_6_3()
         .enumerate()
         .into_iter()
         .step_by(stride)
         .collect();
-    let profiles = parallel_map(suite(), |spec| {
-        Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(sim_n))
-    });
-    let prepared: Vec<PreparedProfile<'_>> = profiles.iter().map(PreparedProfile::new).collect();
-    let mut pairs = Vec::new();
-    for (wi, spec) in suite().into_iter().enumerate() {
-        for p in &points {
-            pairs.push((wi, spec.clone(), p.clone()));
-        }
-    }
-    let errs = parallel_map(pairs, |(wi, spec, point)| {
-        let sim =
-            OooSimulator::new(SimConfig::new(point.machine.clone())).run(&mut spec.trace(sim_n));
-        let pred = IntervalModel::with_config(&point.machine, cfg.model.clone())
-            .predict_summary(&prepared[wi]);
-        let pm = PowerModel::new(&point.machine);
-        let sp = pm.power(&sim.activity).total();
-        let mp = pm.power(&pred.activity).total();
-        (mp - sp) / sp
-    });
+    let errs: Vec<f64> = evaluate_space(&points, cfg, sim_n)
+        .iter()
+        .flat_map(|eval| eval.outcomes.iter().filter_map(|o| o.power_error()))
+        .collect();
     let space = Figure::table(
         "fig6_9",
         "Fig 6.9",
@@ -456,8 +407,7 @@ pub fn fig6_14_phases(cfg: &HarnessConfig) -> Vec<Figure> {
         let interval = (cfg.instructions / 25).max(1);
         let sim = OooSimulator::new(SimConfig::new(machine.clone()).with_intervals(interval))
             .run(&mut spec.trace(cfg.instructions));
-        let profile = Profiler::new(cfg.profiler.clone())
-            .profile_named(name, &mut spec.trace(cfg.instructions));
+        let profile = cfg.profile(&spec, cfg.instructions);
         let pred = IntervalModel::with_config(&machine, cfg.model.clone()).predict(&profile);
         let wpi = (interval / profile.sampling.window_instructions).max(1) as usize;
         let mut sim_pts = Vec::new();
@@ -532,6 +482,7 @@ fn correlation(a: &[f64], b: &[f64]) -> f64 {
 /// Figs 6.15–6.18: cold-miss vs stride MLP model — error on the DRAM
 /// wait component, with and without hardware prefetching.
 pub fn fig6_15_mlp_models(cfg: &HarnessConfig) -> Vec<Figure> {
+    let profiles = profile_suite(cfg);
     let mut rows = Vec::new();
     for (label, machine) in [
         ("no prefetcher (figs 6.15/6.16)", MachineConfig::nehalem()),
@@ -544,9 +495,7 @@ pub fn fig6_15_mlp_models(cfg: &HarnessConfig) -> Vec<Figure> {
             ("stride MLP", MlpModelKind::Stride),
             ("cold-miss MLP", MlpModelKind::ColdMiss),
         ] {
-            let mut variant = cfg.clone();
-            variant.model = variant.model.with_mlp(kind);
-            let results = evaluate_suite(&machine, &variant);
+            let results = evaluate_suite(&profiles, &machine, &cfg.model.clone().with_mlp(kind));
             // Error on the DRAM wait (CPI memory component), per thesis,
             // normalized by total CPI so near-zero components don't
             // explode the relative error.

@@ -2,37 +2,25 @@
 //! DVFS, Pareto pruning and the empirical comparator.
 
 use crate::harness::{
-    mean_abs_error, parallel_map, shared_sim_cache, sim_instructions, space_stride, HarnessConfig,
+    evaluate_space, mean_abs_error, parallel_map, sim_instructions, simulate, space_stride, sweep,
+    HarnessConfig,
 };
 use pmt_dse::constrain::fastest_under_power;
 use pmt_dse::dvfs::{best_ed2p, explore};
 use pmt_dse::{
     EmpiricalModel, LazyDesignSpace, Objective, ParetoFront, ProductSpace, PruningQuality,
-    SpaceEvaluation, StreamingSweep, SweepConfig,
+    SpaceEvaluation, StreamingSweep,
 };
-use pmt_profiler::Profiler;
 use pmt_report::{fmt, Figure, LineChart, LineSeries, ScatterPlot, ScatterSeries, Table};
-use pmt_sim::{OooSimulator, SimConfig};
 use pmt_uarch::{nehalem_dvfs_points, DesignSpace, MachineConfig};
 use pmt_workloads::{suite, WorkloadSpec};
-
-/// The sweep configuration shared by the chapter's space figures, with
-/// the process-wide `PMT_SIM_CACHE` memoization threaded through.
-fn sweep(cfg: &HarnessConfig, sim_n: u64) -> SweepConfig {
-    SweepConfig {
-        model: cfg.model.clone(),
-        sim_instructions: sim_n,
-        sim_cache: shared_sim_cache(),
-    }
-}
 
 /// Table 7.1: optimizing performance under a power budget.
 pub fn tbl7_1_power_constraint(cfg: &HarnessConfig) -> Vec<Figure> {
     let points = DesignSpace::thesis_table_6_3().enumerate();
     let sweep = sweep(cfg, 0);
     let rows = parallel_map(suite(), |spec| {
-        let profile = Profiler::new(cfg.profiler.clone())
-            .profile_named(&spec.name, &mut spec.trace(cfg.instructions.min(300_000)));
+        let profile = cfg.profile(&spec, cfg.instructions.min(300_000));
         let eval = SpaceEvaluation::run(&points, &profile, None, &sweep);
         let mut out = Vec::new();
         for budget in [15.0, 20.0, 30.0] {
@@ -70,8 +58,7 @@ pub fn fig7_3_dvfs(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
     let points = nehalem_dvfs_points();
     let rows = parallel_map(suite(), |spec| {
-        let profile = Profiler::new(cfg.profiler.clone())
-            .profile_named(&spec.name, &mut spec.trace(cfg.instructions.min(300_000)));
+        let profile = cfg.profile(&spec, cfg.instructions.min(300_000));
         let out = explore(&machine, &points, &profile, &cfg.model);
         (spec.name.clone(), out)
     });
@@ -140,16 +127,15 @@ pub fn fig7_4_pareto(cfg: &HarnessConfig) -> Vec<Figure> {
     let mut figures = Vec::new();
     for name in ["bzip2", "calculix", "gromacs", "xalancbmk"] {
         let spec = WorkloadSpec::by_name(name).unwrap();
-        let profile =
-            Profiler::new(cfg.profiler.clone()).profile_named(name, &mut spec.trace(sim_n));
+        let profile = cfg.profile(&spec, sim_n);
         let sweep = sweep(cfg, sim_n);
         let eval = SpaceEvaluation::run(&points, &profile, None, &sweep);
         let model_pts = eval.model_points();
         let front = ParetoFront::of(&model_pts);
         let chosen = front.indices();
         let sims = parallel_map(chosen.clone(), |i| {
-            let machine = points[i].machine.clone();
-            let r = OooSimulator::new(SimConfig::new(machine.clone())).run(&mut spec.trace(sim_n));
+            let machine = &points[i].machine;
+            let r = simulate(&spec, machine, sim_n);
             (i, r.seconds_at(machine.core.frequency_ghz))
         });
         let mut front_pts: Vec<(f64, f64)> = chosen
@@ -204,8 +190,7 @@ pub fn fig7_4_pareto(cfg: &HarnessConfig) -> Vec<Figure> {
 pub fn fig7_frontier_scale(cfg: &HarnessConfig) -> Vec<Figure> {
     let space = ProductSpace::frontier_demo();
     let spec = WorkloadSpec::by_name("gcc").unwrap();
-    let profile = Profiler::new(cfg.profiler.clone())
-        .profile_named("gcc", &mut spec.trace(cfg.instructions.min(200_000)));
+    let profile = cfg.profile(&spec, cfg.instructions.min(200_000));
     let summary = StreamingSweep::new(&profile)
         .model(cfg.model.clone())
         .top_k(8)
@@ -290,36 +275,24 @@ pub fn fig7_7_pareto_metrics(cfg: &HarnessConfig) -> Vec<Figure> {
         .into_iter()
         .step_by(stride)
         .collect();
-    let sweep = sweep(cfg, sim_n);
-    let rows = parallel_map(suite(), |spec| {
-        let profile =
-            Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(sim_n));
-        let eval = SpaceEvaluation::run(&points, &profile, Some(&spec), &sweep);
-        let truth = eval.sim_points();
-        let predicted = eval.model_points();
-        let q = PruningQuality::evaluate(&truth, &predicted);
+    let evals = evaluate_space(&points, cfg, sim_n);
+    let mut sums = PruningQuality::default();
+    let mut cpi_sum = 0.0;
+    let mut pow_sum = 0.0;
+    let mut table_rows = Vec::new();
+    for (spec, eval) in suite().into_iter().zip(&evals) {
+        let q = PruningQuality::evaluate(&eval.sim_points(), &eval.model_points());
         let cpi_errs: Vec<f64> = eval.outcomes.iter().filter_map(|o| o.cpi_error()).collect();
         let pow_errs: Vec<f64> = eval
             .outcomes
             .iter()
             .filter_map(|o| o.power_error())
             .collect();
-        (
-            spec.name.clone(),
-            mean_abs_error(&cpi_errs),
-            mean_abs_error(&pow_errs),
-            q,
-        )
-    });
-    let mut sums = PruningQuality::default();
-    let mut cpi_sum = 0.0;
-    let mut pow_sum = 0.0;
-    let mut table_rows = Vec::new();
-    for (name, cpi, pow, q) in &rows {
+        let (cpi, pow) = (mean_abs_error(&cpi_errs), mean_abs_error(&pow_errs));
         table_rows.push(vec![
-            name.clone(),
-            fmt::pct(*cpi),
-            fmt::pct(*pow),
+            spec.name,
+            fmt::pct(cpi),
+            fmt::pct(pow),
             fmt::pct(q.sensitivity),
             fmt::pct(q.specificity),
             fmt::pct(q.accuracy),
@@ -332,7 +305,7 @@ pub fn fig7_7_pareto_metrics(cfg: &HarnessConfig) -> Vec<Figure> {
         cpi_sum += cpi;
         pow_sum += pow;
     }
-    let n = rows.len() as f64;
+    let n = evals.len() as f64;
     table_rows.push(vec![
         "average".to_string(),
         fmt::pct(cpi_sum / n),
@@ -380,14 +353,13 @@ pub fn fig7_10_empirical(cfg: &HarnessConfig) -> Vec<Figure> {
         .into_iter()
         .step_by(stride)
         .collect();
-    let sweep = sweep(cfg, sim_n);
-    let rows = parallel_map(suite(), |spec| {
-        let profile =
-            Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(sim_n));
-        let eval = SpaceEvaluation::run(&points, &profile, Some(&spec), &sweep);
+    let evals = evaluate_space(&points, cfg, sim_n);
+    let mut acc = [0.0f64; 6];
+    let mut table_rows = Vec::new();
+    for (spec, eval) in suite().into_iter().zip(&evals) {
         let truth = eval.sim_points();
         // Mechanistic.
-        let q_mech = PruningQuality::evaluate(&truth, &eval.model_points());
+        let m = PruningQuality::evaluate(&truth, &eval.model_points());
         // Empirical: train on a quarter of the simulated points — note
         // that even this training set costs simulations the mechanistic
         // model does not need.
@@ -409,14 +381,9 @@ pub fn fig7_10_empirical(cfg: &HarnessConfig) -> Vec<Figure> {
                 (secs, emp.predict_power(p))
             })
             .collect();
-        let q_emp = PruningQuality::evaluate(&truth, &emp_pts);
-        (spec.name.clone(), q_mech, q_emp)
-    });
-    let mut acc = [0.0f64; 6];
-    let mut table_rows = Vec::new();
-    for (name, m, e) in &rows {
+        let e = PruningQuality::evaluate(&truth, &emp_pts);
         table_rows.push(vec![
-            name.clone(),
+            spec.name,
             fmt::pct(m.sensitivity),
             fmt::pct(e.sensitivity),
             fmt::pct(m.specificity),
@@ -431,7 +398,7 @@ pub fn fig7_10_empirical(cfg: &HarnessConfig) -> Vec<Figure> {
         acc[4] += m.hvr;
         acc[5] += e.hvr;
     }
-    let n = rows.len() as f64;
+    let n = evals.len() as f64;
     table_rows.push(vec![
         "average".to_string(),
         fmt::pct(acc[0] / n),

@@ -2,10 +2,10 @@
 //! wall-clock speedup headline and the development accuracy probe.
 
 use crate::harness::{
-    evaluate_suite, mean_abs_error, shared_sim_cache, sim_instructions, space_stride, HarnessConfig,
+    evaluate_suite, mean_abs_error, profile_suite, shared_sim_cache, sim_instructions,
+    space_stride, HarnessConfig,
 };
 use pmt_dse::{SpaceEvaluation, SweepConfig};
-use pmt_profiler::Profiler;
 use pmt_report::{fmt, Figure, Table};
 use pmt_sim::{OooSimulator, SimConfig};
 use pmt_uarch::{CpiComponent, DesignSpace, MachineConfig};
@@ -48,10 +48,7 @@ pub fn validation_report(cfg: &HarnessConfig) -> Vec<Figure> {
     for spec in specs {
         validator = validator.workload(spec);
     }
-    if let Some(cache) = shared_sim_cache() {
-        validator = validator.cache(cache);
-    }
-    let report = validator.run();
+    let report = validator.cache(shared_sim_cache()).run();
     vec![report
         .to_figure()
         .note(format!(
@@ -80,7 +77,7 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
 
     // One-time profiling cost.
     let t0 = Instant::now();
-    let profile = Profiler::new(cfg.profiler.clone()).profile_named("astar", &mut spec.trace(n));
+    let profile = cfg.profile(&spec, n);
     let t_profile = t0.elapsed();
 
     // The model over the whole space: `SpaceEvaluation` fits once per
@@ -136,7 +133,7 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
 /// headline metrics (CPI, branch, DRAM, MLP, LLC misses).
 pub fn accuracy_probe(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
-    let results = evaluate_suite(&machine, cfg);
+    let results = evaluate_suite(&profile_suite(cfg), &machine, &cfg.model);
     let mut errors = Vec::new();
     let mut rows = Vec::new();
     for r in &results {

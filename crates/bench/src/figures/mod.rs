@@ -30,7 +30,7 @@ pub struct Experiment {
     /// Workspace crates the experiment exercises (beyond the harness).
     pub crates: &'static [&'static str],
     /// Whether the builder wants the one-time entropy-model training
-    /// pass ([`HarnessConfig::with_trained_entropy`]).
+    /// pass ([`train_entropy_model`], installed by [`build_entry`]).
     pub trained_entropy: bool,
     /// Whether the output is a pure function of the configuration
     /// (timing experiments are not, and stay out of `pmt report`).

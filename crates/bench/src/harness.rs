@@ -2,13 +2,14 @@
 
 use pmt_branch::{EntropyMissModel, EntropyProfiler, PredictorSim};
 use pmt_core::{IntervalModel, ModelConfig, Prediction};
+use pmt_dse::{sim_cache_key, SpaceEvaluation, SweepConfig};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
-use pmt_sim::{OooSimulator, SimConfig, SimResult};
+use pmt_sim::{OooSimulator, SimCache, SimConfig, SimResult};
 use pmt_trace::{collect_trace, UopClass};
-use pmt_uarch::MachineConfig;
-use pmt_uarch::{PredictorConfig, PredictorKind};
+use pmt_uarch::{DesignPoint, MachineConfig, PredictorConfig, PredictorKind};
 use pmt_workloads::{suite, WorkloadSpec};
 use rayon::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 /// Common experiment knobs (overridable via env for quick sweeps).
 #[derive(Clone, Debug)]
@@ -57,49 +58,68 @@ impl HarnessConfig {
         }
     }
 
-    /// Train the entropy model on the suite (one-time cost, thesis
-    /// Fig 3.8) and install it.
-    pub fn with_trained_entropy(mut self) -> HarnessConfig {
-        let trained = train_entropy_model((self.instructions / 4).max(100_000));
-        self.model = self.model.with_entropy_model(trained);
-        self
+    /// Profile `spec` over `instructions` with this configuration's
+    /// profiler.
+    pub fn profile(&self, spec: &WorkloadSpec, instructions: u64) -> ApplicationProfile {
+        Profiler::new(self.profiler.clone())
+            .profile_named(&spec.name, &mut spec.trace(instructions))
     }
 }
 
-/// The process-wide memoized simulation cache behind `PMT_SIM_CACHE`:
-/// when the env var names a file, every sweep/validation builder that
-/// supports memoization shares this one cache, so a warm `pmt report`
-/// (or repeated `pmt figure` run) performs zero new reference simulations.
-/// Call [`save_shared_sim_cache`] before exit to persist it.
-pub fn shared_sim_cache() -> Option<std::sync::Arc<pmt_sim::SimCache>> {
-    use std::sync::{Arc, OnceLock};
-    static CACHE: OnceLock<Option<Arc<pmt_sim::SimCache>>> = OnceLock::new();
+/// The process-wide reference-simulation cache every experiment's
+/// ground truth goes through ([`simulate`], [`sweep`], the validator).
+/// It is always present in memory, so within one process each
+/// (workload, machine, budget) simulation runs once however many
+/// figures ask for it. `PMT_SIM_CACHE` (`pmt report --cache`) only names
+/// the file it is loaded from and that [`save_shared_sim_cache`]
+/// persists it to, so a warm `pmt report` (or repeated `pmt figure`
+/// run) re-runs none of these simulations. Only the runs
+/// [`sim_cache_key`] cannot describe — perfect-mode and interval-sampled
+/// `SimConfig`s, and the timed sample of the `speedup` table — call the
+/// simulator directly.
+pub fn shared_sim_cache() -> Arc<SimCache> {
+    static CACHE: OnceLock<Arc<SimCache>> = OnceLock::new();
     CACHE
         .get_or_init(|| {
-            let path = std::env::var("PMT_SIM_CACHE").ok()?;
-            let cache = if std::path::Path::new(&path).exists() {
-                match pmt_sim::SimCache::load(&path) {
-                    Ok(cache) => cache,
-                    Err(e) => {
+            let cache = match std::env::var("PMT_SIM_CACHE") {
+                Ok(path) if std::path::Path::new(&path).exists() => SimCache::load(&path)
+                    .unwrap_or_else(|e| {
                         eprintln!("warning: ignoring PMT_SIM_CACHE={path}: {e}");
-                        pmt_sim::SimCache::new()
-                    }
-                }
-            } else {
-                pmt_sim::SimCache::new()
+                        SimCache::new()
+                    }),
+                _ => SimCache::new(),
             };
-            Some(Arc::new(cache))
+            Arc::new(cache)
         })
         .clone()
 }
 
-/// Persist the [`shared_sim_cache`] back to its `PMT_SIM_CACHE` path (a
-/// no-op when the env var is unset).
+/// Persist the [`shared_sim_cache`] to its `PMT_SIM_CACHE` file (a no-op
+/// when the env var is unset).
 pub fn save_shared_sim_cache() -> Result<(), String> {
-    let (Some(cache), Ok(path)) = (shared_sim_cache(), std::env::var("PMT_SIM_CACHE")) else {
-        return Ok(());
-    };
-    cache.save(&path)
+    match std::env::var("PMT_SIM_CACHE") {
+        Ok(path) => shared_sim_cache().save(&path),
+        Err(_) => Ok(()),
+    }
+}
+
+/// One reference simulation of `spec` on `machine` over `instructions`,
+/// memoized in the [`shared_sim_cache`] under [`sim_cache_key`].
+pub fn simulate(spec: &WorkloadSpec, machine: &MachineConfig, instructions: u64) -> Arc<SimResult> {
+    shared_sim_cache().get_or_run(sim_cache_key(spec, machine, instructions), || {
+        OooSimulator::new(SimConfig::new(machine.clone())).run(&mut spec.trace(instructions))
+    })
+}
+
+/// The sweep configuration for simulated design-space figures: `cfg`'s
+/// model and `sim_instructions` per reference simulation, memoized
+/// through the [`shared_sim_cache`].
+pub fn sweep(cfg: &HarnessConfig, sim_instructions: u64) -> SweepConfig {
+    SweepConfig {
+        model: cfg.model.clone(),
+        sim_instructions,
+        sim_cache: Some(shared_sim_cache()),
+    }
 }
 
 /// Design-space subsampling stride for the sweep figures: the
@@ -133,7 +153,7 @@ pub struct Evaluated {
     /// Model prediction.
     pub prediction: Prediction,
     /// Simulator ground truth.
-    pub sim: SimResult,
+    pub sim: Arc<SimResult>,
 }
 
 impl Evaluated {
@@ -150,20 +170,29 @@ impl Evaluated {
     }
 }
 
-/// Profile one workload.
-pub fn profile_one(spec: &WorkloadSpec, cfg: &HarnessConfig) -> ApplicationProfile {
-    Profiler::new(cfg.profiler.clone()).profile_named(&spec.name, &mut spec.trace(cfg.instructions))
-}
-
-/// Profile the whole suite (parallel).
+/// Profile the whole suite over `cfg.instructions` (parallel).
 pub fn profile_suite(cfg: &HarnessConfig) -> Vec<ApplicationProfile> {
-    parallel_map(suite(), |spec| profile_one(&spec, cfg))
+    parallel_map(suite(), |spec| cfg.profile(&spec, cfg.instructions))
 }
 
-/// Simulate the whole suite on one machine (parallel).
-pub fn simulate_suite(machine: &MachineConfig, cfg: &HarnessConfig) -> Vec<SimResult> {
+/// Simulate the whole suite on one machine over `instructions` each
+/// (parallel, through [`simulate`]).
+pub fn simulate_suite(machine: &MachineConfig, instructions: u64) -> Vec<Arc<SimResult>> {
+    parallel_map(suite(), |spec| simulate(&spec, machine, instructions))
+}
+
+/// Every suite workload profiled over `instructions` and swept over
+/// `points` with each point simulated for truth over the same budget
+/// (through [`sweep`]), in suite order.
+pub fn evaluate_space(
+    points: &[DesignPoint],
+    cfg: &HarnessConfig,
+    instructions: u64,
+) -> Vec<SpaceEvaluation> {
+    let sweep = sweep(cfg, instructions);
     parallel_map(suite(), |spec| {
-        OooSimulator::new(SimConfig::new(machine.clone())).run(&mut spec.trace(cfg.instructions))
+        let profile = cfg.profile(&spec, instructions);
+        SpaceEvaluation::run(points, &profile, Some(&spec), &sweep)
     })
 }
 
@@ -197,20 +226,24 @@ pub fn train_entropy_model(instructions: u64) -> EntropyMissModel {
     model
 }
 
-/// Evaluate the whole suite: model vs simulator on one machine.
-pub fn evaluate_suite(machine: &MachineConfig, cfg: &HarnessConfig) -> Vec<Evaluated> {
-    let profiles = profile_suite(cfg);
-    let sims = simulate_suite(machine, cfg);
-    let model = IntervalModel::with_config(machine, cfg.model.clone());
-    profiles
-        .into_iter()
-        .zip(sims)
-        .map(|(profile, sim)| Evaluated {
+/// Model vs simulator on one machine for already-profiled workloads —
+/// typically one [`profile_suite`] shared by every model variant a
+/// figure compares. Each profile is predicted under `model` and
+/// simulated through [`simulate`] over the instructions it profiled.
+pub fn evaluate_suite(
+    profiles: &[ApplicationProfile],
+    machine: &MachineConfig,
+    model: &ModelConfig,
+) -> Vec<Evaluated> {
+    let model = IntervalModel::with_config(machine, model.clone());
+    parallel_map(profiles.iter().collect(), |profile| {
+        let spec = WorkloadSpec::by_name(&profile.name).expect("profiles name suite workloads");
+        Evaluated {
             name: profile.name.clone(),
-            prediction: model.predict(&profile),
-            sim,
-        })
-        .collect()
+            prediction: model.predict(profile),
+            sim: simulate(&spec, machine, profile.total_instructions),
+        }
+    })
 }
 
 /// Order-preserving parallel map over owned items (rayon-backed).

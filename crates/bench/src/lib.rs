@@ -5,8 +5,9 @@
 //! (or `pmt figure all`) runs it over three layers here:
 //!
 //! * [`harness`] — common plumbing: suite iteration, smoke/env scale
-//!   knobs, entropy-model training, error metrics, the shared
-//!   `PMT_SIM_CACHE` memoization,
+//!   knobs, entropy-model training, error metrics, and the memoized
+//!   reference simulations ([`harness::simulate`]) experiments compare
+//!   against,
 //! * [`figures`] — one builder per experiment returning typed
 //!   [`Figure`](pmt_report::Figure) values, plus the [`figures::REGISTRY`]
 //!   that maps every experiment to its paper artifact and the crates it
@@ -25,6 +26,6 @@ pub mod report_gen;
 pub use emit::{emit, emit_all};
 pub use figures::{build_entry, by_name, run, select, Experiment, REGISTRY};
 pub use harness::{
-    evaluate_suite, mean_abs_error, parallel_map, profile_one, profile_suite, simulate_suite,
+    evaluate_suite, mean_abs_error, parallel_map, profile_suite, simulate_suite,
     train_entropy_model, Evaluated, HarnessConfig,
 };

@@ -11,9 +11,13 @@
 //! * `<out>/PAPER_MAP.md` — the experiment ↔ paper-artifact index
 //!   generated from the registry metadata.
 //!
-//! Reference simulations memoize through the shared `PMT_SIM_CACHE`
-//! (`pmt report --cache FILE`), so warm regenerations re-simulate
-//! nothing. All output is a pure function of the scale knobs: two runs
+//! Reference simulations go through the harness' process-wide cache
+//! ([`crate::harness::shared_sim_cache`]), so one that several figures
+//! share runs once per regeneration. `pmt report --cache FILE` (or
+//! `PMT_SIM_CACHE`) loads that cache from a file and saves it back, so a
+//! warm regeneration re-runs only the perfect-mode and interval-sampled
+//! simulations the cache key cannot describe (Figs 3.7, 4.9, 6.14).
+//! All output is a pure function of the scale knobs: two runs
 //! at the same scale are bit-identical, which is what lets CI regenerate
 //! the smoke-scale document and `git diff --exit-code docs/`.
 
@@ -33,7 +37,7 @@ pub fn generate() -> Report {
     let preamble = format!(
         "A regenerable, chapter-by-chapter reproduction of the thesis' \
          figures and tables, rendered from the same typed `Figure` values \
-         the `fig*`/`tbl*` binaries print.\n\n\
+         the experiments print through `pmt figure`.\n\n\
          * Scale: **{} instructions per workload** (regenerate with \
          `cargo run --release --bin pmt -- report`; add `--smoke` for the \
          CI scale checked in here, or set `PMT_INSTRUCTIONS` / \
@@ -41,8 +45,8 @@ pub fn generate() -> Report {
          * Determinism: every figure is a pure function of the scale \
          knobs — repeated runs produce byte-identical Markdown and SVG, \
          and CI fails if this checked-in copy goes stale.\n\
-         * Index: see [PAPER_MAP.md](PAPER_MAP.md) for the binary ↔ \
-         paper-artifact mapping.",
+         * Index: see [PAPER_MAP.md](PAPER_MAP.md) for the experiment ↔ \
+         paper-artifact mapping and each experiment's `pmt figure` command.",
         base.instructions
     );
     let mut report = Report::new(

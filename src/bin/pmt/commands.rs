@@ -460,7 +460,7 @@ pub const REPORT: Command = Command {
         Flag::value(
             "--cache",
             "FILE",
-            "memoized simulation cache to thread through",
+            "file the memoized simulation cache loads from and saves to",
         ),
         Flag::switch("--smoke", "tiny CI scale (the committed document's scale)"),
     ],
@@ -469,9 +469,10 @@ pub const REPORT: Command = Command {
 pub fn report(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_or_return!(REPORT, args);
     let out_dir = parsed.value("--out-dir").unwrap_or("docs");
-    // Thread the memoized simulation cache through every builder that
-    // supports it (the validation and simulated-sweep figures): a warm
-    // regeneration performs zero new reference simulations.
+    // Every figure's reference simulations are memoized in memory for the
+    // run; `--cache` names the file that memo loads from and is saved to,
+    // so a warm regeneration re-runs only the perfect-mode and
+    // interval-sampled simulations the cache key cannot describe.
     // (`--smoke` is read process-wide by `HarnessConfig::smoke_requested`.)
     if let Some(cache) = parsed.value("--cache") {
         std::env::set_var("PMT_SIM_CACHE", cache);

@@ -60,7 +60,7 @@ pub fn fig3_4_chains(cfg: &HarnessConfig) -> Vec<Figure> {
     let mut ap_sum = 0.0;
     let mut cp_sum = 0.0;
     let mut series = [Vec::new(), Vec::new(), Vec::new()];
-    for p in &profiles {
+    for p in profiles.iter() {
         let (ap, abp, cp) = (p.deps.ap(128), p.deps.abp(128), p.deps.cp(128));
         series[0].push(ap);
         series[1].push(abp);
@@ -99,7 +99,7 @@ pub fn fig3_6_dispatch_limits(cfg: &HarnessConfig) -> Vec<Figure> {
     let machine = MachineConfig::nehalem();
     let profiles = profile_suite(cfg);
     let mut rows = Vec::new();
-    for p in &profiles {
+    for p in profiles.iter() {
         let prediction = IntervalModel::with_config(&machine, cfg.model.clone()).predict(p);
         // Aggregate the per-window dispatch breakdowns (uop-weighted).
         let mut acc = [0.0f64; 4];

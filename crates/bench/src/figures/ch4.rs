@@ -242,7 +242,7 @@ pub fn fig4_7_stride_classes(cfg: &HarnessConfig) -> Vec<Figure> {
         StrideCategory::Unique,
     ];
     let mut per_class: Vec<Vec<f64>> = vec![Vec::new(); cats.len()];
-    for p in &profiles {
+    for p in profiles.iter() {
         let mut counts = vec![0u64; cats.len()];
         let mut total = 0u64;
         for t in &p.micro_traces {

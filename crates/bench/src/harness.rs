@@ -9,7 +9,8 @@ use pmt_trace::{collect_trace, UopClass};
 use pmt_uarch::{DesignPoint, MachineConfig, PredictorConfig, PredictorKind};
 use pmt_workloads::{suite, WorkloadSpec};
 use rayon::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Common experiment knobs (overridable via env for quick sweeps).
 #[derive(Clone, Debug)]
@@ -170,9 +171,50 @@ impl Evaluated {
     }
 }
 
-/// Profile the whole suite over `cfg.instructions` (parallel).
-pub fn profile_suite(cfg: &HarnessConfig) -> Vec<ApplicationProfile> {
-    parallel_map(suite(), |spec| cfg.profile(&spec, cfg.instructions))
+/// The whole suite profiled over `cfg.instructions` (see
+/// [`suite_profiles`]).
+pub fn profile_suite(cfg: &HarnessConfig) -> Arc<[ApplicationProfile]> {
+    suite_profiles(cfg, cfg.instructions)
+}
+
+/// Every suite workload profiled over `instructions` with `cfg`'s
+/// profiler, in suite order (parallel). A profile is a pure function of
+/// the workload, the profiler configuration and the budget, so each
+/// (configuration, budget) pair is profiled once per process and every
+/// later figure that asks for it shares that pass — as [`simulate`]
+/// shares one simulation per (workload, machine, budget).
+pub fn suite_profiles(cfg: &HarnessConfig, instructions: u64) -> Arc<[ApplicationProfile]> {
+    type Pass = Arc<OnceLock<Arc<[ApplicationProfile]>>>;
+    static PASSES: Mutex<Vec<(ProfilerConfig, u64, Pass)>> = Mutex::new(Vec::new());
+    let pass = {
+        let mut passes = PASSES
+            .lock()
+            .expect("no profiling pass panics holding the lock");
+        let found = passes
+            .iter()
+            .find(|(profiler, budget, _)| *profiler == cfg.profiler && *budget == instructions);
+        match found {
+            Some((_, _, pass)) => pass.clone(),
+            None => {
+                let pass = Pass::default();
+                passes.push((cfg.profiler.clone(), instructions, pass.clone()));
+                pass
+            }
+        }
+    };
+    pass.get_or_init(|| {
+        SUITE_PROFILE_PASSES.fetch_add(1, Ordering::Relaxed);
+        parallel_map(suite(), |spec| cfg.profile(&spec, instructions)).into()
+    })
+    .clone()
+}
+
+static SUITE_PROFILE_PASSES: AtomicUsize = AtomicUsize::new(0);
+
+/// How many suite profiling passes [`suite_profiles`] has run in this
+/// process.
+pub fn suite_profile_passes() -> usize {
+    SUITE_PROFILE_PASSES.load(Ordering::Relaxed)
 }
 
 /// Simulate the whole suite on one machine over `instructions` each
@@ -190,10 +232,11 @@ pub fn evaluate_space(
     instructions: u64,
 ) -> Vec<SpaceEvaluation> {
     let sweep = sweep(cfg, instructions);
-    parallel_map(suite(), |spec| {
-        let profile = cfg.profile(&spec, instructions);
-        SpaceEvaluation::run(points, &profile, Some(&spec), &sweep)
-    })
+    let profiles = suite_profiles(cfg, instructions);
+    parallel_map(
+        suite().into_iter().zip(profiles.iter()).collect(),
+        |(spec, profile)| SpaceEvaluation::run(points, profile, Some(&spec), &sweep),
+    )
 }
 
 /// Train the entropy → miss-rate lines the way thesis Fig 3.8 does: per

@@ -57,16 +57,48 @@
 //!   predictor kind and issue stage. The memo keeps the last point's
 //!   `StageKey` (those fields but the issue stage, which `bind_exec`
 //!   tracks) and each window's stage under it. `bind_stage` decides once
-//!   per point: an equal key replays every window's kept stage, any
-//!   other computes each through the tables above and keeps it. A
-//!   replay is bit-identical: the stage is what those lookups and that
-//!   arithmetic returned for the same inputs, and each of them reads
-//!   nothing outside the key. It counts as the hits its lookups would
-//!   have been — each kept stage records how many cache, CP and branch
-//!   lookups computing it took — and those lookups would all hit, since
-//!   starting the memo over and a new issue stage both drop the kept
-//!   stages. The memory stage (MLP, bus, DRAM, i-cache, CPI stack,
-//!   activity) runs on every point.
+//!   per run: an equal key replays every window's kept stage, any other
+//!   computes each through the tables above and keeps it. A replay is
+//!   bit-identical: the stage is what those lookups and that arithmetic
+//!   returned for the same inputs, and each of them reads nothing outside
+//!   the key. It counts as the hits its lookups would have been — each
+//!   kept stage records how many cache, CP and branch lookups computing
+//!   it took — and those lookups would all hit, since starting the memo
+//!   over and a new issue stage both drop the kept stages.
+//!
+//! # Runs
+//!
+//! A batch ([`predict_batch_into`](BatchPredictor::predict_batch_into),
+//! [`predict_tagged`](BatchPredictor::predict_tagged)) is split into
+//! *runs*: maximal stretches of consecutive machines with an equal
+//! `StageKey` and an equal issue stage (in `frontier_demo`, the 24
+//! innermost points: 4 MSHR depths × 6 operating points). A run is
+//! evaluated window-major. Each window's core + cache stage is replayed
+//! or computed once, on the run's first machine (its *lead*), and then
+//! every machine's memory stage (MLP, bus, DRAM, i-cache, CPI stack and
+//! activity) runs against it as one lane. Each lane adds into its own
+//! sums in window order, so every lane's sums see the additions a lone
+//! point would make, in the same order: the bytes are those of
+//! [`predict_summary`](BatchPredictor::predict_summary) per point, which
+//! is a run of one. The terms that read no field outside the run's key
+//! (base, branch and LLC cycles, every activity count but DRAM and bus
+//! traffic, the branch weights) are summed once per run and taken by
+//! every lane: the same addition sequence gives the same bits.
+//!
+//! [`MemoStats`] count exactly what the per-point path counts. The lead
+//! binds, replays or computes like a lone point. Every later machine of
+//! the run (a *follower*) would have found the lead's stage key and
+//! issue stage and replayed every window's kept stage, and would have
+//! asked the instruction-path query the lead just asked: the run counts
+//! those as the hits they would have been, and looks up only the
+//! follower's own stride walks. Lookups of different windows never share
+//! a key, so evaluating window-major instead of point-major changes no
+//! hit into a miss or back. A [bounded](BatchPredictor::bounded)
+//! predictor starts its memo over before a point that could take it
+//! past its bound; a run never holds a follower at which that could
+//! happen (the lead adds at most one point's entries, a follower at most
+//! one stride walk per window), and the next run's lead decides exactly,
+//! as a lone point would.
 //!
 //! Each table answers a repeated key from a last-answer slot before it
 //! hashes: one slot per window (per curve and level for cache queries)
@@ -90,9 +122,9 @@
 //! neighbouring design points share most axes, so most points reuse
 //! earlier points' curve queries, stride walks and branch penalties
 //! outright — and since consecutive points differ in one or two axes,
-//! most lookups repeat the slot's previous key and never hash. A point
-//! whose stage key repeats the previous point's costs one key comparison
-//! plus, per window, a stride lookup and the memory stage's arithmetic.
+//! most lookups repeat the slot's previous key and never hash. A
+//! follower in a run costs two key comparisons plus, per window, a
+//! stride lookup and its memory stage's arithmetic.
 
 use crate::branch_penalty::BranchPenalty;
 use crate::config::ModelConfig;
@@ -357,7 +389,7 @@ impl Memo {
         }
     }
 
-    /// Start a design point on `exec`: keep every window's port and unit
+    /// Start a run on `exec`: keep every window's port and unit
     /// limits if they were computed for an equal issue stage, drop them
     /// otherwise.
     pub(crate) fn bind_exec(&mut self, exec: &ExecConfig) {
@@ -368,18 +400,18 @@ impl Memo {
         }
     }
 
-    /// Decide, once for the point on `machine`, whether every window
+    /// Decide, once for the run led by `machine`, whether every window
     /// replays its kept stage: only when all of them were kept under an
-    /// equal key. A point that computes its stages names their key only
+    /// equal key. A run that computes its stages names their key only
     /// once it kept them all ([`stages_kept`](Self::stages_kept)), so a
-    /// point abandoned midway leaves no mix of two keys' stages to replay.
+    /// run abandoned midway leaves no mix of two keys' stages to replay.
     pub(crate) fn bind_stage(&mut self, machine: &MachineConfig) {
         if self.stage_key != Some(StageKey::of(machine)) {
             self.stage_key = None;
         }
     }
 
-    /// The point on `machine` has kept every window's stage.
+    /// The run led by `machine` has kept every window's stage.
     pub(crate) fn stages_kept(&mut self, machine: &MachineConfig) {
         self.stage_key = Some(StageKey::of(machine));
     }
@@ -390,15 +422,36 @@ impl Memo {
     /// [`keep_stage`](Self::keep_stage).
     pub(crate) fn replay_stage(&mut self, window: u32) -> Option<CoreStage> {
         if self.stage_key.is_some() {
-            let (stage, [cache, cp, branch]) =
-                self.stages[window as usize].expect("a replayed point's stages are all kept");
-            self.cache.hits += cache;
-            self.cp.hits += cp;
-            self.branch.hits += branch;
-            return Some(stage);
+            self.count_replays(window, 1);
+            return self.stages[window as usize].map(|(stage, _)| stage);
         }
         self.stage_start = self.stage_lookups();
         None
+    }
+
+    /// Count window `window`'s kept stage as replayed by the run's
+    /// `followers` points after its lead: each would replay it, since
+    /// the lead kept it under their key and issue stage.
+    pub(crate) fn replay_followers(&mut self, window: u32, followers: u64) {
+        self.count_replays(window, followers);
+    }
+
+    /// Count the run's `followers` points' instruction-path query: each
+    /// asks one lookup per cache level (`CurveArena::evaluate_by`), for
+    /// the key the lead just asked, so each is a slot hit.
+    pub(crate) fn replay_inst(&mut self, followers: u64) {
+        self.cache.hits += 3 * followers;
+    }
+
+    /// Count window `window`'s kept stage as `times` replays: each the
+    /// hits its lookups would have been.
+    fn count_replays(&mut self, window: u32, times: u64) {
+        let (_, [cache, cp, branch]) = self.stages[window as usize]
+            .as_ref()
+            .expect("a replayed stage is kept");
+        self.cache.hits += cache * times;
+        self.cp.hits += cp * times;
+        self.branch.hits += branch * times;
     }
 
     /// Keep window `window`'s freshly computed stage for the next point,
@@ -620,31 +673,24 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     /// Bit-identical to `IntervalModel::with_config(machine,
     /// config).predict_summary(prepared)`.
     pub fn predict_summary(&mut self, machine: &MachineConfig) -> PredictionSummary {
-        if let Some(bound) = self.bound {
-            if self.memo.entries() + self.memo.entries_per_point() > bound {
-                self.memo.clear();
-            }
-        }
-        Evaluator {
-            machine,
-            config: &self.config,
-            arena: self.arena,
-            memo: Some(&mut self.memo),
-        }
-        .run(self.prepared, false)
-        .0
+        let mut out = Vec::with_capacity(1);
+        self.predict_runs(&[machine], &mut out);
+        out.pop().expect("one point, one summary")
     }
 
     /// Predict a whole chunk of design points in order, appending one
-    /// summary per machine to `out` (cleared first).
+    /// summary per machine to `out` (cleared first). Consecutive machines
+    /// that share a core + cache stage are evaluated as one run (see the
+    /// module docs); the bytes and [`memo_stats`](Self::memo_stats) are
+    /// those of calling [`predict_summary`](Self::predict_summary) per
+    /// machine.
     pub fn predict_batch_into<'m, I>(&mut self, machines: I, out: &mut Vec<PredictionSummary>)
     where
         I: IntoIterator<Item = &'m MachineConfig>,
     {
         out.clear();
-        for machine in machines {
-            out.push(self.predict_summary(machine));
-        }
+        let machines: Vec<&MachineConfig> = machines.into_iter().collect();
+        self.predict_runs(&machines, out);
     }
 
     /// Predict a chunk of design points carrying opaque caller keys, in
@@ -658,12 +704,59 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     where
         I: IntoIterator<Item = (K, MachineConfig)>,
     {
-        points
-            .into_iter()
-            .map(|(key, machine)| {
-                let summary = self.predict_summary(&machine);
-                (key, summary)
-            })
-            .collect()
+        let (keys, machines): (Vec<K>, Vec<MachineConfig>) = points.into_iter().unzip();
+        let mut out = Vec::with_capacity(machines.len());
+        self.predict_runs(&machines.iter().collect::<Vec<_>>(), &mut out);
+        keys.into_iter().zip(out).collect()
+    }
+
+    /// Split `machines` into runs of consecutive machines with an equal
+    /// stage key and issue stage, and evaluate each run window-major,
+    /// appending one summary per machine to `out`. A run's lead does
+    /// exactly what a lone point does; the rest would each replay every
+    /// kept stage, which the run counts instead of doing.
+    fn predict_runs(&mut self, machines: &[&MachineConfig], out: &mut Vec<PredictionSummary>) {
+        let mut rest = machines;
+        while let Some(&lead) = rest.first() {
+            if let Some(bound) = self.bound {
+                if self.memo.entries() + self.memo.entries_per_point() > bound {
+                    self.memo.clear();
+                }
+            }
+            let key = StageKey::of(lead);
+            let len = rest
+                .iter()
+                .take(self.run_room())
+                .take_while(|m| StageKey::of(m) == key && m.exec == lead.exec)
+                .count();
+            let (run, tail) = rest.split_at(len);
+            Evaluator {
+                lanes: run,
+                config: &self.config,
+                arena: self.arena,
+                memo: Some(&mut self.memo),
+            }
+            .run(self.prepared, out, None);
+            rest = tail;
+        }
+    }
+
+    /// The most points a run starting now may hold without a bounded
+    /// memo's restart landing inside it (one would, one by one, before a
+    /// point that could take the memo past its bound). The lead adds at
+    /// most [`entries_per_point`](Self::entries_per_point) entries; a
+    /// follower only walks strides, so it adds at most one per window.
+    /// The run stops before the first follower that could restart; the
+    /// next run's lead decides exactly, as a lone point would.
+    fn run_room(&self) -> usize {
+        let Some(bound) = self.bound else {
+            return usize::MAX;
+        };
+        let per_point = self.memo.entries_per_point();
+        let room = bound.saturating_sub(self.memo.entries() + per_point);
+        match room.checked_sub(per_point) {
+            None => 1,
+            Some(spare) => (spare / self.memo.stride.last.len()).saturating_add(2),
+        }
     }
 }

@@ -1,11 +1,14 @@
 //! The host's SIMD level and the lane width batch tests straddle.
 //!
-//! No kernel dispatches on the level today: the batched kernels run the
-//! same scalar IEEE-754 arithmetic as the single-point model. The level
-//! is probed once and recorded with pmtbench's perf records, so a record
-//! names the vector width its host offered. A kernel that dispatches on
-//! the level again should bring back a way to force the scalar path, so
-//! CI can pin both.
+//! The lanes of the batched kernels are the machines of a run
+//! ([`BatchPredictor`](crate::BatchPredictor); `kernels::batch`, "Runs"):
+//! one core + cache stage per window, then each machine's memory stage.
+//! No kernel dispatches on the level today: the run evaluator steps
+//! through its lanes with the same scalar IEEE-754 arithmetic as the
+//! single-point model. The level is probed once and recorded with
+//! pmtbench's perf records, so a record names the vector width its host
+//! offered. A kernel that dispatches on the level again should bring
+//! back a way to force the scalar path, so CI can pin both.
 
 use std::sync::OnceLock;
 

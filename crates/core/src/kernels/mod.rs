@@ -14,8 +14,10 @@
 //! * [`lanes`] — the host's SIMD level, recorded with perf records, and
 //!   the lane width batch tests straddle;
 //! * [`BatchPredictor`] — the entry point: one per (prepared profile,
-//!   config), borrowing the profile's arena and memoizing curve queries
-//!   and stride walks across the points of a batch.
+//!   config), borrowing the profile's arena, memoizing curve queries
+//!   and stride walks across the points of a batch, and evaluating each
+//!   run of points that share a core + cache stage window-major, one
+//!   memory stage per point.
 //!
 //! Everything here is bit-identical to the single-point
 //! [`IntervalModel::predict_summary`] by construction (same evaluator,

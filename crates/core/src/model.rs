@@ -210,10 +210,11 @@ pub(crate) struct WindowInputs<'a> {
 
 /// The core + cache stage of one window's Eq 3.1: everything that
 /// reads only the cache hierarchy, the ROB size, the dispatch width, the
-/// front-end depth, the predictor kind and the issue stage. A batched
-/// predictor keeps each window's stage and replays it for the next
-/// point when none of those fields changed (`kernels::batch` has the
-/// rule); the memory stage reads it and runs on every point.
+/// front-end depth, the predictor kind and the issue stage. A run of
+/// machines equal in those fields computes it once per window for all
+/// of them, and a batched predictor keeps it for the next run with the
+/// same fields (`kernels::batch` has the rules); the memory stage reads
+/// it and runs once per machine.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CoreStage {
     /// The window's load and store cache queries.
@@ -234,44 +235,67 @@ pub(crate) struct CoreStage {
     store_llc_misses: f64,
 }
 
-/// Running sums over the windows, added in window order with the
-/// arithmetic the collect-then-fold loop always used, so summaries stay
-/// bit-identical whether or not the windows themselves are kept.
+/// Running sums of the terms that read only a run's stage key and issue
+/// stage (the base, branch and LLC cycles, every activity count but the
+/// DRAM and bus ones, the branch weights), added once per run in window
+/// order with the arithmetic the collect-then-fold loop always used.
+/// Every lane of the run would add these very values in this very
+/// order, so each lane takes the run's sums as its own, bit for bit.
 #[derive(Default)]
-struct Combiner {
-    cycles: f64,
+struct StageSums {
+    /// Per-component cycles; the icache and DRAM entries stay zero (each
+    /// lane keeps its own).
     stack_cycles: [f64; CpiComponent::ALL.len()],
+    /// Activity sums; cycles, instructions, DRAM and bus entries are
+    /// filled per lane by [`LaneSums::finish`].
     activity: ActivityVector,
-    mlp_num: f64,
-    mlp_den: f64,
     br_num: f64,
     br_den: f64,
 }
 
-impl Combiner {
-    fn finish(mut self, profile: &ApplicationProfile) -> PredictionSummary {
+/// One lane's running sums of the terms its memory stage feeds, added in
+/// window order like [`StageSums`].
+#[derive(Default)]
+struct LaneSums {
+    cycles: f64,
+    icache_cycles: f64,
+    dram_cycles: f64,
+    /// DRAM accesses, which are also the bus transfers.
+    dram_accesses: f64,
+    mlp_num: f64,
+    mlp_den: f64,
+}
+
+impl LaneSums {
+    fn finish(self, shared: &StageSums, profile: &ApplicationProfile) -> PredictionSummary {
         let instructions = profile.total_instructions;
+        let mut stack_cycles = shared.stack_cycles;
+        stack_cycles[CpiComponent::ICache as usize] = self.icache_cycles;
+        stack_cycles[CpiComponent::Dram as usize] = self.dram_cycles;
         let mut cpi_stack = CpiStack::default();
         if instructions > 0 {
             for c in CpiComponent::ALL {
-                cpi_stack.add(c, self.stack_cycles[c as usize] / instructions as f64);
+                cpi_stack.add(c, stack_cycles[c as usize] / instructions as f64);
             }
         }
-        self.activity.cycles = self.cycles;
-        self.activity.instructions = instructions as f64;
+        let mut activity = shared.activity.clone();
+        activity.cycles = self.cycles;
+        activity.instructions = instructions as f64;
+        activity.dram_accesses = self.dram_accesses;
+        activity.bus_transfers = self.dram_accesses;
         PredictionSummary {
             instructions,
             uops: profile.total_uops,
             cycles: self.cycles,
             cpi_stack,
-            activity: self.activity,
+            activity,
             mlp: if self.mlp_den > 0.0 {
                 self.mlp_num / self.mlp_den
             } else {
                 1.0
             },
-            branch_miss_rate: if self.br_den > 0.0 {
-                self.br_num / self.br_den
+            branch_miss_rate: if shared.br_den > 0.0 {
+                shared.br_num / shared.br_den
             } else {
                 0.0
             },
@@ -354,13 +378,19 @@ impl IntervalModel {
         prepared: &PreparedProfile<'_>,
         collect_windows: bool,
     ) -> (PredictionSummary, Vec<WindowPrediction>) {
+        let (mut summary, mut windows) = (Vec::with_capacity(1), Vec::new());
         Evaluator {
-            machine: &self.machine,
+            lanes: &[&self.machine],
             config: &self.config,
             arena: prepared.arena(),
             memo: None,
         }
-        .run(prepared, collect_windows)
+        .run(
+            prepared,
+            &mut summary,
+            collect_windows.then_some(&mut windows),
+        );
+        (summary.pop().expect("one lane, one summary"), windows)
     }
 }
 
@@ -398,10 +428,13 @@ impl CurveId {
 
 /// The evaluation core behind [`IntervalModel`] and
 /// [`BatchPredictor`](crate::BatchPredictor): the one path every
-/// prediction takes. It borrows machine and config, so batched callers
-/// evaluate one design point per call without cloning a
-/// `MachineConfig`/`ModelConfig` pair per point, and queries the
-/// prepared profile's curve arena. With a [`Memo`], the four
+/// prediction takes. It evaluates a *run* of machines that share one
+/// stage key and issue stage (a single point is a run of one), window by
+/// window: each window's core + cache stage once, on the run's lead
+/// machine, then each machine's memory stage as a lane. It borrows
+/// machines and config, so batched callers evaluate design points
+/// without cloning a `MachineConfig`/`ModelConfig` pair per point, and
+/// queries the prepared profile's curve arena. With a [`Memo`], the four
 /// machine-dependent computations (cache queries, stride walks, CP(ROB),
 /// branch penalties) replay earlier points' results for identical
 /// inputs, and each window's port and unit limits are reused while the
@@ -409,34 +442,50 @@ impl CurveId {
 /// the same functions either way, so both runs give the same bits
 /// (`tests/batch_identity.rs` pins it).
 pub(crate) struct Evaluator<'m> {
-    pub(crate) machine: &'m MachineConfig,
+    /// The run's machines, equal in every field the core + cache stage
+    /// reads (`kernels::batch` splits a batch into such runs); the first
+    /// leads.
+    pub(crate) lanes: &'m [&'m MachineConfig],
     pub(crate) config: &'m ModelConfig,
     pub(crate) arena: &'m CurveArena,
     pub(crate) memo: Option<&'m mut Memo>,
 }
 
-impl Evaluator<'_> {
-    /// Walk the windows once, folding each into the running sums; keep
-    /// the per-window predictions only when `collect_windows` asks.
+impl<'m> Evaluator<'m> {
+    /// The machine the run's core + cache stages are computed on.
+    fn lead(&self) -> &'m MachineConfig {
+        self.lanes[0]
+    }
+
+    /// Walk the windows once, folding each into the run's sums, and
+    /// append one summary per lane to `out`, in lane order. The
+    /// per-window predictions are kept only when `windows` collects them
+    /// (a run of one).
     pub(crate) fn run(
         &mut self,
         prepared: &PreparedProfile<'_>,
-        collect_windows: bool,
-    ) -> (PredictionSummary, Vec<WindowPrediction>) {
+        out: &mut Vec<PredictionSummary>,
+        mut windows: Option<&mut Vec<WindowPrediction>>,
+    ) {
+        assert!(
+            windows.is_none() || self.lanes.len() == 1,
+            "only a run of one keeps its windows"
+        );
         let profile = prepared.profile();
+        let lead = self.lead();
+        let followers = self.lanes.len() as u64 - 1;
         if let Some(memo) = self.memo.as_deref_mut() {
-            memo.bind_exec(&self.machine.exec);
-            memo.bind_stage(self.machine);
+            memo.bind_exec(&lead.exec);
+            memo.bind_stage(lead);
         }
-        let inst_model =
-            self.cache_model(CurveId::Inst, CacheModel::inst_lines(&self.machine.caches));
-        let miss_rate_of = self
-            .config
-            .entropy_model
-            .miss_rate_fn(self.machine.predictor.kind);
+        let inst_model = self.cache_model(CurveId::Inst, CacheModel::inst_lines(&lead.caches));
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.replay_inst(followers);
+        }
+        let miss_rate_of = self.config.entropy_model.miss_rate_fn(lead.predictor.kind);
 
-        let mut combiner = Combiner::default();
-        let mut windows = Vec::new();
+        let mut stage_sums = StageSums::default();
+        let mut lanes: Vec<LaneSums> = self.lanes.iter().map(|_| LaneSums::default()).collect();
         match self.config.evaluation {
             EvaluationMode::PerMicroTrace if !profile.micro_traces.is_empty() => {
                 for (wi, (t, pw)) in profile
@@ -450,8 +499,9 @@ impl Evaluator<'_> {
                         profile,
                         &inst_model,
                         miss_rate_of,
-                        &mut combiner,
-                        collect_windows.then_some(&mut windows),
+                        &mut stage_sums,
+                        &mut lanes,
+                        windows.as_deref_mut(),
                     );
                 }
             }
@@ -460,14 +510,19 @@ impl Evaluator<'_> {
                 profile,
                 &inst_model,
                 miss_rate_of,
-                &mut combiner,
-                collect_windows.then_some(&mut windows),
+                &mut stage_sums,
+                &mut lanes,
+                windows,
             ),
         }
         if let Some(memo) = self.memo.as_deref_mut() {
-            memo.stages_kept(self.machine);
+            memo.stages_kept(lead);
         }
-        (combiner.finish(profile), windows)
+        out.extend(
+            lanes
+                .into_iter()
+                .map(|lane| lane.finish(&stage_sums, profile)),
+        );
     }
 
     /// One fitted curve's machine-dependent cache queries: critical
@@ -485,7 +540,7 @@ impl Evaluator<'_> {
     /// The window's port and unit limits (Eq 3.10's terms that read
     /// only its class counts and the issue stage).
     fn exec_limits(&mut self, inp: &WindowInputs<'_>) -> ExecLimits {
-        let exec = &self.machine.exec;
+        let exec = &self.lead().exec;
         let limits = || ExecLimits::new(exec, &inp.class_counts);
         match self.memo.as_deref_mut() {
             Some(memo) => memo.exec_limits(inp.window, limits),
@@ -493,12 +548,19 @@ impl Evaluator<'_> {
         }
     }
 
-    /// The stride-MLP virtual-stream walk for one window, then its MSHR
-    /// cap. A memo miss computes through this very walk, so a hit
-    /// replays its bytes; the cap runs after the lookup on both paths.
-    fn stride(&mut self, inp: &WindowInputs<'_>, stage: &CoreStage, loads: f64) -> MemoryBehavior {
+    /// The stride-MLP virtual-stream walk for one window on `machine`,
+    /// then its MSHR cap. A memo miss computes through this very walk, so
+    /// a hit replays its bytes; the cap runs after the lookup on both
+    /// paths.
+    fn stride(
+        &mut self,
+        machine: &MachineConfig,
+        inp: &WindowInputs<'_>,
+        stage: &CoreStage,
+        loads: f64,
+    ) -> MemoryBehavior {
         let deff = stage.dispatch.effective;
-        let model = StrideMlpModel::new(self.machine, deff);
+        let model = StrideMlpModel::new(machine, deff);
         let walk = || {
             model.walk_stream(
                 inp.stream,
@@ -511,7 +573,7 @@ impl Evaluator<'_> {
         };
         let crit_l3 = stage.loads_model.critical_rd[2];
         let walk = match self.memo.as_deref_mut() {
-            Some(memo) => memo.stride(self.machine, deff, inp.window, crit_l3, walk),
+            Some(memo) => memo.stride(machine, deff, inp.window, crit_l3, walk),
             None => walk(),
         };
         model.finish_walk(walk, stage.store_llc_misses)
@@ -529,94 +591,73 @@ impl Evaluator<'_> {
     /// The branch-misprediction penalty (leaky-bucket Alg 3.2) for one
     /// window.
     fn branch(&mut self, inp: &WindowInputs<'_>, interval: f64, lat: f64) -> BranchPenalty {
-        let core = &self.machine.core;
+        let lead = self.lead();
+        let core = &lead.core;
         let (rob, width, depth) = (core.rob_size, core.dispatch_width, core.frontend_depth);
         let penalty = || branch_penalty(inp.deps, rob, width, depth, interval, lat);
         match self.memo.as_deref_mut() {
-            Some(memo) => memo.branch(self.machine, inp.window, interval, lat, penalty),
+            Some(memo) => memo.branch(lead, inp.window, interval, lat, penalty),
             None => penalty(),
         }
     }
 
-    /// Eq 3.1 for one window, folded into `combiner`: the core + cache
-    /// stage, then the memory stage. The window's [`WindowPrediction`]
-    /// is built only when `windows` collects them.
+    /// Eq 3.1 for one window, for every lane of the run: the core +
+    /// cache stage and the terms that read only it, once, folded into
+    /// `stage_sums`; then each lane's memory stage, folded into its own
+    /// [`LaneSums`]. The window's [`WindowPrediction`] is built only when
+    /// `windows` collects them.
+    #[allow(clippy::too_many_arguments)]
     fn evaluate_window(
         &mut self,
         inp: &WindowInputs<'_>,
         profile: &ApplicationProfile,
         inst_model: &CacheModel,
         miss_rate_of: impl Fn(f64) -> f64,
-        combiner: &mut Combiner,
-        windows: Option<&mut Vec<WindowPrediction>>,
+        stage_sums: &mut StageSums,
+        lanes: &mut [LaneSums],
+        mut windows: Option<&mut Vec<WindowPrediction>>,
     ) {
         let stage = self.core_stage(inp, miss_rate_of);
-        let m = self.machine;
-        let rob = m.core.rob_size;
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.replay_followers(inp.window, lanes.len() as u64 - 1);
+        }
+        let lead = self.lead();
         let n_uops = stage.n_uops;
+        let instructions = inp.instructions;
 
-        // --- Instruction cache misses (§2.5.1) ------------------------------
+        // --- Instruction cache hits (§2.5.1); the misses go to DRAM ----------
         let ir = &inst_model.ratios;
-        let l2_lat = m.caches.l2.latency as f64;
-        let l3_lat = m.caches.l3.latency as f64;
-        let dram = m.mem.dram_latency as f64;
-        let inst_accesses = inp.instructions * profile.memory.inst_accesses_per_instruction;
-        let icache_cycles =
-            inst_accesses * (ir.l2_hit() * l2_lat + ir.l3_hit() * l3_lat + ir.l3 * dram);
+        let l2_lat = lead.caches.l2.latency as f64;
+        let l3_lat = lead.caches.l3.latency as f64;
+        let inst_accesses = instructions * profile.memory.inst_accesses_per_instruction;
+        let icache_hit_cycles = ir.l2_hit() * l2_lat + ir.l3_hit() * l3_lat;
 
-        // --- Memory: MLP + DRAM penalty (Ch 4) ------------------------------
+        // --- What the core + cache stage alone decides ------------------------
         let loads = inp.class_counts[UopClass::Load.index()];
         let stores = inp.class_counts[UopClass::Store.index()];
         let branches = inp.class_counts[UopClass::Branch.index()];
-        let memory = self.memory_behavior(inp, &stage, loads, profile);
-        let density = memory.miss_window_density.clamp(0.0, 1.0);
-        let bus = if self.config.bus_queuing && memory.llc_load_misses > 0.0 {
-            // Eq 4.6: include store bandwidth.
-            let mlp_prime = memory.mlp * (memory.llc_load_misses + memory.llc_store_misses)
-                / memory.llc_load_misses;
-            // Eq 4.5, active only while misses are dense enough to queue.
-            density * (mlp_prime + 1.0) / 2.0 * m.mem.bus_transfer_cycles as f64
-        } else {
-            0.0
-        };
         // The window ahead of a miss drains concurrently with it, hiding
         // up to ROB/D_eff cycles of every miss group's latency — the same
         // threshold below which out-of-order execution hides latencies
         // entirely (§4.8).
-        let rob_fill = rob as f64 / stage.dispatch.effective;
-        let effective_latency =
-            (dram + bus - rob_fill).max((m.mem.bus_transfer_cycles as f64).max(20.0));
-        let dram_cycles = memory.stalling_load_misses * effective_latency / memory.mlp.max(1.0);
-
-        // --- Assemble -------------------------------------------------------
-        let cycles = stage.base_cycles
-            + stage.branch_cycles
-            + icache_cycles
-            + dram_cycles
-            + stage.chain_cycles;
-        let mut stack = CpiStack::default();
-        if inp.instructions > 0.0 {
-            stack.add(CpiComponent::Base, stage.base_cycles / inp.instructions);
-            stack.add(CpiComponent::Branch, stage.branch_cycles / inp.instructions);
-            stack.add(CpiComponent::ICache, icache_cycles / inp.instructions);
-            stack.add(CpiComponent::L3Data, stage.chain_cycles / inp.instructions);
-            stack.add(CpiComponent::Dram, dram_cycles / inp.instructions);
+        let rob_fill = lead.core.rob_size as f64 / stage.dispatch.effective;
+        let core_cycles = stage.base_cycles + stage.branch_cycles;
+        let mut core_stack = CpiStack::default();
+        if instructions > 0.0 {
+            core_stack.add(CpiComponent::Base, stage.base_cycles / instructions);
+            core_stack.add(CpiComponent::Branch, stage.branch_cycles / instructions);
+            core_stack.add(CpiComponent::L3Data, stage.chain_cycles / instructions);
         }
-
-        // --- Predicted activity factors (Eq 3.16) ---------------------------
+        // Predicted activity factors (Eq 3.16).
         let (lr, sr) = (&stage.loads_model.ratios, &stage.stores_model.ratios);
         let regfile_writes = n_uops - stores - branches;
-        let l2_accesses = lr.l1 * loads + sr.l1 * stores + ir.l1 * inp.instructions;
-        let l3_accesses = lr.l2 * loads + sr.l2 * stores + ir.l2 * inp.instructions;
-        let dram_accesses =
-            memory.llc_load_misses + memory.llc_store_misses + ir.l3 * inp.instructions;
+        let l2_accesses = lr.l1 * loads + sr.l1 * stores + ir.l1 * instructions;
+        let l3_accesses = lr.l2 * loads + sr.l2 * stores + ir.l2 * instructions;
 
-        // --- Fold, in the order the summaries have always summed ------------
-        combiner.cycles += cycles;
         for c in CpiComponent::ALL {
-            combiner.stack_cycles[c as usize] += stack.get(c) * inp.instructions;
+            stage_sums.stack_cycles[c as usize] += core_stack.get(c) * instructions;
         }
-        let sum = &mut combiner.activity;
+        let sum = &mut stage_sums.activity;
         sum.uops += n_uops;
         for (sum, count) in sum.issue_per_class.iter_mut().zip(&inp.class_counts) {
             *sum += count;
@@ -625,53 +666,86 @@ impl Evaluator<'_> {
         sum.iq_accesses += 2.0 * n_uops;
         sum.regfile_reads += 1.4 * n_uops;
         sum.regfile_writes += regfile_writes;
-        sum.l1i_accesses += inp.instructions;
+        sum.l1i_accesses += instructions;
         sum.l1d_accesses += loads + stores;
         sum.l2_accesses += l2_accesses;
         sum.l3_accesses += l3_accesses;
-        sum.dram_accesses += dram_accesses;
-        sum.bus_transfers += dram_accesses;
         sum.branch_lookups += branches;
         sum.branch_misses += stage.mispredicts;
-        combiner.mlp_num += memory.mlp * memory.llc_load_misses.max(1e-9);
-        combiner.mlp_den += memory.llc_load_misses.max(1e-9);
-        combiner.br_num += stage.miss_rate * inp.instructions;
-        combiner.br_den += inp.instructions;
+        stage_sums.br_num += stage.miss_rate * instructions;
+        stage_sums.br_den += instructions;
 
-        if let Some(windows) = windows {
-            windows.push(WindowPrediction {
-                index: inp.index,
-                instructions: inp.instructions,
-                cycles,
-                stack,
-                dispatch: stage.dispatch,
-                memory,
-                branch_miss_rate: stage.miss_rate,
-                activity: ActivityVector {
-                    uops: n_uops,
-                    instructions: inp.instructions,
+        // --- Each lane's memory stage: MLP + DRAM penalty (Ch 4) --------------
+        let machines = self.lanes;
+        for (&m, lane) in machines.iter().zip(lanes.iter_mut()) {
+            let dram = m.mem.dram_latency as f64;
+            let icache_cycles = inst_accesses * (icache_hit_cycles + ir.l3 * dram);
+            let memory = self.memory_behavior(m, inp, &stage, loads, profile);
+            let density = memory.miss_window_density.clamp(0.0, 1.0);
+            let bus = if self.config.bus_queuing && memory.llc_load_misses > 0.0 {
+                // Eq 4.6: include store bandwidth.
+                let mlp_prime = memory.mlp * (memory.llc_load_misses + memory.llc_store_misses)
+                    / memory.llc_load_misses;
+                // Eq 4.5, active only while misses are dense enough to queue.
+                density * (mlp_prime + 1.0) / 2.0 * m.mem.bus_transfer_cycles as f64
+            } else {
+                0.0
+            };
+            let effective_latency =
+                (dram + bus - rob_fill).max((m.mem.bus_transfer_cycles as f64).max(20.0));
+            let dram_cycles = memory.stalling_load_misses * effective_latency / memory.mlp.max(1.0);
+
+            // --- Assemble and fold, in the order the summaries always summed
+            let cycles = core_cycles + icache_cycles + dram_cycles + stage.chain_cycles;
+            let mut stack = core_stack.clone();
+            if instructions > 0.0 {
+                stack.add(CpiComponent::ICache, icache_cycles / instructions);
+                stack.add(CpiComponent::Dram, dram_cycles / instructions);
+            }
+            let dram_accesses =
+                memory.llc_load_misses + memory.llc_store_misses + ir.l3 * instructions;
+            lane.cycles += cycles;
+            lane.icache_cycles += stack.get(CpiComponent::ICache) * instructions;
+            lane.dram_cycles += stack.get(CpiComponent::Dram) * instructions;
+            lane.dram_accesses += dram_accesses;
+            lane.mlp_num += memory.mlp * memory.llc_load_misses.max(1e-9);
+            lane.mlp_den += memory.llc_load_misses.max(1e-9);
+
+            if let Some(windows) = windows.as_deref_mut() {
+                windows.push(WindowPrediction {
+                    index: inp.index,
+                    instructions,
                     cycles,
-                    issue_per_class: inp.class_counts,
-                    rob_accesses: 2.0 * n_uops,
-                    iq_accesses: 2.0 * n_uops,
-                    regfile_reads: 1.4 * n_uops,
-                    regfile_writes,
-                    l1i_accesses: inp.instructions,
-                    l1d_accesses: loads + stores,
-                    l2_accesses,
-                    l3_accesses,
-                    dram_accesses,
-                    bus_transfers: dram_accesses,
-                    branch_lookups: branches,
-                    branch_misses: stage.mispredicts,
-                },
-            });
+                    stack,
+                    dispatch: stage.dispatch,
+                    memory,
+                    branch_miss_rate: stage.miss_rate,
+                    activity: ActivityVector {
+                        uops: n_uops,
+                        instructions,
+                        cycles,
+                        issue_per_class: inp.class_counts,
+                        rob_accesses: 2.0 * n_uops,
+                        iq_accesses: 2.0 * n_uops,
+                        regfile_reads: 1.4 * n_uops,
+                        regfile_writes,
+                        l1i_accesses: instructions,
+                        l1d_accesses: loads + stores,
+                        l2_accesses,
+                        l3_accesses,
+                        dram_accesses,
+                        bus_transfers: dram_accesses,
+                        branch_lookups: branches,
+                        branch_misses: stage.mispredicts,
+                    },
+                });
+            }
         }
     }
 
-    /// The window's core + cache stage ([`CoreStage`]): replayed from the
-    /// memo when this point's stage key equals the last point's,
-    /// computed through the memo lookups otherwise.
+    /// The window's core + cache stage ([`CoreStage`]) on the run's lead:
+    /// replayed from the memo when the run's stage key equals the last
+    /// run's, computed through the memo lookups otherwise.
     fn core_stage(
         &mut self,
         inp: &WindowInputs<'_>,
@@ -684,7 +758,7 @@ impl Evaluator<'_> {
         {
             return stage;
         }
-        let m = self.machine;
+        let m = self.lead();
         let data_lines = CacheModel::data_lines(&m.caches);
         let loads_model = self.cache_model(inp.loads_curve, data_lines);
         let stores_model = self.cache_model(inp.stores_curve, data_lines);
@@ -774,18 +848,20 @@ impl Evaluator<'_> {
         stage
     }
 
+    /// One lane's memory behaviour in one window: the stride walk or the
+    /// cold-miss model on `m`, over the run's core + cache stage.
     fn memory_behavior(
         &mut self,
+        m: &MachineConfig,
         inp: &WindowInputs<'_>,
         stage: &CoreStage,
         loads: f64,
         profile: &ApplicationProfile,
     ) -> MemoryBehavior {
-        let m = self.machine;
         let loads_model = &stage.loads_model;
         match self.config.mlp_model {
             MlpModelKind::Stride if !inp.static_loads.is_empty() && inp.stream_uops > 0 => {
-                let mut behavior = self.stride(inp, stage, loads);
+                let mut behavior = self.stride(m, inp, stage, loads);
                 if !self.config.mshr_cap {
                     // Undo the cap by re-flooring at the raw value — the
                     // cap is inside evaluate; approximate by scaling up.

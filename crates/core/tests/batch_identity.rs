@@ -12,7 +12,9 @@
 //! once per push, in its `kernel-conformance` job.
 
 use pmt_core::kernels::lanes::LANES;
-use pmt_core::{BatchPredictor, IntervalModel, MlpModelKind, ModelConfig, PreparedProfile};
+use pmt_core::{
+    BatchPredictor, IntervalModel, MemoStats, MlpModelKind, ModelConfig, PreparedProfile,
+};
 use pmt_profiler::{ApplicationProfile, Profiler, ProfilerConfig};
 use pmt_trace::UopClass;
 use pmt_uarch::{
@@ -718,4 +720,179 @@ fn every_field_the_reused_stage_reads_is_in_its_key() {
             "{field}: whether the flip moves some prediction"
         );
     }
+}
+
+/// `machines` through one predictor as a batch, which evaluates each run
+/// of consecutive machines sharing a stage key and issue stage
+/// window-major, and through another point by point: every summary must
+/// match the per-point predictor's and the scalar path's byte for byte,
+/// and the two predictors' memo tallies must agree. With `bound`, both
+/// predictors are [bounded](BatchPredictor::bounded) to that many points.
+/// Returns the per-point predictor's memo tallies after each point.
+fn assert_runs_match_points(
+    prepared: &PreparedProfile<'_>,
+    config: &ModelConfig,
+    bound: Option<usize>,
+    machines: &[MachineConfig],
+    ctx: &str,
+) -> Vec<MemoStats> {
+    let predictor = || match bound {
+        Some(points) => BatchPredictor::bounded(prepared, config, points),
+        None => BatchPredictor::new(prepared, config),
+    };
+    let (mut batched, mut single) = (predictor(), predictor());
+    let mut out = Vec::new();
+    batched.predict_batch_into(machines, &mut out);
+    assert_eq!(out.len(), machines.len(), "{ctx}: batch length");
+    let mut tallies = Vec::new();
+    for (i, (machine, got)) in machines.iter().zip(&out).enumerate() {
+        let want = json(&single.predict_summary(machine));
+        tallies.push(single.memo_stats());
+        assert_eq!(want, json(got), "{ctx}: point {i}");
+        let scalar = IntervalModel::with_config(machine, config.clone()).predict_summary(prepared);
+        assert_eq!(want, json(&scalar), "{ctx}: point {i} vs scalar");
+    }
+    assert_eq!(
+        batched.memo_stats(),
+        single.memo_stats(),
+        "{ctx}: memo tallies"
+    );
+    let mut tagged = predictor();
+    let pairs = tagged.predict_tagged(machines.iter().cloned().enumerate());
+    for ((i, got), want) in pairs.iter().zip(&out) {
+        assert_eq!(json(got), json(want), "{ctx}: tagged point {i}");
+    }
+    assert_eq!(
+        tagged.memo_stats(),
+        single.memo_stats(),
+        "{ctx}: tagged tallies"
+    );
+    tallies
+}
+
+/// Variants that differ only in fields the memory stage reads — MSHR
+/// entries, DRAM latency and the operating point — so they share `base`'s
+/// stage key and issue stage: one run when consecutive.
+fn memory_variants(base: &MachineConfig, n: usize) -> Vec<MachineConfig> {
+    (0..n)
+        .map(|i| {
+            let mut m = base.clone();
+            m.name = format!("{}-lane{i}", base.name);
+            m.mem.mshr_entries = [4, 8, 16, 32][i % 4];
+            m.mem.dram_latency += 40 * (i as u32 % 3);
+            m.core.frequency_ghz = 1.6 + 0.4 * i as f64;
+            m.core.vdd = 0.9 + 0.05 * i as f64;
+            m
+        })
+        .collect()
+}
+
+/// Both evaluation modes over every shared profile.
+fn each_config_and_profile(mut check: impl FnMut(&PreparedProfile<'_>, &ModelConfig, &str)) {
+    for (mode, config) in [
+        ("per-window", ModelConfig::default()),
+        ("combined", ModelConfig::ispass_2015()),
+    ] {
+        for profile in profiles() {
+            let prepared = PreparedProfile::new(profile);
+            check(&prepared, &config, &format!("{mode}, {}", profile.name));
+        }
+    }
+}
+
+/// A run ends where the issue stage changes, even though the stage key
+/// does not: nehalem, the narrow issue stage, nehalem again.
+#[test]
+fn a_run_ends_at_an_issue_stage_change() {
+    let mut narrow = MachineConfig::nehalem();
+    narrow.exec = narrow_exec();
+    let mut machines = memory_variants(&MachineConfig::nehalem(), 3);
+    machines.extend(memory_variants(&narrow, 3));
+    machines.extend(memory_variants(
+        &MachineConfig::nehalem_with_prefetcher(),
+        2,
+    ));
+    each_config_and_profile(|prepared, config, ctx| {
+        assert_runs_match_points(prepared, config, None, &machines, ctx);
+    });
+}
+
+/// A run ends where the stage key changes: ROB, then the L2, then the
+/// predictor kind, each for a few memory-stage variants.
+#[test]
+fn a_run_ends_at_a_stage_key_change() {
+    let base = MachineConfig::nehalem_with_prefetcher();
+    let mut small_rob = base.clone();
+    small_rob.core = small_rob.core.with_rob(64);
+    let mut big_l2 = small_rob.clone();
+    big_l2.caches.l2 = CacheConfig::new(1024, 8, 64, big_l2.caches.l2.latency);
+    let mut gag = big_l2.clone();
+    gag.predictor.kind = PredictorKind::GAg;
+    let machines: Vec<MachineConfig> = [&base, &small_rob, &big_l2, &gag, &base]
+        .into_iter()
+        .flat_map(|m| memory_variants(m, 3))
+        .collect();
+    each_config_and_profile(|prepared, config, ctx| {
+        assert_runs_match_points(prepared, config, None, &machines, ctx);
+    });
+}
+
+/// Every point its own run: each changes the ROB size, so no two
+/// consecutive machines share a stage key.
+#[test]
+fn runs_of_one_match_single_points() {
+    let machines: Vec<MachineConfig> = memory_variants(&MachineConfig::nehalem(), 8)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut m)| {
+            m.core = m.core.with_rob([64, 128][i % 2]);
+            m
+        })
+        .collect();
+    each_config_and_profile(|prepared, config, ctx| {
+        assert_runs_match_points(prepared, config, None, &machines, ctx);
+    });
+}
+
+/// A bounded predictor starts its memo over before a point that could
+/// take it past its bound; in a run, such a point would be a follower.
+/// The prefetcher puts DRAM latency in the stride key, so every follower
+/// walks new strides and the memo grows inside runs. Point by point, the
+/// memo restarts at followers for some bound here; the batch must cut
+/// its runs there and tally exactly the same hits, misses and entries.
+#[test]
+fn a_bounded_restart_inside_a_run_splits_it() {
+    let lanes = 6;
+    let machines: Vec<MachineConfig> = [48, 64, 96, 128, 192, 256, 384, 512]
+        .into_iter()
+        .flat_map(|rob| {
+            let mut m = MachineConfig::nehalem_with_prefetcher();
+            m.core = m.core.with_rob(rob);
+            memory_variants(&m, lanes)
+        })
+        .collect();
+    let entries =
+        |s: &MemoStats| s.cache_entries + s.stride_entries + s.cp_entries + s.branch_entries;
+    let mut restarts_inside_runs = 0;
+    for bound in [2, 3, 5, 8] {
+        each_config_and_profile(|prepared, config, ctx| {
+            let tallies = assert_runs_match_points(
+                prepared,
+                config,
+                Some(bound),
+                &machines,
+                &format!("{ctx}, bound {bound}"),
+            );
+            // A restart drops the entries below the last point's.
+            restarts_inside_runs += tallies
+                .windows(2)
+                .enumerate()
+                .filter(|(i, pair)| (i + 1) % lanes != 0 && entries(&pair[1]) < entries(&pair[0]))
+                .count();
+        });
+    }
+    assert!(
+        restarts_inside_runs > 0,
+        "some restart must land on a follower"
+    );
 }

@@ -85,13 +85,15 @@ pub fn explore(
     // across it. Bit-identical to the one-point path by the kernel
     // conformance suite.
     let mut batch = BatchPredictor::new(&prepared, model_cfg);
+    let machines: Vec<MachineConfig> = points.iter().map(|&p| machine_at(base, p)).collect();
+    let mut predictions = Vec::with_capacity(machines.len());
+    batch.predict_batch_into(&machines, &mut predictions);
     points
         .iter()
-        .map(|&point| {
-            let machine = machine_at(base, point);
-            let prediction = batch.predict_summary(&machine);
+        .zip(machines.iter().zip(&predictions))
+        .map(|(&point, (machine, prediction))| {
             let seconds = prediction.seconds_at(point.frequency_ghz);
-            let power = PowerModel::power_of(&machine, &prediction.activity);
+            let power = PowerModel::power_of(machine, &prediction.activity);
             DvfsOutcome {
                 point,
                 cpi: prediction.cpi(),

@@ -23,15 +23,21 @@
 //! transitive; top-K uses the strict total order (key, id)), reported in
 //! a fixed sort order.
 //!
-//! Each chunk's predictions run through the **batched kernels** by
-//! default: the folding worker's [`BatchPredictor`] — one per worker,
-//! kept across all of its chunks, its memo bounded by one chunk's worth
-//! of entries — answers every admitted point's summary (SoA curve
-//! queries, cross-point memoization), and each index is decoded into one
-//! reused point ([`LazyDesignSpace::decode_into`]) instead of a freshly
-//! cloned and named one. Both are bit-identical to evaluating each point
-//! on its own scalar `IntervalModel` — pinned by `pmt-core`'s
-//! conformance suite and this module's own equivalence test.
+//! Each chunk's predictions run through the **batched kernels**. A
+//! folding worker keeps one [`BatchPredictor`] across all of its chunks,
+//! its memo bounded by one chunk's worth of entries, and one buffer of
+//! reused points. It decodes a chunk's admitted indices into that buffer
+//! ([`LazyDesignSpace::decode_into`]: no freshly cloned and named point)
+//! up to 64 at a time, predicts each batch with
+//! [`BatchPredictor::predict_batch_into`], and folds the summaries in
+//! index order. The predictor evaluates each run of consecutive points
+//! that share a core + cache stage — in `frontier_demo`, the 24 MSHR ×
+//! operating-point variants of one core and hierarchy — window-major:
+//! one stage per window, one memory stage per point. Prefilter-rejected
+//! points never enter a batch, so a run closes over the gap. All of it
+//! is bit-identical to evaluating each point on its own scalar
+//! `IntervalModel`, memo tallies included — pinned by `pmt-core`'s
+//! conformance suite and this module's own equivalence tests.
 //!
 //! ```
 //! use pmt_dse::{Objective, StreamingSweep};
@@ -542,15 +548,17 @@ impl<'a> StreamingSweep<'a> {
         total.into_summary(space.len())
     }
 
-    /// The predictor one sweep worker keeps across all of its chunks:
-    /// memo hits carry from chunk to chunk, and its memo never outgrows
-    /// what a fresh predictor could build over one chunk
-    /// ([`BatchPredictor::bounded`]), so memory stays O(chunk).
-    fn worker_predictor<'p, 'b>(
-        &self,
-        prepared: &'p PreparedProfile<'b>,
-    ) -> BatchPredictor<'p, 'b> {
-        BatchPredictor::bounded(prepared, &self.model, self.chunk)
+    /// What one sweep worker keeps across all of its chunks: its
+    /// predictor, whose memo hits carry from chunk to chunk and whose
+    /// memo never outgrows what a fresh predictor could build over one
+    /// chunk ([`BatchPredictor::bounded`]), and the buffers each batch of
+    /// a chunk is decoded and predicted into — so memory stays O(chunk).
+    fn worker<'p, 'b>(&self, prepared: &'p PreparedProfile<'b>) -> Worker<'p, 'b> {
+        Worker {
+            predictor: BatchPredictor::bounded(prepared, &self.model, self.chunk),
+            points: Vec::new(),
+            summaries: Vec::new(),
+        }
     }
 
     /// Fold every chunk of `space`, returned in chunk order — on one
@@ -566,27 +574,27 @@ impl<'a> StreamingSweep<'a> {
     ) -> Vec<ChunkFold> {
         let chunks = 0..chunk_count(space.len(), self.chunk);
         if self.serial {
-            let mut predictor = self.worker_predictor(prepared);
+            let mut worker = self.worker(prepared);
             chunks
-                .map(|c| self.fold_chunk(&mut predictor, space, c))
+                .map(|c| self.fold_chunk(&mut worker, space, c))
                 .collect()
         } else {
             chunks
                 .into_par_iter()
                 .map_init(
-                    || self.worker_predictor(prepared),
-                    |predictor, c| self.fold_chunk(predictor, space, c),
+                    || self.worker(prepared),
+                    |worker, c| self.fold_chunk(worker, space, c),
                 )
                 .collect()
         }
     }
 
     /// Fold chunk `c`, the points `[c·chunk, (c+1)·chunk) ∩ [0, n)`, in
-    /// index order. `predictor` is the folding worker's own; which chunks
+    /// index order. `worker` is the folding worker's own; which chunks
     /// it saw before never changes the bytes.
     fn fold_chunk<S: LazyDesignSpace + ?Sized>(
         &self,
-        predictor: &mut BatchPredictor<'_, '_>,
+        worker: &mut Worker<'_, '_>,
         space: &S,
         c: usize,
     ) -> ChunkFold {
@@ -598,21 +606,37 @@ impl<'a> StreamingSweep<'a> {
         let start = c * self.chunk;
         let end = start.saturating_add(self.chunk).min(n);
         let mut acc = ChunkFold::new(self.top_k);
-        // Decode each index into one reused point (no per-point machine
-        // clone or name; reported entries are named through `point_at`
-        // later) and predict it on the worker's predictor, in index
-        // order.
-        let mut point = space.point_at(start);
-        for index in start..end {
-            space.decode_into(index, &mut point);
-            if let Some(c) = &self.prefilter {
-                if !c.admits(&point) {
+        // Decode admitted indices into the worker's reused points (no
+        // per-point machine clone or name; reported entries are named
+        // through `point_at` later), predict them a batch at a time, and
+        // fold them in index order.
+        let Worker {
+            predictor,
+            points,
+            summaries,
+        } = worker;
+        let mut index = start;
+        while index < end {
+            let mut admitted = 0;
+            while index < end && admitted < BATCH {
+                if admitted == points.len() {
+                    points.push(space.point_at(index));
+                } else {
+                    space.decode_into(index, &mut points[admitted]);
+                }
+                let point = &points[admitted];
+                index += 1;
+                if self.prefilter.as_ref().is_some_and(|c| !c.admits(point)) {
                     acc.rejected += 1;
                     continue;
                 }
+                admitted += 1;
             }
-            let summary = predictor.predict_summary(&point.machine);
-            self.fold_point(&mut acc, stream_point(&point, &summary));
+            let points = &points[..admitted];
+            predictor.predict_batch_into(points.iter().map(|p| &p.machine), summaries);
+            for (point, summary) in points.iter().zip(summaries.iter()) {
+                self.fold_point(&mut acc, stream_point(point, summary));
+            }
         }
         acc
     }
@@ -632,6 +656,24 @@ impl<'a> StreamingSweep<'a> {
         acc.pareto.push(p.design_id, p.coords(), p);
         acc.top.push(self.objective.key(&p), p.design_id, p);
     }
+}
+
+/// Admitted points a sweep worker decodes before it predicts them as one
+/// batch. Several of `frontier_demo`'s 24-point runs fit (a run cut at a
+/// batch boundary costs one more run lead, never a byte), and the
+/// decoded machines, each with its own issue-stage heap, stay a few tens
+/// of KiB per worker; decoding a whole 1,024-point chunk instead raised
+/// `frontier_sweep`'s peak RSS by 3–4 MB.
+const BATCH: usize = 64;
+
+/// One sweep worker's predictor and batch buffers
+/// ([`StreamingSweep::worker`]).
+struct Worker<'p, 'b> {
+    predictor: BatchPredictor<'p, 'b>,
+    /// A batch's admitted points, decoded in place; past the admitted
+    /// prefix, leftovers of earlier batches.
+    points: Vec<DesignPoint>,
+    summaries: Vec<PredictionSummary>,
 }
 
 /// Number of chunks `run_prepared` covers `points` with:
@@ -666,9 +708,12 @@ pub(crate) fn evaluate_stream_points_batched(
     points: &[DesignPoint],
     batch: &mut BatchPredictor<'_, '_>,
 ) -> Vec<StreamPoint> {
+    let mut summaries = Vec::with_capacity(points.len());
+    batch.predict_batch_into(points.iter().map(|p| &p.machine), &mut summaries);
     points
         .iter()
-        .map(|p| stream_point(p, &batch.predict_summary(&p.machine)))
+        .zip(&summaries)
+        .map(|(p, summary)| stream_point(p, summary))
         .collect()
 }
 
@@ -743,6 +788,68 @@ mod tests {
             "{ctx}"
         );
         summary
+    }
+
+    /// Prefilter rejections inside runs: the space's innermost axes
+    /// (MSHR entries × operating point) share one stage key, and the
+    /// filter rejects some of each run's points, so the worker's batches
+    /// hold runs with gaps, cut at batch boundaries too. Every chunk must
+    /// fold exactly as the per-point fold does — one reused predictor,
+    /// `predict_summary` per admitted point — and leave the worker's
+    /// memo tallies equal to that predictor's.
+    #[test]
+    fn prefilter_rejections_inside_runs_fold_like_single_points() {
+        let profile = profile();
+        let prepared = PreparedProfile::new(&profile);
+        let space = ProductSpace::new(pmt_uarch::MachineConfig::nehalem())
+            .rob_sizes(&[64, 128, 192])
+            .l1_kb(&[32, 64])
+            .l2_kb(&[256, 1024])
+            .mshr_entries(&[4, 8, 16, 32])
+            .operating_points(&pmt_uarch::nehalem_dvfs_points());
+        let chunk = 200;
+        let sweep = StreamingSweep::new(&profile)
+            .constraints(
+                DesignConstraints::new()
+                    .max_mshr_entries(16)
+                    .max_frequency_ghz(2.5),
+            )
+            .objective(Objective::Energy)
+            .chunk(chunk);
+        let n = space.len();
+        let mut worker = sweep.worker(&prepared);
+        let mut single = BatchPredictor::bounded(&prepared, &sweep.model, chunk);
+        let (mut rejected, mut most_admitted) = (0, 0);
+        for c in 0..chunk_count(n, chunk) {
+            let mut want = ChunkFold::new(sweep.top_k);
+            for index in c * chunk..((c + 1) * chunk).min(n) {
+                let point = space.point_at(index);
+                if !sweep.prefilter.as_ref().unwrap().admits(&point) {
+                    want.rejected += 1;
+                    continue;
+                }
+                let summary = single.predict_summary(&point.machine);
+                sweep.fold_point(&mut want, stream_point(&point, &summary));
+            }
+            let got = sweep.fold_chunk(&mut worker, &space, c);
+            rejected += got.rejected;
+            most_admitted = most_admitted.max(got.evaluated);
+            assert_eq!(
+                serde_json::to_string(&got.into_summary(n)).unwrap(),
+                serde_json::to_string(&want.into_summary(n)).unwrap(),
+                "chunk {c}"
+            );
+            assert_eq!(
+                worker.predictor.memo_stats(),
+                single.memo_stats(),
+                "chunk {c}: memo tallies"
+            );
+        }
+        assert!(rejected > 0, "the filter rejects points");
+        assert!(
+            most_admitted > BATCH,
+            "a chunk spans batches: {most_admitted} admitted"
+        );
     }
 
     #[test]

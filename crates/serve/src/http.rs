@@ -10,6 +10,10 @@ use std::time::{Duration, Instant};
 /// Largest accepted header block.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 
+/// Body bytes reserved before any body byte arrives; the buffer grows
+/// from there as the body does.
+pub const INITIAL_BODY_BYTES: usize = 64 * 1024;
+
 /// Longest a single read of a request may wait for the client's next
 /// bytes before the request is answered `408 request_timeout`.
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(2);
@@ -158,17 +162,27 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
             format!("request body of {content_length} bytes exceeds the {max_body}-byte limit"),
         ));
     }
-    let mut body = vec![0u8; content_length];
+    // A declared length is only a claim: reserve at most
+    // `INITIAL_BODY_BYTES` up front and grow as the bytes arrive, so a
+    // client that declares 64 MiB and sends ten bytes costs ten bytes'
+    // worth of buffer, not 64 MiB.
     let early = body_start.len().min(content_length);
-    body[..early].copy_from_slice(&body_start[..early]);
-    stream.read_exact(&mut body[early..]).map_err(|e| {
-        if is_timeout(&e) {
-            timed_out("the request body")
-        } else {
-            ApiError::bad_request("truncated_request", format!("reading request body: {e}"))
-        }
-    })?;
-    Ok(Request { body, ..request })
+    let mut body = Vec::with_capacity(content_length.min(INITIAL_BODY_BYTES));
+    body.extend_from_slice(&body_start[..early]);
+    let rest = (content_length - early) as u64;
+    let truncated = |e: std::io::Error| {
+        ApiError::bad_request("truncated_request", format!("reading request body: {e}"))
+    };
+    match stream.take(rest).read_to_end(&mut body) {
+        Err(e) if is_timeout(&e) => Err(timed_out("the request body")),
+        Err(e) => Err(truncated(e)),
+        // The stream ended early: `read_exact`'s error, word for word.
+        Ok(_) if body.len() < content_length => Err(truncated(std::io::Error::new(
+            ErrorKind::UnexpectedEof,
+            "failed to fill whole buffer",
+        ))),
+        Ok(_) => Ok(Request { body, ..request }),
+    }
 }
 
 fn headers_too_large() -> ApiError {
@@ -283,6 +297,18 @@ mod tests {
         assert_eq!(req.body_utf8().unwrap(), "{\"a\"");
     }
 
+    /// A body past the initial buffer grows into place, byte for byte,
+    /// whether it arrives with the headers or after them.
+    #[test]
+    fn a_body_larger_than_the_initial_buffer_arrives_whole() {
+        let body: Vec<u8> = (0..3 * INITIAL_BODY_BYTES + 7).map(|i| i as u8).collect();
+        let mut raw =
+            format!("POST /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len()).into_bytes();
+        raw.extend_from_slice(&body);
+        let req = read_request(&mut Cursor::new(raw), body.len()).unwrap();
+        assert_eq!(req.body, body);
+    }
+
     #[test]
     fn get_without_content_length_has_an_empty_body() {
         let raw = b"GET /metrics HTTP/1.1\r\n\r\n";
@@ -301,6 +327,10 @@ mod tests {
         let raw = b"POST /x HTTP/1.1\r\ncontent-length: 5\r\n\r\nab";
         let err = read_request(&mut Cursor::new(raw.to_vec()), 1024).unwrap_err();
         assert_eq!(err.body.code, "truncated_request");
+        assert_eq!(
+            err.body.message,
+            "reading request body: failed to fill whole buffer"
+        );
 
         let raw = b"nonsense\r\n\r\n";
         let err = read_request(&mut Cursor::new(raw.to_vec()), 1024).unwrap_err();

@@ -37,6 +37,7 @@ use pmt_api::{
     RegisterProfileRequest, WIRE_SCHEMA_VERSION,
 };
 use pmt_core::{BatchPredictor, ModelConfig};
+use pmt_uarch::MachineConfig;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -522,13 +523,16 @@ fn predict_flight(
 ) -> Vec<Response> {
     let started = Instant::now();
     let mut predictor = BatchPredictor::new(&profile.prepared, &ModelConfig::default());
-    let responses = members
+    let machines: Vec<&MachineConfig> = members
         .iter()
-        .map(|member| {
-            let machine = member.machine.as_ref().expect("a predict member");
-            let summary = predictor.predict_summary(machine);
-            predict_json(shared, profile, machine, &summary)
-        })
+        .map(|member| member.machine.as_ref().expect("a predict member"))
+        .collect();
+    let mut summaries = Vec::with_capacity(machines.len());
+    predictor.predict_batch_into(machines.iter().copied(), &mut summaries);
+    let responses = machines
+        .iter()
+        .zip(&summaries)
+        .map(|(machine, summary)| predict_json(shared, profile, machine, summary))
         .collect();
     let metrics = &shared.metrics;
     let n = members.len() as u64;

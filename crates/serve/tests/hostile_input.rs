@@ -9,11 +9,50 @@
 
 use pmt_api::{ApiError, AxisSpec, ExploreRequest, MachineSpec, PredictRequest, SpaceSpec};
 use pmt_dse::DesignConstraints;
-use pmt_serve::http::read_request;
+use pmt_serve::http::{read_request, INITIAL_BODY_BYTES};
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Read;
+
+/// The system allocator, noting per thread the largest single block
+/// asked for — how a case observes what the reader reserves.
+struct LargestBlock;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // At thread exit the slot may already be gone; nothing to note then.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestBlock {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestBlock = LargestBlock;
 
 /// Body limit for the reader under test: large enough for every valid
 /// request below, small enough that an accepted `Content-Length` never
@@ -296,4 +335,28 @@ fn the_unmutated_requests_are_accepted() {
     }
     decode_predict(predict.as_bytes()).unwrap();
     decode_explore(explore.as_bytes()).unwrap();
+}
+
+/// A client that declares a 64 MiB body and sends ten bytes is answered
+/// `truncated_request`, and the reader never reserves more than its
+/// initial body buffer for it.
+#[test]
+fn a_declared_body_is_reserved_only_as_it_arrives() {
+    let declared = 64 << 20;
+    let mut raw =
+        format!("POST /v1/predict HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n").into_bytes();
+    raw.extend_from_slice(b"0123456789");
+    LARGEST.with(|largest| largest.set(0));
+    let err = read_request(&mut &raw[..], declared).unwrap_err();
+    let largest = LARGEST.with(Cell::get);
+    assert_eq!(err.status, 400);
+    assert_eq!(err.body.code, "truncated_request");
+    assert_eq!(
+        err.body.message,
+        "reading request body: failed to fill whole buffer"
+    );
+    assert!(
+        largest <= INITIAL_BODY_BYTES,
+        "reserved a {largest}-byte block for a 10-byte body"
+    );
 }

@@ -63,7 +63,11 @@ impl LinearFit {
 
 /// The trained entropy → misprediction-rate models, one line per predictor
 /// family (a one-time training cost, thesis Fig 3.8).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// `==` compares the trained lines as a map. Compare models with it,
+/// never through their `Debug` or serialized text: the map's entries
+/// print in an order that differs from one instance to the next.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct EntropyMissModel {
     fits: HashMap<PredictorKind, LinearFit>,
 }

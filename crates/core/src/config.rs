@@ -26,7 +26,10 @@ pub enum EvaluationMode {
 }
 
 /// Tunable model composition; the defaults are the thesis' best variant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Equal configs compute equal memo values from one profile, which is
+/// what lets a prepared profile hand a warm memo to the next predictor
+/// built under an equal config.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// MLP model choice.
     pub mlp_model: MlpModelKind,

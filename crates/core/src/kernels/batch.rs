@@ -8,7 +8,9 @@
 //! borrows it, so constructing one costs a config clone, four small
 //! empty tables and empty per-window lists of issue-stage limits and
 //! kept stages — every sweep worker, DVFS sweep and served flight over
-//! one profile shares one layout.
+//! one profile shares one layout. A [bounded](BatchPredictor::bounded)
+//! predictor skips even that when the profile kept a warm memo for its
+//! config (see "Lifetime" below).
 //!
 //! # Why the results are bit-identical to the single-point path
 //!
@@ -111,12 +113,30 @@
 //!
 //! # Lifetime
 //!
-//! A memo value is a pure function of its complete key, so a predictor
-//! can live as long as its profile and config: a sweep worker keeps one
+//! A memo value is a pure function of the profile, the config and its
+//! complete key, so a memo can live as long as its profile, shared by
+//! every predictor under an equal config: a sweep worker keeps one
 //! [`bounded`](BatchPredictor::bounded) predictor across all of its
-//! chunks. Its memo never holds more entries than a fresh predictor could
-//! build over one chunk; before a point that could take it past that, it
-//! starts over, which costs recomputation and never changes a byte.
+//! chunks, and the memo outlives the predictor. The prepared profile
+//! keeps a small pool of the memos its dropped bounded predictors held,
+//! each tagged with the `ModelConfig` it was built under, at most
+//! `rayon::current_num_threads()` of them (one per sweep worker; a full
+//! pool drops its oldest). A new bounded predictor takes the most
+//! recently returned memo whose config is equal (`==`, derived
+//! field by field — never the `Debug` or serialized text, in which an
+//! entropy model's map prints in a different order for each instance),
+//! zeroes its hit and miss tallies, and keeps every entry; dropping the
+//! predictor hands the memo back. So the workers of one sweep, the next
+//! sweep and the served predict flights over one registered profile all
+//! replay each other's work, and the pool dies with its profile.
+//! [`new`](BatchPredictor::new) neither takes nor returns a memo, and a
+//! predictor a panic unwinds through drops its memo with it.
+//!
+//! A bounded memo never holds more entries than a fresh predictor could
+//! build over one batch of its bound; before a point that could take it
+//! past that (a warm memo from a predictor with a larger bound
+//! included), it starts over, which costs recomputation and never
+//! changes a byte.
 //!
 //! Memo hits are what make batching fast on sweep-shaped spaces:
 //! neighbouring design points share most axes, so most points reuse
@@ -139,6 +159,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::ops::AddAssign;
+use std::sync::Mutex;
 
 /// Complete machine-dependent input set of one window's stride walk
 /// (before its MSHR cap, which runs after the lookup).
@@ -201,14 +222,13 @@ impl StageKey {
 type StageLookups = [u64; 3];
 
 /// A snapshot of the predictor's memo tables: how many entries each
-/// holds and how the lookups split into hits and misses. Every miss
-/// inserts exactly one entry, so `*_entries == *_misses` holds until a
-/// [bounded](BatchPredictor::bounded) predictor starts its memo over
-/// (after that, entries ≤ misses) — the snapshot reports both so the
-/// invariant is checkable from the outside (the serve `/metrics`
-/// endpoint and the `speedup` binary both surface these numbers). The
-/// `/metrics` `memo` block is this struct, summed over every batch
-/// flight with `+=`.
+/// holds and how the predictor's lookups split into hits and misses.
+/// Every miss inserts exactly one entry, so a cold predictor keeps
+/// `*_entries == *_misses` until a [bounded](BatchPredictor::bounded)
+/// one starts its memo over (after that, entries ≤ misses); a bounded
+/// predictor that starts from a warm memo also holds the entries it was
+/// handed. The serve `/metrics` `memo` block is this struct, summed over
+/// every batch flight's change ([`since`](Self::since)) with `+=`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoStats {
     /// Cache-query memo (curve × level × that level's line count)
@@ -248,6 +268,28 @@ impl MemoStats {
     /// Total lookups that had to compute.
     pub fn misses(&self) -> u64 {
         self.cache_misses + self.stride_misses + self.cp_misses + self.branch_misses
+    }
+
+    /// What changed between `earlier` and this snapshot of one
+    /// predictor: field-wise differences, saturating at zero, since a
+    /// memo that started over in between can hold fewer entries than it
+    /// did.
+    pub fn since(&self, earlier: &MemoStats) -> MemoStats {
+        let d = |now: u64, then: u64| now.saturating_sub(then);
+        MemoStats {
+            cache_entries: d(self.cache_entries, earlier.cache_entries),
+            cache_hits: d(self.cache_hits, earlier.cache_hits),
+            cache_misses: d(self.cache_misses, earlier.cache_misses),
+            stride_entries: d(self.stride_entries, earlier.stride_entries),
+            stride_hits: d(self.stride_hits, earlier.stride_hits),
+            stride_misses: d(self.stride_misses, earlier.stride_misses),
+            cp_entries: d(self.cp_entries, earlier.cp_entries),
+            cp_hits: d(self.cp_hits, earlier.cp_hits),
+            cp_misses: d(self.cp_misses, earlier.cp_misses),
+            branch_entries: d(self.branch_entries, earlier.branch_entries),
+            branch_hits: d(self.branch_hits, earlier.branch_hits),
+            branch_misses: d(self.branch_misses, earlier.branch_misses),
+        }
     }
 }
 
@@ -344,12 +386,28 @@ impl<K: Hash + Eq + Copy, V: Copy> Table<K, V> {
         self.map.clear();
         self.last.fill(None);
     }
+
+    fn reset_tallies(&mut self) {
+        (self.hits, self.misses) = (0, 0);
+    }
+}
+
+impl<K, V> Default for Table<K, V> {
+    fn default() -> Self {
+        Table {
+            map: FastHashMap::default(),
+            last: Vec::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
 }
 
 /// The cross-point memo tables the evaluator consults when it is given
 /// one. Each lookup is keyed by the complete input set of the
 /// computation it stands in for (see the module docs), and computes
 /// through the caller's closure — the memo-less computation — on a miss.
+#[derive(Default)]
 pub(crate) struct Memo {
     cache: Table<(u32, u8, u64), (u64, f64)>,
     stride: Table<StrideKey, MemoryBehavior>,
@@ -496,6 +554,15 @@ impl Memo {
         self.cache.last.len() + self.stride.last.len() + self.cp.last.len() + self.branch.last.len()
     }
 
+    /// Zero the hit and miss tallies, keeping every entry: a memo taken
+    /// from the pool counts only its new predictor's lookups.
+    fn reset_tallies(&mut self) {
+        self.cache.reset_tallies();
+        self.stride.reset_tallies();
+        self.cp.reset_tallies();
+        self.branch.reset_tallies();
+    }
+
     /// Start over: drop every entry, and the kept stages that replay
     /// them (the port and unit limits, which are not entries, stay bound
     /// to their issue stage).
@@ -579,6 +646,41 @@ impl Memo {
     }
 }
 
+/// The warm memos a prepared profile keeps between bounded predictors,
+/// each tagged with the config it was built under. A memo value is a
+/// pure function of the profile, the config and its key, so a memo
+/// handed to a later predictor under an equal config replays exactly
+/// what that predictor would compute. Empty until the first bounded
+/// predictor over the profile is dropped; it allocates nothing before.
+#[derive(Default)]
+pub(crate) struct MemoPool {
+    memos: Mutex<Vec<(ModelConfig, Memo)>>,
+}
+
+impl MemoPool {
+    /// The most recently returned memo built under a config equal to
+    /// `config`, taken out of the pool.
+    fn check_out(&self, config: &ModelConfig) -> Option<Memo> {
+        let mut memos = self.memos.lock().ok()?;
+        let at = memos.iter().rposition(|(c, _)| c == config)?;
+        Some(memos.remove(at).1)
+    }
+
+    /// Keep `memo`, built under `config`, for a later predictor. The pool
+    /// holds at most one memo per worker of a parallel sweep
+    /// (`rayon::current_num_threads()`); a full pool drops its oldest
+    /// memo to make room.
+    fn give_back(&self, config: ModelConfig, memo: Memo) {
+        let Ok(mut memos) = self.memos.lock() else {
+            return;
+        };
+        if memos.len() >= rayon::current_num_threads() {
+            memos.remove(0);
+        }
+        memos.push((config, memo));
+    }
+}
+
 /// Batched predictor for one prepared profile under one model
 /// configuration: cheap to build (it borrows the profile's arena), then
 /// call [`predict_summary`](Self::predict_summary) per point (or
@@ -603,23 +705,24 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
     /// for one point. One config clone total — per-point evaluation
     /// clones nothing.
     pub fn new(prepared: &'p PreparedProfile<'a>, config: &ModelConfig) -> BatchPredictor<'p, 'a> {
-        BatchPredictor {
-            prepared,
-            config: config.clone(),
-            arena: prepared.arena(),
-            memo: Memo::for_windows(prepared.windows().len()),
-            bound: None,
-        }
+        let memo = Memo::for_windows(prepared.windows().len());
+        BatchPredictor::with_memo(prepared, config, memo, None)
     }
 
     /// A predictor meant to outlive many batches of up to `points` design
-    /// points each — one per sweep worker, kept across its chunks. Its
-    /// memo never holds more entries than a fresh predictor could build
-    /// over one such batch (`points` × [`entries_per_point`]): before a
-    /// point that could take it past that, the memo starts over. Memory
-    /// stays O(`points`) however many points pass through, and the bytes
-    /// are those of [`new`](Self::new) — a memo value is a pure function
-    /// of its complete key, so dropping entries only costs recomputation.
+    /// points each — one per sweep worker, kept across its chunks, or one
+    /// per served flight. Its memo never holds more entries than a fresh
+    /// predictor could build over one such batch (`points` ×
+    /// [`entries_per_point`]): before a point that could take it past
+    /// that, the memo starts over. Memory stays O(`points`) however many
+    /// points pass through, and the bytes are those of [`new`](Self::new)
+    /// — a memo value is a pure function of its complete key, so dropping
+    /// entries only costs recomputation.
+    ///
+    /// The memo outlives the predictor: it starts from a warm memo the
+    /// prepared profile kept from an earlier bounded predictor under an
+    /// equal config, if there is one, and goes back to the profile when
+    /// this predictor is dropped (see the module docs' "Lifetime").
     ///
     /// [`entries_per_point`]: Self::entries_per_point
     pub fn bounded(
@@ -627,9 +730,30 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
         config: &ModelConfig,
         points: usize,
     ) -> BatchPredictor<'p, 'a> {
-        let mut predictor = BatchPredictor::new(prepared, config);
-        predictor.bound = Some(points.saturating_mul(predictor.entries_per_point()));
-        predictor
+        let memo = match prepared.memos().check_out(config) {
+            Some(mut warm) => {
+                warm.reset_tallies();
+                warm
+            }
+            None => Memo::for_windows(prepared.windows().len()),
+        };
+        let bound = points.saturating_mul(memo.entries_per_point());
+        BatchPredictor::with_memo(prepared, config, memo, Some(bound))
+    }
+
+    fn with_memo(
+        prepared: &'p PreparedProfile<'a>,
+        config: &ModelConfig,
+        memo: Memo,
+        bound: Option<usize>,
+    ) -> BatchPredictor<'p, 'a> {
+        BatchPredictor {
+            prepared,
+            config: config.clone(),
+            arena: prepared.arena(),
+            memo,
+            bound,
+        }
     }
 
     /// The most memo entries one design point can add: one per memo
@@ -638,8 +762,9 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
         self.memo.entries_per_point()
     }
 
-    /// Snapshot the memo tables: entry counts plus cumulative hit/miss
-    /// tallies since construction.
+    /// Snapshot the memo tables: the entries they hold (a warm
+    /// [bounded](Self::bounded) predictor's include those it started
+    /// with) plus the hit/miss tallies of this predictor's own lookups.
     pub fn memo_stats(&self) -> MemoStats {
         let Memo {
             cache,
@@ -757,6 +882,18 @@ impl<'p, 'a> BatchPredictor<'p, 'a> {
         match room.checked_sub(per_point) {
             None => 1,
             Some(spare) => (spare / self.memo.stride.last.len()).saturating_add(2),
+        }
+    }
+}
+
+impl Drop for BatchPredictor<'_, '_> {
+    /// A [bounded](BatchPredictor::bounded) predictor hands its memo
+    /// back to its profile, unless a panic is unwinding through it: a
+    /// memo whose point was cut short is dropped with the predictor.
+    fn drop(&mut self) {
+        if self.bound.is_some() && !std::thread::panicking() {
+            let memo = std::mem::take(&mut self.memo);
+            self.prepared.memos().give_back(self.config.clone(), memo);
         }
     }
 }

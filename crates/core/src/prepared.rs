@@ -44,6 +44,7 @@
 //! [`IntervalModel::predict_prepared`]: crate::IntervalModel::predict_prepared
 
 use crate::kernels::arena::CurveArena;
+use crate::kernels::batch::MemoPool;
 use crate::mlp::VirtualStream;
 use pmt_profiler::{ApplicationProfile, StaticLoadProfile};
 use pmt_trace::UopClass;
@@ -81,6 +82,8 @@ pub struct PreparedProfile<'a> {
     /// Every fitted StatStack curve, built on the first prediction and
     /// shared by all later ones.
     arena: OnceLock<CurveArena>,
+    /// Warm memos bounded predictors left behind, for the next ones.
+    memos: MemoPool,
 }
 
 impl<'a> PreparedProfile<'a> {
@@ -135,6 +138,7 @@ impl<'a> PreparedProfile<'a> {
             combined_class_counts,
             combined_stream,
             arena: OnceLock::new(),
+            memos: MemoPool::default(),
             profile,
         }
     }
@@ -147,6 +151,11 @@ impl<'a> PreparedProfile<'a> {
     /// The curve arena every prediction queries, built on first use.
     pub(crate) fn arena(&self) -> &CurveArena {
         self.arena.get_or_init(|| CurveArena::new(&self.profile))
+    }
+
+    /// The warm memos bounded predictors over this profile share.
+    pub(crate) fn memos(&self) -> &MemoPool {
+        &self.memos
     }
 
     /// Per-micro-trace precomputations, parallel to

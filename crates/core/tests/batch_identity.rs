@@ -728,6 +728,9 @@ fn every_field_the_reused_stage_reads_is_in_its_key() {
 /// match the per-point predictor's and the scalar path's byte for byte,
 /// and the two predictors' memo tallies must agree. With `bound`, both
 /// predictors are [bounded](BatchPredictor::bounded) to that many points.
+/// A bounded predictor takes a warm memo its profile kept, so each
+/// predictor gets its own preparation of the profile: all three start
+/// cold, which the tally comparisons need.
 /// Returns the per-point predictor's memo tallies after each point.
 fn assert_runs_match_points(
     prepared: &PreparedProfile<'_>,
@@ -736,11 +739,14 @@ fn assert_runs_match_points(
     machines: &[MachineConfig],
     ctx: &str,
 ) -> Vec<MemoStats> {
-    let predictor = || match bound {
-        Some(points) => BatchPredictor::bounded(prepared, config, points),
-        None => BatchPredictor::new(prepared, config),
+    let own: Vec<PreparedProfile<'_>> = (0..3)
+        .map(|_| PreparedProfile::new(prepared.profile()))
+        .collect();
+    let predictor = |i: usize| match bound {
+        Some(points) => BatchPredictor::bounded(&own[i], config, points),
+        None => BatchPredictor::new(&own[i], config),
     };
-    let (mut batched, mut single) = (predictor(), predictor());
+    let (mut batched, mut single) = (predictor(0), predictor(1));
     let mut out = Vec::new();
     batched.predict_batch_into(machines, &mut out);
     assert_eq!(out.len(), machines.len(), "{ctx}: batch length");
@@ -757,7 +763,7 @@ fn assert_runs_match_points(
         single.memo_stats(),
         "{ctx}: memo tallies"
     );
-    let mut tagged = predictor();
+    let mut tagged = predictor(2);
     let pairs = tagged.predict_tagged(machines.iter().cloned().enumerate());
     for ((i, got), want) in pairs.iter().zip(&out) {
         assert_eq!(json(got), json(want), "{ctx}: tagged point {i}");

@@ -97,6 +97,10 @@ impl LazyDesignSpace for DesignSpace {
     fn point_at(&self, index: usize) -> DesignPoint {
         DesignSpace::point_at(self, index)
     }
+
+    fn decode_into(&self, index: usize, point: &mut DesignPoint) {
+        DesignSpace::decode_into(self, index, point)
+    }
 }
 
 /// An explicit point list is the degenerate lazy space (points are
@@ -618,16 +622,7 @@ mod tests {
     /// stage an axis rewrote.
     #[test]
     fn decode_into_matches_point_at_but_the_name() {
-        // An axis that rewrites the issue stage: one class one cycle
-        // slower.
-        let slow_alu = |m: &mut MachineConfig, slow: f64| {
-            if slow == 1.0 {
-                let exec = serde_json::to_string(&m.exec).expect("serializes");
-                let exec = exec.replacen("\"latency\":1", "\"latency\":2", 1);
-                m.exec = serde_json::from_str(&exec).expect("parses");
-            }
-        };
-        let space = ProductSpace::frontier_demo().axis("slow", [0.0, 1.0], slow_alu);
+        let space = slow_alu_space();
         let mut point = space.point_at(1);
         assert_ne!(point.machine.exec, space.point_at(0).machine.exec);
         for index in [0, 1, 2, 3, 47, 48, 12_345, 200_001, 207_359, 5, 4] {
@@ -637,6 +632,46 @@ mod tests {
             assert_eq!(point, want, "point {index}");
         }
         assert_eq!(point.machine.name, space.point_at(1).machine.name);
+    }
+
+    /// `frontier_demo` with an axis that rewrites the issue stage: one
+    /// class one cycle slower at value 1.
+    fn slow_alu_space() -> ProductSpace {
+        let slow_alu = |m: &mut MachineConfig, slow: f64| {
+            if slow == 1.0 {
+                let exec = serde_json::to_string(&m.exec).expect("serializes");
+                let exec = exec.replacen("\"latency\":1", "\"latency\":2", 1);
+                m.exec = serde_json::from_str(&exec).expect("parses");
+            }
+        };
+        ProductSpace::frontier_demo().axis("slow", [0.0, 1.0], slow_alu)
+    }
+
+    /// The thesis grids decode in place too: every point equals
+    /// `point_at`'s in everything but the name, whether the buffer held
+    /// the grid's previous point or another space's (a slower issue
+    /// stage, the prefetcher on, a different name).
+    #[test]
+    fn grid_decode_into_matches_point_at_but_the_name() {
+        let mut foreign = slow_alu_space().point_at(207_359);
+        foreign.machine.prefetcher = MachineConfig::nehalem_with_prefetcher().prefetcher;
+        assert_ne!(foreign.machine.exec, MachineConfig::nehalem().exec);
+        let stale = foreign.machine.name.clone();
+        for space in [
+            DesignSpace::thesis_table_6_3(),
+            DesignSpace::small(),
+            DesignSpace::validation_subspace(),
+        ] {
+            let mut running = foreign.clone();
+            for index in (0..space.len()).rev() {
+                let mut want = LazyDesignSpace::point_at(&space, index);
+                want.machine.name = stale.clone();
+                for point in [&mut running, &mut foreign.clone()] {
+                    LazyDesignSpace::decode_into(&space, index, point);
+                    assert_eq!(*point, want, "point {index} of {}", space.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!
 //! Each chunk's predictions run through the **batched kernels**. A
 //! folding worker keeps one [`BatchPredictor`] across all of its chunks,
-//! its memo bounded by one chunk's worth of entries, and one buffer of
-//! reused points. It decodes a chunk's admitted indices into that buffer
+//! its memo bounded by one chunk's worth of entries and, through the
+//! prepared profile's pool of warm memos, handed on to the next sweep's
+//! workers; and it keeps one buffer of reused points. It decodes a chunk's admitted indices into that buffer
 //! ([`LazyDesignSpace::decode_into`]: no freshly cloned and named point)
 //! up to 64 at a time, predicts each batch with
 //! [`BatchPredictor::predict_batch_into`], and folds the summaries in

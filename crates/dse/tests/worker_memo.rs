@@ -54,13 +54,15 @@ fn sweep(profile: &ApplicationProfile, chunk: usize) -> StreamingSweep<'_> {
 #[test]
 fn kept_worker_memos_stay_bounded_and_fold_bit_identically() {
     let profile = profile();
-    let prepared = PreparedProfile::new(&profile);
     // Release: at least five 1,024-point chunks. Debug builds, about
     // ten times slower, stop at five 7-point chunks.
     let largest = if cfg!(debug_assertions) { 7 } else { 1024 };
     let points = distinct_rob_points(5 * largest + 3);
 
     for chunk in [1, 7, 1024] {
+        // Each chunk size gets its own preparation, so its worker starts
+        // cold rather than from the memo the last one left the profile.
+        let prepared = PreparedProfile::new(&profile);
         // The worker's bound: one chunk's worth of fresh-predictor
         // entries, never exceeded however many points pass through.
         let mut worker = BatchPredictor::bounded(&prepared, &ModelConfig::default(), chunk);

@@ -59,7 +59,8 @@ macro_rules! metrics {
                 pub $local: AtomicU64,
             )*
             /// Cumulative `BatchPredictor` memo tallies across batch
-            /// flights (one predictor per flight).
+            /// flights: each flight's change, so entries a warm memo
+            /// carried in are counted once.
             memo: Mutex<MemoStats>,
         }
 
@@ -128,8 +129,9 @@ impl Metrics {
         });
     }
 
-    /// Fold one batch flight's memo snapshot into the cumulative
-    /// tallies.
+    /// Fold one batch flight's memo change
+    /// ([`MemoStats::since`](pmt_core::MemoStats::since)) into the
+    /// cumulative tallies.
     pub fn absorb_memo_stats(&self, stats: &MemoStats) {
         *self.memo.lock().expect("memo lock") += *stats;
     }

@@ -511,18 +511,25 @@ const HANDED_OFF: Response = Response {
 };
 
 /// Evaluate a closed predict flight: every member's design point in one
-/// `BatchPredictor` pass on the leader's worker, later points replaying
-/// earlier points' memoized curve queries, stride walks, CP(ROB) and
-/// branch penalties. The predictor's results are bit-identical to the
-/// single-point path in any order, so sharing a flight can never change
-/// a byte of anyone's response.
+/// bounded `BatchPredictor` pass on the leader's worker, later points
+/// replaying earlier points' memoized curve queries, stride walks,
+/// CP(ROB) and branch penalties — and every point replaying what earlier
+/// flights and explores over the profile left in its warm memos. The
+/// predictor's results are bit-identical to the single-point path in any
+/// order, so sharing a flight or a memo can never change a byte of
+/// anyone's response.
 fn predict_flight(
     shared: &Shared,
     profile: &RegisteredProfile,
     members: &[Member],
 ) -> Vec<Response> {
     let started = Instant::now();
-    let mut predictor = BatchPredictor::new(&profile.prepared, &ModelConfig::default());
+    let mut predictor = BatchPredictor::bounded(
+        &profile.prepared,
+        &ModelConfig::default(),
+        shared.config.batch_max_points.max(1),
+    );
+    let warm = predictor.memo_stats();
     let machines: Vec<&MachineConfig> = members
         .iter()
         .map(|member| member.machine.as_ref().expect("a predict member"))
@@ -541,7 +548,7 @@ fn predict_flight(
     if shared.config.batch_window_ms > 0 {
         Metrics::bump(&metrics.batch_flights);
         Metrics::add(&metrics.batch_points, n);
-        metrics.absorb_memo_stats(&predictor.memo_stats());
+        metrics.absorb_memo_stats(&predictor.memo_stats().since(&warm));
     }
     responses
 }

@@ -446,6 +446,49 @@ fn concurrent_distinct_predicts_batch_and_match_solo_bytes() {
     solo.stop();
 }
 
+/// A registered profile keeps its flights' memos: a later flight on it
+/// replays what an earlier one computed, and `/metrics` counts each
+/// flight's own lookups. Replacing the profile drops its memos with it.
+#[test]
+fn a_later_flight_replays_an_earlier_ones_memo() {
+    let server = serve(ServeConfig::default());
+    let addr = server.addr();
+    let predict = |frequency_ghz: f64| {
+        let reply = post(addr, "/v1/predict", &dvfs_request(frequency_ghz));
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        metrics(addr)
+    };
+
+    let first = predict(2.0);
+    assert_eq!(first.batch_flights, 1);
+    assert!(first.memo.misses() > 0, "the first flight starts cold");
+    let second = predict(2.4);
+    assert_eq!(second.batch_flights, 2, "two flights, one after the other");
+    assert_eq!(
+        second.memo.misses(),
+        first.memo.misses(),
+        "frequency is in no memo key: the second flight computes nothing"
+    );
+    assert!(second.memo.hits() > first.memo.hits());
+    assert_eq!(
+        second.memo.cache_entries, first.memo.cache_entries,
+        "warm entries are counted once"
+    );
+
+    let mut replacement = profile("astar");
+    replacement.total_instructions += 1;
+    let req = RegisterProfileRequest::new(replacement);
+    let reply = post(addr, "/v1/profiles", &serde_json::to_string(&req).unwrap());
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let third = predict(2.8);
+    assert_eq!(third.batch_flights, 3);
+    assert!(
+        third.memo.misses() > second.memo.misses(),
+        "a replaced profile's memos went with it"
+    );
+    server.stop();
+}
+
 #[test]
 fn solo_daemon_counts_leaders_and_cache_hits_in_the_partition() {
     let solo = serve(ServeConfig {

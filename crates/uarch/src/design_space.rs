@@ -8,6 +8,7 @@
 use crate::cache::CacheConfig;
 use crate::machine::MachineConfig;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Swept parameter values.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -100,6 +101,28 @@ impl DesignSpace {
     ///
     /// Panics when `index >= self.len()`.
     pub fn point_at(&self, index: usize) -> DesignPoint {
+        let mut point = DesignPoint {
+            id: index,
+            machine: MachineConfig::nehalem(),
+            coords: (0, 0, 0, 0, 0),
+        };
+        self.decode_into(index, &mut point);
+        let (w, rob, l1, l2, l3) = point.coords;
+        point.machine.name = format!("w{w}-rob{rob}-l1_{l1}k-l2_{l2}k-l3_{l3}k");
+        point
+    }
+
+    /// Overwrite `point` with the design point at `index`, reusing its
+    /// allocations: every field equals [`point_at`](Self::point_at)'s
+    /// except the machine's `name`, which is left stale. A streamed sweep
+    /// decodes every point this way, so it builds no reference machine
+    /// and formats no name per point, and clones the reference issue
+    /// stage only when `point` held another.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= self.len()`.
+    pub fn decode_into(&self, index: usize, point: &mut DesignPoint) {
         assert!(
             index < self.len(),
             "design-point index {index} out of bounds for a {}-point space",
@@ -117,19 +140,28 @@ impl DesignSpace {
         rest /= self.rob_sizes.len();
         let w = self.dispatch_widths[rest];
 
-        let mut m = MachineConfig::nehalem();
-        let (l1d_latency, l2_latency) = (m.caches.l1d.latency, m.caches.l2.latency);
-        m.name = format!("w{w}-rob{rob}-l1_{l1}k-l2_{l2}k-l3_{l3}k");
-        m.core = m.core.with_dispatch_width(w).with_rob(rob);
-        m.caches.l1i = CacheConfig::new(l1, 4, 64, 1);
-        m.caches.l1d = CacheConfig::new(l1, 8, 64, l1d_latency);
-        m.caches.l2 = CacheConfig::new(l2, 8, 64, l2_latency);
-        m.caches.l3 = CacheConfig::new(l3, 16, 64, l3_latency_for_kb(l3));
-        DesignPoint {
-            id: index,
-            machine: m,
-            coords: (w, rob, l1, l2, l3),
+        let base = reference_machine();
+        let MachineConfig {
+            name: _,
+            core,
+            exec,
+            caches,
+            mem,
+            predictor,
+            prefetcher,
+        } = &mut point.machine;
+        *core = base.core.with_dispatch_width(w).with_rob(rob);
+        if *exec != base.exec {
+            exec.clone_from(&base.exec);
         }
+        *caches = base.caches;
+        caches.l1i = CacheConfig::new(l1, 4, 64, 1);
+        caches.l1d = CacheConfig::new(l1, 8, 64, base.caches.l1d.latency);
+        caches.l2 = CacheConfig::new(l2, 8, 64, base.caches.l2.latency);
+        caches.l3 = CacheConfig::new(l3, 16, 64, l3_latency_for_kb(l3));
+        (*mem, *predictor, *prefetcher) = (base.mem, base.predictor, base.prefetcher);
+        point.id = index;
+        point.coords = (w, rob, l1, l2, l3);
     }
 
     /// Enumerate every design point, derived from the reference machine.
@@ -140,6 +172,12 @@ impl DesignSpace {
     pub fn enumerate(&self) -> Vec<DesignPoint> {
         (0..self.len()).map(|i| self.point_at(i)).collect()
     }
+}
+
+/// The reference machine every grid point derives from, built once.
+fn reference_machine() -> &'static MachineConfig {
+    static REFERENCE: OnceLock<MachineConfig> = OnceLock::new();
+    REFERENCE.get_or_init(MachineConfig::nehalem)
 }
 
 /// LLC latency for a given capacity: the thesis space's weak

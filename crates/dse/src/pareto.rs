@@ -59,7 +59,7 @@ impl<T: Deserialize> Deserialize for FrontEntry<T> {
         let mut item = None;
         p.object_start()?;
         while let Some(key) = p.next_key()? {
-            match key.as_str() {
+            match &*key {
                 "id" => id = Some(Deserialize::from_json(p)?),
                 "coords" => coords = Some(Deserialize::from_json(p)?),
                 "item" => item = Some(Deserialize::from_json(p)?),

@@ -208,7 +208,7 @@ impl<T: Deserialize> Deserialize for RankedEntry<T> {
         let mut item = None;
         p.object_start()?;
         while let Some(k) = p.next_key()? {
-            match k.as_str() {
+            match &*k {
                 "key" => key = Some(Deserialize::from_json(p)?),
                 "id" => id = Some(Deserialize::from_json(p)?),
                 "item" => item = Some(Deserialize::from_json(p)?),

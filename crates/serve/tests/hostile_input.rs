@@ -7,9 +7,13 @@
 //! are in-memory (`&[u8]` and a segmenting wrapper), so no case waits on
 //! a timeout.
 
-use pmt_api::{ApiError, AxisSpec, ExploreRequest, MachineSpec, PredictRequest, SpaceSpec};
+use pmt_api::{
+    ApiError, AxisSpec, ExploreRequest, MachineSpec, PredictRequest, RegisterProfileRequest,
+    SpaceSpec,
+};
 use pmt_dse::DesignConstraints;
 use pmt_serve::http::{read_request, INITIAL_BODY_BYTES};
+use pmt_uarch::MachineConfig;
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
@@ -189,6 +193,15 @@ fn decode_explore(body: &[u8]) -> Result<(), ApiError> {
     Ok(())
 }
 
+fn decode_register(body: &[u8]) -> Result<(), ApiError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| ApiError::bad_request("bad_body", "request body is not valid UTF-8"))?;
+    let req: RegisterProfileRequest = serde_json::from_str(text)
+        .map_err(|e| ApiError::bad_request("bad_json", format!("parsing request body: {e}")))?;
+    req.check_version()?;
+    Ok(())
+}
+
 /// JSON-shaped token soup: random sequences of the grammar's pieces and
 /// the wire's field names, which reach far deeper into the parser than
 /// uniform random bytes.
@@ -213,6 +226,8 @@ fn token_soup(picks: &[u8]) -> String {
         "4294967296",
         "\"\\u\"",
         "\"\\ud800\"",
+        "\"\\ud800\\u0041\"",
+        "\"\\ud800\\ud800\"",
         "\"\\uDFFF\\u0000\"",
         "\"\\x\"",
         "\"schema_version\"",
@@ -359,4 +374,114 @@ fn a_declared_body_is_reserved_only_as_it_arrives() {
         largest <= INITIAL_BODY_BYTES,
         "reserved a {largest}-byte block for a 10-byte body"
     );
+}
+
+/// Number tokens aimed at the decoder's all-digit fast path: digit runs
+/// across the 18/19/20-digit boundary, a leading `+` or `-`, and digits
+/// running into `.` or `e`.
+fn hostile_numbers() -> Vec<String> {
+    let mut tokens = Vec::new();
+    for len in [1, 17, 18, 19, 20, 21] {
+        let nines = "9".repeat(len);
+        let padded = format!("{}1", "0".repeat(len - 1));
+        for digits in [&nines, &padded] {
+            for token in [
+                digits.clone(),
+                format!("+{digits}"),
+                format!("-{digits}"),
+                format!("{digits}."),
+                format!("{digits}.5"),
+                format!("{digits}e"),
+                format!("{digits}e2"),
+                format!("{digits}-"),
+            ] {
+                tokens.push(token);
+            }
+        }
+    }
+    tokens.extend([u64::MAX as u128, u64::MAX as u128 + 1].map(|v| v.to_string()));
+    tokens.extend(["+", "-", ".", "e", "-0", "+0"].map(String::from));
+    tokens
+}
+
+/// Byte ranges of the number tokens of `json`, skipping string literals.
+fn number_spans(json: &str) -> Vec<(usize, usize)> {
+    let bytes = json.as_bytes();
+    let mut spans = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        match bytes[at] {
+            b'"' => {
+                at += 1;
+                while bytes[at] != b'"' {
+                    at += if bytes[at] == b'\\' { 2 } else { 1 };
+                }
+                at += 1;
+            }
+            b'-' | b'0'..=b'9' => {
+                let start = at;
+                while at < bytes.len() && b"+-.eE0123456789".contains(&bytes[at]) {
+                    at += 1;
+                }
+                spans.push((start, at));
+            }
+            _ => at += 1,
+        }
+    }
+    spans
+}
+
+/// Every number of the valid bodies and of a predict on an inline
+/// machine, replaced in turn by each hostile token: each decode is
+/// accepted or answered with a 4xx.
+#[test]
+fn hostile_number_tokens_decode_or_answer_a_client_error() {
+    let tokens = hostile_numbers();
+    let [predict, explore] = valid_bodies();
+    let inline = PredictRequest::new("astar", MachineSpec::inline(MachineConfig::nehalem()));
+    let inline = serde_json::to_string(&inline).unwrap();
+    for body in [predict, explore, inline] {
+        let spans = number_spans(&body);
+        assert!(!spans.is_empty(), "no numbers in {body}");
+        for (start, end) in spans {
+            for token in &tokens {
+                let mutated = format!("{}{token}{}", &body[..start], &body[end..]);
+                assert_client_error(&decode_predict(mutated.as_bytes()), &mutated);
+                assert_client_error(&decode_explore(mutated.as_bytes()), &mutated);
+            }
+        }
+    }
+}
+
+/// A profile name whose high surrogate is not followed by a low one is
+/// refused as `bad_json` (never decoded to a wrong name), in a predict,
+/// an explore and an upload.
+#[test]
+fn malformed_surrogate_profile_names_are_refused() {
+    let spec = pmt_workloads::WorkloadSpec::by_name("astar").unwrap();
+    let profile = pmt_profiler::Profiler::new(pmt_profiler::ProfilerConfig::fast_test())
+        .profile_named("astar", &mut spec.trace(2_000));
+    let upload = serde_json::to_string(&RegisterProfileRequest::new(profile)).unwrap();
+    let [predict, explore] = valid_bodies();
+    for name in [r#""\ud800\u0041""#, r#""\ud800\ud800""#] {
+        let named = |body: &str| body.replacen("\"astar\"", name, 1);
+        for result in [
+            decode_predict(named(&predict).as_bytes()),
+            decode_explore(named(&explore).as_bytes()),
+            decode_register(named(&upload).as_bytes()),
+        ] {
+            let err = result.unwrap_err();
+            assert_eq!(
+                (err.status, err.body.code.as_str()),
+                (400, "bad_json"),
+                "{name}"
+            );
+            assert!(
+                err.body.message.contains("expected low surrogate"),
+                "{name}: {}",
+                err.body.message
+            );
+        }
+    }
+    decode_register(upload.as_bytes()).unwrap();
 }

@@ -209,3 +209,219 @@ fn odd_length_profiles_keep_their_bytes() {
     }
     assert!(drifted.is_empty(), "profile bytes drifted: {drifted:#?}");
 }
+
+// ---------------------------------------------------------------------------
+// The JSON engine's byte contract: what it writes and what it accepts.
+// ---------------------------------------------------------------------------
+
+/// Every integer width writes exactly the bytes of its `to_string`.
+#[test]
+fn integers_write_their_to_string_bytes() {
+    macro_rules! check {
+        ($($t:ty),*) => {$(
+            for v in [0 as $t, 1, 9, 10, 99, 100, <$t>::MAX - 1, <$t>::MAX, <$t>::MIN] {
+                assert_eq!(serde_json::to_string(&v).unwrap(), v.to_string(), "{}", stringify!($t));
+            }
+        )*};
+    }
+    check!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    for v in [-1i64, -9, -10, i64::MIN + 1] {
+        assert_eq!(serde_json::to_string(&v).unwrap(), v.to_string());
+    }
+}
+
+/// Floats write `{:?}`, Rust's shortest round-trip text; non-finite
+/// floats write `null`.
+#[test]
+fn floats_write_their_debug_bytes() {
+    let mut values = vec![
+        -0.0,
+        0.0,
+        5e-324,
+        f64::MAX,
+        f64::MIN,
+        1e-300,
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        0.1,
+        1e-4,
+        9.9e-5,
+        -7.5,
+        1.0,
+        -1.0,
+        123_456.0,
+        1e15,
+        1e16,
+        1e17,
+        1e300,
+    ];
+    // Integral values on both sides of 2^53, where exact integers end.
+    let exact = 2f64.powi(53);
+    values.extend([
+        exact - 2.0,
+        exact - 1.0,
+        exact,
+        exact + 2.0,
+        -exact + 1.0,
+        -exact,
+    ]);
+    for p in 0..25 {
+        values.extend([10f64.powi(p), 10f64.powi(p) - 1.0, -(10f64.powi(p) + 1.0)]);
+    }
+    for v in values {
+        assert_eq!(serde_json::to_string(&v).unwrap(), format!("{v:?}"));
+    }
+    let exact = 2f32.powi(24);
+    for v in [
+        -0.0f32,
+        0.1,
+        1.0,
+        3.0e9,
+        1_073_741_824.0,
+        exact - 1.0,
+        exact,
+        exact + 2.0,
+    ] {
+        assert_eq!(serde_json::to_string(&v).unwrap(), format!("{v:?}"));
+    }
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(serde_json::to_string(&v).unwrap(), "null");
+    }
+    assert_eq!(serde_json::to_string(&f32::NAN).unwrap(), "null");
+}
+
+/// Number tokens around the integer fast path: signs, fractions,
+/// exponents, leading zeros and digit runs across the 18/19/20-digit
+/// boundary.
+fn number_tokens() -> Vec<String> {
+    let mut tokens: Vec<String> = [
+        "+5", "-0", "-5", "0", "007", "42", "1e3", "1E3", "1.0", "-", "+", "5-", "5+", "5e", "5.",
+        "127", "128", "255", "256", "-128", "-129",
+    ]
+    .iter()
+    .map(|t| t.to_string())
+    .collect();
+    for len in [17, 18, 19, 20, 21] {
+        tokens.push("9".repeat(len));
+        tokens.push(format!("1{}", "0".repeat(len - 1)));
+        tokens.push(format!("{}7", "0".repeat(len - 1)));
+        tokens.push(format!("{}.0", "9".repeat(len)));
+        tokens.push(format!("-{}", "9".repeat(len)));
+    }
+    for v in [
+        u64::MAX as u128,
+        u64::MAX as u128 + 1,
+        i64::MAX as u128,
+        i64::MAX as u128 + 1,
+    ] {
+        tokens.push(v.to_string());
+    }
+    tokens.push(i64::MIN.to_string());
+    tokens.push(format!("-{}", i64::MAX as u128 + 2));
+    tokens
+}
+
+/// Each integer width accepts and refuses a number token exactly as
+/// `str::parse` does, with the error naming the token and the offset
+/// after it.
+#[test]
+fn integer_tokens_decode_like_str_parse() {
+    fn check<T>(ty: &str)
+    where
+        T: serde::Deserialize + std::str::FromStr + PartialEq + std::fmt::Debug,
+    {
+        for token in number_tokens() {
+            let got = serde_json::from_str::<T>(&token).map_err(|e| e.to_string());
+            let want = token
+                .parse::<T>()
+                .map_err(|_| format!("invalid {ty}: `{token}` at byte {}", token.len()));
+            assert_eq!(got, want, "{ty} from {token:?}");
+        }
+    }
+    check::<u8>("u8");
+    check::<u32>("u32");
+    check::<u64>("u64");
+    check::<i64>("i64");
+}
+
+/// A high surrogate must be followed by a low one: anything else is a
+/// parse error, never a wrong character.
+#[test]
+fn a_malformed_surrogate_pair_is_refused() {
+    for text in [r#""\ud800\u0041""#, r#""\ud800\ud800""#] {
+        let err = serde_json::from_str::<String>(text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "expected low surrogate at byte 13",
+            "{text}"
+        );
+    }
+    // Whitespace is string text, so it cannot sit between the halves.
+    let err = serde_json::from_str::<String>(r#""\ud800 \udc00""#).unwrap_err();
+    assert_eq!(err.to_string(), "expected low surrogate at byte 7");
+    let pair: String = serde_json::from_str(r#""\ud83d\ude00""#).unwrap();
+    assert_eq!(pair, "\u{1f600}");
+}
+
+#[derive(Debug, PartialEq, serde::Deserialize)]
+struct Keyed {
+    name: String,
+    größe: u32,
+}
+
+/// Escaped and non-ASCII keys reach their field, a repeated key keeps
+/// its last value, and an unknown key is skipped: through the derive and
+/// through both hand-written generic impls.
+#[test]
+fn object_keys_match_their_fields() {
+    let keyed = |json: &str| serde_json::from_str::<Keyed>(json).unwrap();
+    let want = Keyed {
+        name: "b".into(),
+        größe: 2,
+    };
+    assert_eq!(keyed(r#"{"name":"b","größe":2}"#), want);
+    assert_eq!(keyed(r#"{"na\u006de":"b","gr\u00f6\u00dfe":2}"#), want);
+    assert_eq!(
+        keyed(r#"{"name":"a","größe":1,"name":"b","größe":2}"#),
+        want
+    );
+    assert_eq!(
+        keyed(r#"{"zusätzlich":[1,{"x":"\u0041"}],"name":"b","name2":null,"größe":2}"#),
+        want
+    );
+
+    let ranked = |json: &str| {
+        let e: pmt::dse::RankedEntry<String> = serde_json::from_str(json).unwrap();
+        (e.key, e.id, e.item)
+    };
+    let want = (1.5, 3, "x".to_string());
+    assert_eq!(ranked(r#"{"key":1.5,"id":3,"item":"x"}"#), want);
+    assert_eq!(ranked(r#"{"k\u0065y":1.5,"i\u0064":3,"item":"x"}"#), want);
+    assert_eq!(
+        ranked(r#"{"key":9.0,"id":3,"item":"y","key":1.5,"item":"x"}"#),
+        want
+    );
+    assert_eq!(
+        ranked(r#"{"ключ":[],"key":1.5,"id":3,"itemx":1,"item":"x"}"#),
+        want
+    );
+
+    let front = |json: &str| {
+        let e: pmt::dse::FrontEntry<String> = serde_json::from_str(json).unwrap();
+        (e.id, e.coords, e.item)
+    };
+    let want = (3, (1.0, 2.0), "x".to_string());
+    assert_eq!(front(r#"{"id":3,"coords":[1.0,2.0],"item":"x"}"#), want);
+    assert_eq!(
+        front(r#"{"\u0069d":3,"co\u006frds":[1.0,2.0],"item":"x"}"#),
+        want
+    );
+    assert_eq!(
+        front(r#"{"id":4,"coords":[1.0,2.0],"item":"x","id":3}"#),
+        want
+    );
+    assert_eq!(
+        front(r#"{"größe":{"a":1},"id":3,"coords":[1.0,2.0],"item":"x"}"#),
+        want
+    );
+}

@@ -2,8 +2,7 @@
 //! reference architecture and across the design space.
 
 use crate::harness::{
-    evaluate_space, evaluate_suite, mean_abs_error, profile_suite, sim_instructions, space_stride,
-    Evaluated, HarnessConfig,
+    evaluate_space, evaluate_suite, mean_abs_error, profile_suite, Evaluated, HarnessConfig,
 };
 use pmt_core::{EvaluationMode, IntervalModel, MlpModelKind};
 use pmt_power::{PowerComponent, PowerModel};
@@ -269,10 +268,10 @@ pub fn tbl6_2_component_errors(cfg: &HarnessConfig) -> Vec<Figure> {
 }
 
 /// Table 6.3 + Figs 6.5/6.6: CPI accuracy across the processor design
-/// space (sub-sampled by `PMT_SPACE_STRIDE`).
+/// space (sub-sampled by [`HarnessConfig::space_stride`]).
 pub fn fig6_5_space_performance(cfg: &HarnessConfig) -> Vec<Figure> {
-    let stride = space_stride(9);
-    let sim_n = sim_instructions(cfg.instructions.min(300_000));
+    let stride = cfg.space_stride(9);
+    let sim_n = cfg.instructions.min(300_000);
     let space = DesignSpace::thesis_table_6_3();
     let points: Vec<_> = space.enumerate().into_iter().step_by(stride).collect();
     let errs: Vec<f64> = evaluate_space(&points, cfg, sim_n)
@@ -370,7 +369,7 @@ pub fn fig6_8_space_power(cfg: &HarnessConfig) -> Vec<Figure> {
     ));
 
     // --- Figs 6.8–6.10: across the (sub-sampled) space ------------------
-    let stride = space_stride(27);
+    let stride = cfg.space_stride(27);
     let sim_n = cfg.instructions.min(200_000);
     let points: Vec<_> = DesignSpace::thesis_table_6_3()
         .enumerate()

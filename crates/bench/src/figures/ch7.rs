@@ -2,8 +2,7 @@
 //! DVFS, Pareto pruning and the empirical comparator.
 
 use crate::harness::{
-    evaluate_space, mean_abs_error, parallel_map, sim_instructions, simulate, space_stride, sweep,
-    HarnessConfig,
+    evaluate_space, mean_abs_error, parallel_map, simulate, sweep, HarnessConfig,
 };
 use pmt_dse::constrain::fastest_under_power;
 use pmt_dse::dvfs::{best_ed2p, explore};
@@ -117,7 +116,7 @@ pub fn fig7_3_dvfs(cfg: &HarnessConfig) -> Vec<Figure> {
 /// sweeps the whole space; only its selected frontier is simulated (the
 /// thesis' pruning use case).
 pub fn fig7_4_pareto(cfg: &HarnessConfig) -> Vec<Figure> {
-    let stride = space_stride(3);
+    let stride = cfg.space_stride(3);
     let sim_n = cfg.instructions.min(200_000);
     let points: Vec<_> = DesignSpace::thesis_table_6_3()
         .enumerate()
@@ -268,8 +267,8 @@ pub fn fig7_frontier_scale(cfg: &HarnessConfig) -> Vec<Figure> {
 /// Figs 7.6–7.9: space-wide error plus the four pruning metrics per
 /// workload.
 pub fn fig7_7_pareto_metrics(cfg: &HarnessConfig) -> Vec<Figure> {
-    let stride = space_stride(9);
-    let sim_n = sim_instructions(cfg.instructions.min(200_000));
+    let stride = cfg.space_stride(9);
+    let sim_n = cfg.instructions.min(200_000);
     let points: Vec<_> = DesignSpace::thesis_table_6_3()
         .enumerate()
         .into_iter()
@@ -346,8 +345,8 @@ pub fn fig7_7_pareto_metrics(cfg: &HarnessConfig) -> Vec<Figure> {
 /// Figs 7.10–7.13: mechanistic model vs empirical (ridge regression)
 /// comparator for Pareto pruning.
 pub fn fig7_10_empirical(cfg: &HarnessConfig) -> Vec<Figure> {
-    let stride = space_stride(9);
-    let sim_n = sim_instructions(cfg.instructions.min(200_000));
+    let stride = cfg.space_stride(9);
+    let sim_n = cfg.instructions.min(200_000);
     let points: Vec<_> = DesignSpace::thesis_table_6_3()
         .enumerate()
         .into_iter()

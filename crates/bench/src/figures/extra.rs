@@ -2,8 +2,7 @@
 //! wall-clock speedup headline and the development accuracy probe.
 
 use crate::harness::{
-    evaluate_suite, mean_abs_error, profile_suite, shared_sim_cache, sim_instructions,
-    space_stride, HarnessConfig,
+    evaluate_suite, mean_abs_error, profile_suite, shared_sim_cache, HarnessConfig,
 };
 use pmt_dse::{SpaceEvaluation, SweepConfig};
 use pmt_report::{fmt, Figure, Table};
@@ -16,13 +15,12 @@ use std::time::{Duration, Instant};
 /// The differential validation report (the Table 6.1 / Fig 7.10 claim):
 /// model-vs-simulator error distributions plus design-ordering
 /// agreement, workload by workload. Smoke shrinks to three workloads;
-/// `PMT_SIM_CACHE` memoizes the reference simulations across runs.
+/// the reference simulations go through the [`shared_sim_cache`].
 pub fn validation_report(cfg: &HarnessConfig) -> Vec<Figure> {
-    let smoke = HarnessConfig::smoke_requested();
     // One budget for both sides: a differential comparison is only fair
     // when the model's profile and the reference simulation cover the
     // same instruction window.
-    let budget = sim_instructions(cfg.instructions.min(200_000));
+    let budget = cfg.instructions.min(200_000);
     let config = ValidationConfig {
         profile_instructions: budget,
         sim_instructions: budget,
@@ -34,9 +32,9 @@ pub fn validation_report(cfg: &HarnessConfig) -> Vec<Figure> {
     let points: Vec<_> = space
         .enumerate()
         .into_iter()
-        .step_by(space_stride(1))
+        .step_by(cfg.space_stride(1))
         .collect();
-    let specs: Vec<_> = if smoke {
+    let specs: Vec<_> = if cfg.smoke {
         suite().into_iter().take(3).collect()
     } else {
         suite()
@@ -65,11 +63,7 @@ pub fn speedup(cfg: &HarnessConfig) -> Vec<Figure> {
     let n = cfg.instructions.min(300_000);
     let spec = WorkloadSpec::by_name("astar").unwrap();
     let points = DesignSpace::thesis_table_6_3().enumerate();
-    let reps: u32 = if HarnessConfig::smoke_requested() {
-        2
-    } else {
-        3
-    };
+    let reps: u32 = if cfg.smoke { 2 } else { 3 };
     let sweep_cfg = SweepConfig {
         model: cfg.model.clone(),
         ..SweepConfig::default()

@@ -443,19 +443,17 @@ pub fn build_entry(
     let command = entry.command();
     (entry.build)(&cfg)
         .into_iter()
-        .map(|f| f.binary(&command))
+        .map(|f| f.command(&command))
         .collect()
 }
 
-/// The body of `pmt figure`: build every entry at the default scale
-/// (respecting `--smoke` / `PMT_*` env knobs), emit its figures through
-/// the shared output path, then persist the shared simulation cache.
-/// One entropy-training pass serves every entry that wants it. Each
-/// entry's panic is caught, so one failing experiment does not stop the
-/// rest; returns the names of the entries that panicked. When more than
-/// one entry runs, a banner naming each precedes its figures.
-pub fn run(entries: &[&Experiment]) -> Vec<&'static str> {
-    let base = HarnessConfig::default_scale();
+/// The body of `pmt figure`: build every entry at `base` scale and emit
+/// its figures through the shared output path. One entropy-training
+/// pass serves every entry that wants it. Each entry's panic is caught,
+/// so one failing experiment does not stop the rest; returns the names
+/// of the entries that panicked. When more than one entry runs, a banner
+/// naming each precedes its figures.
+pub fn run(entries: &[&Experiment], base: &HarnessConfig) -> Vec<&'static str> {
     let trained = entries
         .iter()
         .any(|e| e.trained_entropy)
@@ -468,7 +466,7 @@ pub fn run(entries: &[&Experiment]) -> Vec<&'static str> {
             println!("================================================================");
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            build_entry(entry, &base, trained.as_ref())
+            build_entry(entry, base, trained.as_ref())
         }));
         match result {
             Ok(figures) => crate::emit::emit_all(&figures),
@@ -477,9 +475,6 @@ pub fn run(entries: &[&Experiment]) -> Vec<&'static str> {
                 failures.push(entry.name);
             }
         }
-    }
-    if let Err(e) = crate::harness::save_shared_sim_cache() {
-        eprintln!("warning: saving PMT_SIM_CACHE: {e}");
     }
     failures
 }

@@ -12,7 +12,10 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Common experiment knobs (overridable via env for quick sweeps).
+/// The experiment scale every figure reads. `pmt figure` and `pmt
+/// report` build it from their parsed `--smoke` switch and pass it
+/// down; nothing else (no environment variable, no scan of the process
+/// arguments) changes a deterministic figure.
 #[derive(Clone, Debug)]
 pub struct HarnessConfig {
     /// Instructions per workload.
@@ -21,41 +24,48 @@ pub struct HarnessConfig {
     pub profiler: ProfilerConfig,
     /// Model configuration.
     pub model: ModelConfig,
+    /// Smoke scale: a toy trace budget, sparser design-space sweeps and
+    /// fewer validation workloads, so CI runs every experiment's whole
+    /// pipeline in seconds.
+    pub smoke: bool,
 }
 
 impl HarnessConfig {
-    /// Whether this experiment run asked for smoke scale (`--smoke` on the
-    /// command line, or `PMT_SMOKE=1` in the environment). CI uses this to
-    /// run every experiment end-to-end with a tiny trace budget.
-    pub fn smoke_requested() -> bool {
-        std::env::args().any(|a| a == "--smoke")
-            || std::env::var("PMT_SMOKE").is_ok_and(|v| v == "1" || v == "true")
-    }
-
-    /// Default experiment scale: 1M instructions, thesis sampling scaled
+    /// Full experiment scale: 1M instructions, thesis sampling scaled
     /// down 10× (100/10k) so every workload yields ~100 micro-traces.
-    /// In smoke mode ([`smoke_requested`](Self::smoke_requested)) the
-    /// instruction budget drops to 30k so every experiment still
-    /// exercises its whole pipeline, just on a toy trace.
     pub fn default_scale() -> HarnessConfig {
-        let default_instructions = if Self::smoke_requested() {
-            30_000
-        } else {
-            1_000_000
-        };
-        let instructions = std::env::var("PMT_INSTRUCTIONS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_instructions);
         let mut profiler = ProfilerConfig::thesis_default();
         profiler.sampling = pmt_trace::SamplingConfig {
             micro_trace_instructions: 1_000,
             window_instructions: 10_000,
         };
         HarnessConfig {
-            instructions,
+            instructions: 1_000_000,
             profiler,
             model: ModelConfig::thesis_best(),
+            smoke: false,
+        }
+    }
+
+    /// Smoke scale (`--smoke`): [`default_scale`](Self::default_scale)
+    /// on a 30k-instruction budget, so every experiment still exercises
+    /// its whole pipeline, just on a toy trace.
+    pub fn smoke() -> HarnessConfig {
+        HarnessConfig {
+            instructions: 30_000,
+            smoke: true,
+            ..HarnessConfig::default_scale()
+        }
+    }
+
+    /// Design-space subsampling stride for the sweep figures:
+    /// `default_stride`, tripled at smoke scale so CI touches every
+    /// pipeline without paying for the space.
+    pub fn space_stride(&self, default_stride: usize) -> usize {
+        if self.smoke {
+            default_stride * 3
+        } else {
+            default_stride
         }
     }
 
@@ -71,37 +81,30 @@ impl HarnessConfig {
 /// ground truth goes through ([`simulate`], [`sweep`], the validator).
 /// It is always present in memory, so within one process each
 /// (workload, machine, budget) simulation runs once however many
-/// figures ask for it. `PMT_SIM_CACHE` (`pmt report --cache`) only names
-/// the file it is loaded from and that [`save_shared_sim_cache`]
-/// persists it to, so a warm `pmt report` (or repeated `pmt figure`
-/// run) re-runs none of these simulations. Only the runs
-/// [`sim_cache_key`] cannot describe — perfect-mode and interval-sampled
-/// `SimConfig`s, and the timed sample of the `speedup` table — call the
-/// simulator directly.
+/// figures ask for it. `--cache FILE` on `pmt figure` and `pmt report`
+/// fills it from that file before the run ([`load_shared_sim_cache`])
+/// and saves it back after, so a warm run re-runs none of these
+/// simulations. Only the runs [`sim_cache_key`] cannot describe —
+/// perfect-mode and interval-sampled `SimConfig`s, and the timed sample
+/// of the `speedup` table — call the simulator directly.
 pub fn shared_sim_cache() -> Arc<SimCache> {
-    static CACHE: OnceLock<Arc<SimCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let cache = match std::env::var("PMT_SIM_CACHE") {
-                Ok(path) if std::path::Path::new(&path).exists() => SimCache::load(&path)
-                    .unwrap_or_else(|e| {
-                        eprintln!("warning: ignoring PMT_SIM_CACHE={path}: {e}");
-                        SimCache::new()
-                    }),
-                _ => SimCache::new(),
-            };
-            Arc::new(cache)
-        })
-        .clone()
+    SHARED_SIM_CACHE.get_or_init(SimCache::shared).clone()
 }
 
-/// Persist the [`shared_sim_cache`] to its `PMT_SIM_CACHE` file (a no-op
-/// when the env var is unset).
-pub fn save_shared_sim_cache() -> Result<(), String> {
-    match std::env::var("PMT_SIM_CACHE") {
-        Ok(path) => shared_sim_cache().save(&path),
-        Err(_) => Ok(()),
-    }
+static SHARED_SIM_CACHE: OnceLock<Arc<SimCache>> = OnceLock::new();
+
+/// Start the [`shared_sim_cache`] from the file at `path` (a no-op when
+/// no such file exists yet: the run is cold and the save creates it).
+/// Call it before anything simulates: a cache already in use is refused.
+pub fn load_shared_sim_cache(path: &str) -> Result<(), String> {
+    let json = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        read => read.map_err(|e| format!("reading {path}: {e}"))?,
+    };
+    let cache = SimCache::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
+    SHARED_SIM_CACHE
+        .set(Arc::new(cache))
+        .map_err(|_| format!("{path}: the shared simulation cache is already in use"))
 }
 
 /// One reference simulation of `spec` on `machine` over `instructions`,
@@ -121,29 +124,6 @@ pub fn sweep(cfg: &HarnessConfig, sim_instructions: u64) -> SweepConfig {
         sim_instructions,
         sim_cache: Some(shared_sim_cache()),
     }
-}
-
-/// Design-space subsampling stride for the sweep figures: the
-/// `PMT_SPACE_STRIDE` override if set, else `default_stride`, tripled in
-/// smoke mode so CI touches every pipeline without paying for the space.
-pub fn space_stride(default_stride: usize) -> usize {
-    std::env::var("PMT_SPACE_STRIDE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if HarnessConfig::smoke_requested() {
-            default_stride * 3
-        } else {
-            default_stride
-        })
-}
-
-/// Per-point simulation budget for the sweep figures: the
-/// `PMT_SIM_INSTRUCTIONS` override if set, else `default_budget`.
-pub fn sim_instructions(default_budget: u64) -> u64 {
-    std::env::var("PMT_SIM_INSTRUCTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_budget)
 }
 
 /// One workload evaluated by both the model and the simulator.

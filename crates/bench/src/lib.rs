@@ -4,8 +4,9 @@
 //! generated `docs/PAPER_MAP.md` is the index — and `pmt figure NAME…`
 //! (or `pmt figure all`) runs it over three layers here:
 //!
-//! * [`harness`] — common plumbing: suite iteration, smoke/env scale
-//!   knobs, entropy-model training, error metrics, and the memoized
+//! * [`harness`] — common plumbing: the experiment scale
+//!   ([`HarnessConfig`], full or `--smoke`), suite iteration,
+//!   entropy-model training, error metrics, and the memoized
 //!   reference simulations ([`harness::simulate`]) experiments compare
 //!   against,
 //! * [`figures`] — one builder per experiment returning typed
@@ -13,10 +14,12 @@
 //!   that maps every experiment to its paper artifact and the crates it
 //!   exercises, and [`run`], the one loop that builds and emits entries,
 //! * [`emit`](mod@emit) — the shared output path rendering figures to
-//!   stdout text (and, under `PMT_REPORT_DIR`, to SVG/Markdown files).
+//!   stdout text.
 //!
 //! The `pmt report` subcommand drives the same registry to regenerate
-//! `docs/REPRODUCTION.md`.
+//! `docs/REPRODUCTION.md`. Both take their scale from one value built
+//! from the parsed command line; `--smoke` is the only input that
+//! changes a deterministic figure.
 
 pub mod emit;
 pub mod figures;

@@ -12,7 +12,6 @@ use pmt_workloads::suite;
 /// figure simulates nothing.
 #[test]
 fn figures_share_one_simulation_pass_per_machine() {
-    std::env::remove_var("PMT_SIM_CACHE");
     let cfg = HarnessConfig {
         instructions: 30_000,
         ..HarnessConfig::default_scale()

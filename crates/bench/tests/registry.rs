@@ -71,8 +71,9 @@ fn run_isolates_a_panicking_entry_and_names_it() {
         build: |_| panic!("boom"),
     };
     let fine = by_name("tbl6_1_reference").unwrap();
-    assert_eq!(run(&[&boom, fine, &boom]), ["boom", "boom"]);
-    assert!(run(&[fine]).is_empty());
+    let cfg = HarnessConfig::smoke();
+    assert_eq!(run(&[&boom, fine, &boom], &cfg), ["boom", "boom"]);
+    assert!(run(&[fine], &cfg).is_empty());
 }
 
 /// The generated paper map mentions every registered experiment and
@@ -107,6 +108,6 @@ fn figure_building_is_deterministic() {
     for (fa, fb) in a.iter().zip(&b) {
         assert_eq!(fa.render_text(), fb.render_text());
         assert_eq!(fa.render_markdown(), fb.render_markdown());
-        assert_eq!(fa.meta.binary, "pmt -- figure tbl6_1_reference");
+        assert_eq!(fa.meta.command, "pmt -- figure tbl6_1_reference");
     }
 }

@@ -85,11 +85,6 @@ impl EntropyMissModel {
         fit
     }
 
-    /// The fitted line for a predictor, if trained.
-    pub fn fit_for(&self, kind: PredictorKind) -> Option<&LinearFit> {
-        self.fits.get(&kind)
-    }
-
     /// Predict a misprediction rate from an entropy value, clamped to the
     /// meaningful range [0, 0.5].
     ///

@@ -286,15 +286,6 @@ impl HierarchySim {
         self.l3.fill(pc);
         None
     }
-
-    /// Level stats accessor by data level.
-    pub fn level_stats(&self, level: DataLevel) -> &LevelStats {
-        match level {
-            DataLevel::L1d => &self.stats.l1d,
-            DataLevel::L2 => &self.stats.l2,
-            DataLevel::L3 => &self.stats.l3,
-        }
-    }
 }
 
 #[cfg(test)]

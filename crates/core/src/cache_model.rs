@@ -71,14 +71,6 @@ impl CacheModel {
         )
     }
 
-    /// Fit for the instruction path (L1-I geometry, then shared L2/L3).
-    pub fn fit_inst(hist: &ReuseHistogram, caches: &CacheHierarchy) -> CacheModel {
-        Self::from_fitted(
-            &StackDistanceModel::from_reuse(hist),
-            Self::inst_lines(caches),
-        )
-    }
-
     /// Evaluate an already-fitted StatStack model for a hierarchy given as
     /// per-level line counts. This is the machine-dependent step only —
     /// six binary searches, no allocation — and the specification the

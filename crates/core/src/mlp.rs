@@ -12,7 +12,7 @@
 //! estimates stride-prefetcher coverage and timeliness (Eq 4.13).
 
 use crate::cache_model::CacheModel;
-use pmt_profiler::{LoadDependenceDistribution, StaticLoadProfile, StrideCategory};
+use pmt_profiler::{LoadDependenceDistribution, StaticLoadProfile};
 use pmt_uarch::MachineConfig;
 use serde::{Deserialize, Serialize};
 
@@ -493,11 +493,6 @@ impl<'a> StrideMlpModel<'a> {
             }
         }
     }
-}
-
-/// Classification helper: is this load "unique" in the Fig 4.7 sense?
-pub fn is_unique(load: &StaticLoadProfile) -> bool {
-    load.category == StrideCategory::Unique
 }
 
 #[cfg(test)]

@@ -373,11 +373,6 @@ impl StreamingSummary {
     pub fn frontier_ids(&self) -> Vec<usize> {
         self.frontier.iter().map(|e| e.id).collect()
     }
-
-    /// Frontier (delay, power) coordinates, in id order.
-    pub fn frontier_coords(&self) -> Vec<(f64, f64)> {
-        self.frontier.iter().map(|e| e.coords).collect()
-    }
 }
 
 /// One chunk's worth of accumulators — the unit the parallel fold

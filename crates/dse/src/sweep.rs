@@ -70,11 +70,6 @@ impl PointOutcome {
         Some(s / self.model_cpi - 1.0)
     }
 
-    /// Magnitude of [`ipc_error`](Self::ipc_error).
-    pub fn abs_ipc_error(&self) -> Option<f64> {
-        self.ipc_error().map(f64::abs)
-    }
-
     /// **Signed** relative power error, if simulated:
     /// `(model − sim) / sim`. Positive means the model over-predicts.
     pub fn power_error(&self) -> Option<f64> {

@@ -92,13 +92,6 @@ impl PowerBreakdown {
         }
     }
 
-    /// Iterate (component, dynamic watts).
-    pub fn iter_dynamic(&self) -> impl Iterator<Item = (PowerComponent, f64)> + '_ {
-        PowerComponent::ALL
-            .iter()
-            .map(move |&c| (c, self.dynamic_w[c as usize]))
-    }
-
     /// Energy in joules over an execution time in seconds.
     pub fn energy(&self, seconds: f64) -> f64 {
         self.total() * seconds

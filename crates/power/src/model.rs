@@ -89,11 +89,6 @@ impl PowerModel {
         }
     }
 
-    /// The machine's operating point (from its core config).
-    pub fn operating_point(&self) -> OperatingPoint {
-        OperatingPoint::new(self.machine.core.frequency_ghz, self.machine.core.vdd)
-    }
-
     /// Static (leakage) power in watts at the machine's voltage.
     pub fn static_power(&self) -> f64 {
         PowerModel::static_power_of(&self.machine)

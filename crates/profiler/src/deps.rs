@@ -84,11 +84,6 @@ impl DependenceProfile {
         &self.rob_sizes
     }
 
-    /// Raw grid value accessors (for the interpolation-error experiment).
-    pub fn grid_values(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.ap, &self.abp, &self.cp)
-    }
-
     /// Average path length at an arbitrary ROB size.
     pub fn ap(&self, rob: u32) -> f64 {
         interp_log(&self.rob_sizes, &self.ap, rob)

@@ -11,22 +11,23 @@ pub struct FigureMeta {
     pub paper_ref: String,
     /// One-line title (the thesis caption, condensed).
     pub title: String,
-    /// The `cargo run --release --bin` arguments that regenerate this
-    /// figure (`pmt -- figure fig6_1_cpi_stacks`).
-    pub binary: String,
+    /// The `pmt` command that regenerates this figure, written as the
+    /// arguments the Markdown form puts after `cargo run --release --bin`
+    /// (`pmt -- figure fig6_1_cpi_stacks`).
+    pub command: String,
     /// Free-form footnotes: suite means, the thesis' reference numbers, …
     pub notes: Vec<String>,
 }
 
 impl FigureMeta {
     /// Construct the identity triple; provenance is filled by the
-    /// builders ([`Figure::binary`], [`Figure::note`]).
+    /// builders ([`Figure::command`], [`Figure::note`]).
     pub fn new(id: &str, paper_ref: &str, title: &str) -> FigureMeta {
         FigureMeta {
             id: id.into(),
             paper_ref: paper_ref.into(),
             title: title.into(),
-            binary: String::new(),
+            command: String::new(),
             notes: Vec::new(),
         }
     }
@@ -178,10 +179,10 @@ impl Figure {
         self
     }
 
-    /// Record the `cargo run --release --bin` arguments that regenerate
-    /// this figure.
-    pub fn binary(mut self, name: &str) -> Figure {
-        self.meta.binary = name.into();
+    /// Record the `pmt` command that regenerates this figure (see
+    /// [`FigureMeta::command`]).
+    pub fn command(mut self, command: &str) -> Figure {
+        self.meta.command = command.into();
         self
     }
 
@@ -199,13 +200,7 @@ impl Figure {
     /// A Markdown section (heading, image reference for charts, data
     /// table, footnotes).
     pub fn render_markdown(&self) -> String {
-        crate::markdown::render(self, self.is_chart())
-    }
-
-    /// A Markdown section without the image reference (standalone use,
-    /// where no SVG file exists next to the text).
-    pub fn render_markdown_data_only(&self) -> String {
-        crate::markdown::render(self, false)
+        crate::markdown::render(self)
     }
 
     /// Deterministic hand-rolled SVG (fixed viewBox, stable floats).

@@ -2,11 +2,12 @@
 
 use crate::figure::Figure;
 
-/// Render a figure as a Markdown section. With `with_image`, charts get
-/// an image reference to `figures/<id>.svg` (the path the generated
-/// report writes them under) and their data table folds into a
-/// `<details>` block; tables show their data inline.
-pub(crate) fn render(figure: &Figure, with_image: bool) -> String {
+/// Render a figure as a Markdown section. Charts get an image reference
+/// to `figures/<id>.svg` (the path the generated report writes them
+/// under) and their data table folds into a `<details>` block; tables
+/// show their data inline.
+pub(crate) fn render(figure: &Figure) -> String {
+    let with_image = figure.is_chart();
     let mut out = String::new();
     out.push_str(&format!(
         "### {} — {}\n\n",
@@ -35,10 +36,10 @@ pub(crate) fn render(figure: &Figure, with_image: bool) -> String {
     if !figure.meta.notes.is_empty() {
         out.push('\n');
     }
-    if !figure.meta.binary.is_empty() {
+    if !figure.meta.command.is_empty() {
         out.push_str(&format!(
             "*Regenerate: `cargo run --release --bin {}`*\n\n",
-            figure.meta.binary
+            figure.meta.command
         ));
     }
     out

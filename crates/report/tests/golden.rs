@@ -63,7 +63,7 @@ fn sample_bar() -> Figure {
             decimals: 3,
         },
     )
-    .binary("fig6_1_cpi_stacks")
+    .command("fig6_1_cpi_stacks")
     .note("mean |CPI error| 7.6% (thesis §6.2.1: 7.6%)")
 }
 

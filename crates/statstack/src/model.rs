@@ -182,15 +182,6 @@ impl StackDistanceModel {
         }
         .max(self.cold_fraction)
     }
-
-    /// Miss counts per level for a sequence of cache sizes (in lines),
-    /// scaled to `accesses` total accesses. Sizes need not be sorted.
-    pub fn miss_counts(&self, cache_lines: &[u64], accesses: f64) -> Vec<f64> {
-        cache_lines
-            .iter()
-            .map(|&c| self.miss_ratio(c) * accesses)
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl ReuseRecorder {
     pub fn histogram(&self) -> &ReuseHistogram {
         &self.histogram
     }
-
-    /// Consume the recorder, yielding the histogram.
-    pub fn into_histogram(self) -> ReuseHistogram {
-        self.histogram
-    }
 }
 
 #[cfg(test)]

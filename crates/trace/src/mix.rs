@@ -100,16 +100,6 @@ impl InstructionMix {
         self.fraction(UopClass::Load)
     }
 
-    /// Fraction of μops that are stores.
-    pub fn store_fraction(&self) -> f64 {
-        self.fraction(UopClass::Store)
-    }
-
-    /// Fraction of μops that are branches.
-    pub fn branch_fraction(&self) -> f64 {
-        self.fraction(UopClass::Branch)
-    }
-
     /// Per-class sampling error versus a reference mix, per thesis Eq 5.1:
     /// `|n_c(sampled→scaled) − n_c(full)| / Σ_c n_c(full)`, returned per
     /// class. The sampled mix is first rescaled so both mixes describe the

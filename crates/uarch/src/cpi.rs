@@ -56,15 +56,6 @@ pub struct CpiStack {
 }
 
 impl CpiStack {
-    /// Build from per-component CPI values.
-    pub fn from_components(values: &[(CpiComponent, f64)]) -> CpiStack {
-        let mut s = CpiStack::default();
-        for &(c, v) in values {
-            s.components[c as usize] += v;
-        }
-        s
-    }
-
     /// Add CPI to one component.
     pub fn add(&mut self, component: CpiComponent, cpi: f64) {
         self.components[component as usize] += cpi;

@@ -155,12 +155,6 @@ impl CodeSpec {
             block_iterations: 50,
         }
     }
-
-    /// Total static instruction footprint (approximate, bytes at 4 B per
-    /// instruction).
-    pub fn approx_footprint_bytes(&self) -> u64 {
-        self.blocks as u64 * self.block_len_mean as u64 * 4
-    }
 }
 
 /// Memory behaviour knobs (drives Fig 4.2 MPKI, Fig 4.7 stride classes).

@@ -225,6 +225,7 @@ impl Parsed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const CMD: Command = Command {
         name: "demo",
@@ -279,6 +280,60 @@ mod tests {
         let err = p.parsed::<u32>("--n", "a count").err().unwrap();
         assert!(err.message().contains("lots"));
         assert!(err.message().contains("--n"));
+    }
+
+    /// One argv token: a flag the command declares, `--`-prefixed junk,
+    /// an empty string, non-ASCII text, or a plain positional.
+    fn token(command: &Command, kind: u8, pick: usize) -> String {
+        const OTHER: [&str; 6] = ["", "--", "--é", "ünïcode", "--日本", "-"];
+        match kind {
+            0 | 1 if !command.flags.is_empty() => {
+                command.flags[pick % command.flags.len()].name.to_string()
+            }
+            2 => format!("--junk{}", pick % 7),
+            3 => OTHER[pick % OTHER.len()].to_string(),
+            _ => format!("value{}", pick % 5),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile argv for every subcommand never panics the parser, and
+        /// every refusal is a usage error (exit 2), never a runtime one.
+        #[test]
+        fn hostile_argv_is_parsed_or_refused_as_usage(
+            which in any::<usize>(),
+            raw in prop::collection::vec((0u8..5, any::<usize>()), 0..10),
+        ) {
+            let commands = crate::all_commands();
+            let command = commands[which % commands.len()];
+            let argv: Vec<String> =
+                raw.iter().map(|&(kind, pick)| token(command, kind, pick)).collect();
+            match command.parse(&argv) {
+                Ok(_) => {}
+                Err(e) => prop_assert!(
+                    matches!(e, CliError::Usage(_)),
+                    "`pmt {}` {argv:?}: {}",
+                    command.name,
+                    e.message()
+                ),
+            }
+        }
+    }
+
+    /// A value flag takes the next token verbatim, even one that looks
+    /// like a flag: `--out-dir --smoke` writes into `--smoke` and leaves
+    /// the switch off.
+    #[test]
+    fn a_value_flag_consumes_the_next_token_verbatim() {
+        let args: Vec<String> = ["--out-dir", "--smoke"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let p = crate::commands::REPORT.parse(&args).unwrap().unwrap();
+        assert_eq!(p.value("--out-dir"), Some("--smoke"));
+        assert!(!p.switch("--smoke"));
     }
 
     #[test]

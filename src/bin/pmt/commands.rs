@@ -238,6 +238,11 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
 
 // ------------------------------------------------------------ validate
 
+/// The `--cache FILE` flag every simulating command shares: the file its
+/// memoized reference simulations load from and save back to.
+pub const CACHE_FLAG: Flag =
+    Flag::value("--cache", "FILE", "memoized simulation cache to load/save");
+
 pub const VALIDATE: Command = Command {
     name: "validate",
     about: "model-vs-simulator accuracy report (memoized sim runs)",
@@ -256,7 +261,7 @@ pub const VALIDATE: Command = Command {
             "simulated instructions per point",
         ),
         Flag::value("--out", "FILE", "write the ValidationReport JSON here"),
-        Flag::value("--cache", "FILE", "memoized simulation cache to load/save"),
+        CACHE_FLAG,
         Flag::value(
             "--corrector",
             "FILE",
@@ -425,8 +430,35 @@ pub const FIGURE: Command = Command {
     name: "figure",
     about: "reproduce thesis figures/tables by experiment name (docs/PAPER_MAP.md), or all",
     positionals: "<name>.. | all",
-    flags: &[Flag::switch("--smoke", "tiny trace budget, same pipeline")],
+    flags: &[
+        CACHE_FLAG,
+        Flag::switch("--smoke", "tiny trace budget, same pipeline"),
+    ],
 };
+
+/// The experiment scale `pmt figure` and `pmt report` run at: the
+/// `--smoke` switch is its only input.
+fn harness_scale(parsed: &Parsed) -> pmt::bench::HarnessConfig {
+    if parsed.switch("--smoke") {
+        pmt::bench::HarnessConfig::smoke()
+    } else {
+        pmt::bench::HarnessConfig::default_scale()
+    }
+}
+
+/// Run `body` with the process-wide reference-simulation memo started
+/// from the `--cache` file, if given, and written back to it after.
+fn with_shared_sim_cache<T>(parsed: &Parsed, body: impl FnOnce() -> T) -> Result<T, CliError> {
+    let path = parsed.value("--cache");
+    if let Some(path) = path {
+        pmt::bench::harness::load_shared_sim_cache(path)?;
+    }
+    let out = body();
+    if let Some(path) = path {
+        pmt::bench::harness::shared_sim_cache().save(path)?;
+    }
+    Ok(out)
+}
 
 pub fn figure(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_or_return!(FIGURE, args);
@@ -435,9 +467,9 @@ pub fn figure(args: &[String]) -> Result<(), CliError> {
             "`pmt figure` needs experiment names or `all` (see `pmt figure --help`)".into(),
         ));
     }
-    // (`--smoke` is read process-wide by `HarnessConfig::smoke_requested`.)
     let entries = pmt::bench::select(parsed.positionals()).map_err(CliError::Usage)?;
-    let failed = pmt::bench::run(&entries);
+    let scale = harness_scale(&parsed);
+    let failed = with_shared_sim_cache(&parsed, || pmt::bench::run(&entries, &scale))?;
     if failed.is_empty() {
         Ok(())
     } else {
@@ -457,11 +489,7 @@ pub const REPORT: Command = Command {
     positionals: "",
     flags: &[
         Flag::value("--out-dir", "DIR", "output directory (default docs)"),
-        Flag::value(
-            "--cache",
-            "FILE",
-            "file the memoized simulation cache loads from and saves to",
-        ),
+        CACHE_FLAG,
         Flag::switch("--smoke", "tiny CI scale (the committed document's scale)"),
     ],
 };
@@ -469,22 +497,15 @@ pub const REPORT: Command = Command {
 pub fn report(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_or_return!(REPORT, args);
     let out_dir = parsed.value("--out-dir").unwrap_or("docs");
-    // Every figure's reference simulations are memoized in memory for the
-    // run; `--cache` names the file that memo loads from and is saved to,
-    // so a warm regeneration re-runs only the perfect-mode and
-    // interval-sampled simulations the cache key cannot describe.
-    // (`--smoke` is read process-wide by `HarnessConfig::smoke_requested`.)
-    if let Some(cache) = parsed.value("--cache") {
-        std::env::set_var("PMT_SIM_CACHE", cache);
-    }
-    let scale = pmt::bench::HarnessConfig::default_scale();
+    let scale = harness_scale(&parsed);
     eprintln!(
         "generating the reproduction report at {} instructions per workload...",
         scale.instructions
     );
-    let report = pmt::bench::report_gen::generate();
+    // A warm `--cache` regeneration re-runs only the perfect-mode and
+    // interval-sampled simulations the cache key cannot describe.
+    let report = with_shared_sim_cache(&parsed, || pmt::bench::report_gen::generate(&scale))?;
     let files = pmt::bench::report_gen::write(&report, std::path::Path::new(out_dir))?;
-    pmt::bench::harness::save_shared_sim_cache()?;
     let charts = report.figures().filter(|f| f.is_chart()).count();
     let total = report.figures().count();
     println!("report -> {out_dir}/REPRODUCTION.md ({total} figures, {charts} SVGs, {files} files)");

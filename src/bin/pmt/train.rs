@@ -17,7 +17,7 @@
 //! fusion-smoke job asserts exactly this).
 
 use crate::args::{CliError, Command, Flag};
-use crate::commands::Grid;
+use crate::commands::{Grid, CACHE_FLAG};
 use pmt::ml::TrainOptions;
 
 pub const TRAIN: Command = Command {
@@ -38,7 +38,7 @@ pub const TRAIN: Command = Command {
             "simulated instructions per point",
         ),
         Flag::value("--out", "FILE", "write the ResidualModel JSON here"),
-        Flag::value("--cache", "FILE", "memoized simulation cache to load/save"),
+        CACHE_FLAG,
         Flag::value("--seed", "N", "train/test split seed (default 42)"),
         Flag::value("--lambda", "F", "ridge penalty (default 0.001)"),
         Flag::value(
